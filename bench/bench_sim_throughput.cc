@@ -167,7 +167,7 @@ runMutexCase(unsigned tasklets, unsigned iters, unsigned reps)
  * storm of tiny commands on a multi-thousand-rank system, where the
  * per-command orchestration (chain build, slot→rank folding, arenas)
  * dominates and the simulated DPU work is negligible. This is the case
- * the O(slots) partition fold and the pipelined drain accelerate.
+ * the O(slots) partition fold accelerates.
  */
 struct QueuePressureResult
 {
@@ -176,15 +176,13 @@ struct QueuePressureResult
     uint64_t commands = 0;
     /** End-to-end wall of the command script (enqueue + drains). */
     double wallSeconds = 0.0;
-    /** Cumulative drain phase walls (CommandQueue::drainStats; the
-     *  phases overlap under the pipelined mode). */
+    /** Cumulative drain phase walls (CommandQueue::drainStats). */
     double phase1Sec = 0.0;
     double phase2Sec = 0.0;
     double commandsPerSec = 0.0;
-    /** Simulated makespan — deterministic, identical across drain
-     *  modes and thread counts (the fidelity cross-check). */
+    /** Simulated makespan — deterministic, identical across thread
+     *  counts (the fidelity cross-check). */
     double simSeconds = 0.0;
-    const char *drainMode = "";
 };
 
 QueuePressureResult
@@ -193,8 +191,6 @@ runQueuePressure(unsigned ranks, unsigned waves, unsigned reps)
     QueuePressureResult res;
     res.ranks = ranks;
     res.waves = waves;
-    res.drainMode = core::CommandQueue::drainModeName(
-        core::CommandQueue::defaultDrainMode());
 
     double best = -1.0;
     for (unsigned rep = 0; rep < reps; ++rep) {
@@ -340,8 +336,8 @@ main(int argc, char **argv)
     const QueuePressureResult qp =
         runQueuePressure(qp_ranks, qp_waves, reps);
     util::Table qp_table(
-        std::string("Queue pressure (drain: ") + qp.drainMode + ", "
-        + std::to_string(qp.ranks) + " ranks, "
+        std::string("Queue pressure (") + std::to_string(qp.ranks)
+        + " ranks, "
         + std::to_string(qp.waves) + " waves, best of "
         + std::to_string(reps) + ")");
     qp_table.setHeader({"Commands", "Wall (ms)", "Phase1 (ms)",
@@ -400,7 +396,6 @@ main(int argc, char **argv)
         }
         j.endArray();
         j.key("queue_pressure").beginObject();
-        j.key("drain_mode").value(qp.drainMode);
         j.key("ranks").value(qp.ranks);
         j.key("waves").value(qp.waves);
         j.key("commands").value(qp.commands);

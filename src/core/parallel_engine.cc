@@ -4,7 +4,10 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "util/host_placement.hh"
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "util/logging.hh"
 
 namespace pim::core {
@@ -15,6 +18,46 @@ namespace {
  *  forEach() calls from workload code then run inline instead of
  *  re-entering the dispatcher (which would deadlock on callMutex_). */
 thread_local bool tl_in_pool_worker = false;
+
+/**
+ * Pin the calling thread to the @p cpu-th CPU this process may run on
+ * (wrapping around the allowed set). Best-effort: where the call is
+ * unsupported or rejected, the thread stays unpinned.
+ */
+void
+pinCurrentThreadToCpu(unsigned cpu)
+{
+#if defined(__linux__)
+    // Map the logical worker index onto the process's *allowed* CPUs:
+    // under a container quota the allowed set need not start at 0.
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0)
+        return;
+    const int total = CPU_COUNT(&allowed);
+    if (total <= 0)
+        return;
+    unsigned want = cpu % static_cast<unsigned>(total);
+    int target = -1;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (!CPU_ISSET(c, &allowed))
+            continue;
+        if (want == 0) {
+            target = c;
+            break;
+        }
+        --want;
+    }
+    if (target < 0)
+        return;
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    CPU_SET(target, &mask);
+    (void)sched_setaffinity(0, sizeof(mask), &mask);
+#else
+    (void)cpu;
+#endif
+}
 
 } // namespace
 
@@ -76,24 +119,6 @@ ParallelDpuEngine::liveWorkers() const
     return static_cast<unsigned>(workers_.size());
 }
 
-unsigned
-ParallelDpuEngine::ownerOfIndex(size_t i, size_t n) const
-{
-    // Inverse of the static slicing in runSlice(): worker w owns
-    // [w*n/W, (w+1)*n/W).
-    const size_t workers = std::min<size_t>(threads_, n);
-    if (workers <= 1 || n == 0)
-        return 0;
-    const size_t w = (i * workers) / n;
-    // Integer rounding can land one off; correct against the exact
-    // slice bounds.
-    for (size_t c = w > 0 ? w - 1 : 0; c < workers; ++c) {
-        if (i >= (c * n) / workers && i < ((c + 1) * n) / workers)
-            return static_cast<unsigned>(c);
-    }
-    return static_cast<unsigned>(workers - 1);
-}
-
 void
 ParallelDpuEngine::ensureWorkers(size_t count) const
 {
@@ -110,7 +135,7 @@ ParallelDpuEngine::runSlice(unsigned worker_idx) const
     const std::function<void(size_t)> &fn = *job_.fn;
     if (job_.staticSlices) {
         // Pinned placement: fixed contiguous slice per worker so the
-        // index -> CPU mapping is stable across calls (NUMA locality).
+        // index -> CPU mapping is stable across calls.
         const size_t begin = (worker_idx * job_.n) / job_.participants;
         const size_t end =
             ((worker_idx + 1) * job_.n) / job_.participants;
@@ -152,7 +177,7 @@ ParallelDpuEngine::workerMain(unsigned worker_idx) const
 {
     tl_in_pool_worker = true;
     if (affinity_)
-        (void)util::pinCurrentThreadToCpu(worker_idx);
+        pinCurrentThreadToCpu(worker_idx);
 
     uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(poolMutex_);
@@ -174,9 +199,22 @@ ParallelDpuEngine::workerMain(unsigned worker_idx) const
 }
 
 void
-ParallelDpuEngine::startJob(size_t n,
-                            const std::function<void(size_t)> &fn) const
+ParallelDpuEngine::forEach(size_t n,
+                           const std::function<void(size_t)> &fn) const
 {
+    if (n == 0)
+        return;
+
+    if (tl_in_pool_worker || threads_ <= 1 || n == 1) {
+        for (size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+
+    // One dispatched job at a time; concurrent top-level callers queue
+    // here (workload code never calls this concurrently, but tests do).
+    std::lock_guard<std::mutex> call(callMutex_);
+
     // Grab granularity: coarse enough to amortize the atomic fetch when
     // indices are cheap (thousands of small DPU launches), fine enough
     // that a handful of expensive indices (heavy workload shards) still
@@ -202,11 +240,7 @@ ParallelDpuEngine::startJob(size_t n,
         ++generation_;
     }
     wakeCv_.notify_all();
-}
 
-std::exception_ptr
-ParallelDpuEngine::joinJob() const
-{
     std::exception_ptr error;
     {
         std::unique_lock<std::mutex> lock(poolMutex_);
@@ -216,67 +250,8 @@ ParallelDpuEngine::joinJob() const
         error = job_.firstError;
         job_.fn = nullptr;
     }
-    return error;
-}
-
-void
-ParallelDpuEngine::forEach(size_t n,
-                           const std::function<void(size_t)> &fn) const
-{
-    if (n == 0)
-        return;
-
-    if (tl_in_pool_worker || threads_ <= 1 || n == 1) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    // One dispatched job at a time; concurrent top-level callers queue
-    // here (workload code never calls this concurrently, but tests do).
-    std::lock_guard<std::mutex> call(callMutex_);
-    startJob(n, fn);
-    if (std::exception_ptr error = joinJob())
-        std::rethrow_exception(error);
-}
-
-bool
-ParallelDpuEngine::canDispatch(size_t n) const
-{
-    return n > 0 && threads_ > 1 && !tl_in_pool_worker;
-}
-
-void
-ParallelDpuEngine::dispatch(size_t n,
-                            const std::function<void(size_t)> &fn) const
-{
-    PIM_ASSERT(canDispatch(n),
-               "dispatch() requires canDispatch(): a pool (threads > 1) "
-               "and a non-worker caller");
-    // Hold the top-level-caller lock across the dispatch..wait window so
-    // a concurrent forEach() cannot clobber the in-flight job.
-    callMutex_.lock();
-    PIM_ASSERT(!dispatchActive_, "dispatch() without waitDispatch()");
-    dispatchActive_ = true;
-    startJob(n, fn);
-}
-
-void
-ParallelDpuEngine::waitDispatch() const
-{
-    PIM_ASSERT(dispatchActive_, "waitDispatch() without dispatch()");
-    std::exception_ptr error = joinJob();
-    dispatchActive_ = false;
-    callMutex_.unlock();
     if (error)
         std::rethrow_exception(error);
-}
-
-bool
-ParallelDpuEngine::dispatchDone() const
-{
-    std::lock_guard<std::mutex> lock(poolMutex_);
-    return job_.workersDone == job_.participants;
 }
 
 } // namespace pim::core

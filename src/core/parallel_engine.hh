@@ -25,11 +25,9 @@
  *
  *  - Pinned (PIM_SIM_AFFINITY=1): each worker is pinned to one host CPU
  *    and owns a fixed contiguous slice of the index space, the same
- *    slice on every call with the same n. Index -> worker -> CPU is
- *    then stable, which is what makes first-touch / NUMA binding of
- *    per-DPU memory to the owning worker's node effective (see
- *    util/host_placement.hh; simulation results are identical either
- *    way, only locality differs).
+ *    slice on every call with the same n, so every launch simulates a
+ *    given DPU on the same core (simulation results are identical
+ *    either way, only wall time differs).
  *
  * Thread-count resolution: an explicit request wins; otherwise the
  * PIM_SIM_THREADS environment variable; otherwise the hardware
@@ -95,13 +93,6 @@ class ParallelDpuEngine
     static bool affinityFromEnv(const char *value);
 
     /**
-     * The worker that owns index @p i of an @p n-index launch under
-     * pinned placement (stable across calls with the same n). Only
-     * meaningful when affinityEnabled().
-     */
-    unsigned ownerOfIndex(size_t i, size_t n) const;
-
-    /**
      * Run @p fn(i) for every i in [0, n), sharded across the pool in
      * contiguous index ranges. Exceptions thrown by @p fn are captured
      * and the first one rethrown on the calling thread after the pool
@@ -111,38 +102,6 @@ class ParallelDpuEngine
      * every index has run.
      */
     void forEach(size_t n, const std::function<void(size_t)> &fn) const;
-
-    /**
-     * True if dispatch() can hand an @p n-index job to the pool and
-     * return while it runs: there are pool workers to run it (width
-     * > 1) and the caller is not itself a pool worker. When false,
-     * callers fall back to forEach() — same results, no overlap.
-     */
-    bool canDispatch(size_t n) const;
-
-    /**
-     * Asynchronous forEach: hand @p fn over [0, n) to the pool and
-     * return immediately; the calling thread runs no index and is free
-     * to consume results as workers produce them (the command queue's
-     * pipelined drain). Requires canDispatch(n); @p fn must stay alive
-     * until waitDispatch() returns, and exactly one waitDispatch() must
-     * follow before the next dispatch()/forEach(). Exceptions from
-     * @p fn are captured and rethrown by waitDispatch().
-     */
-    void dispatch(size_t n, const std::function<void(size_t)> &fn) const;
-
-    /** Block until the dispatched job finished on every worker, then
-     *  rethrow the first captured exception (if any). */
-    void waitDispatch() const;
-
-    /**
-     * True once every worker finished the dispatched job — including
-     * jobs cut short by an exception (runSlice drains the remaining
-     * chunks). The ready-notification hook for consumers blocking on
-     * per-index completion state: if the job is done but the state
-     * never arrived, a worker failed, and waitDispatch() rethrows.
-     */
-    bool dispatchDone() const;
 
   private:
     /** One dispatched forEach call, shared with the workers. */
@@ -164,11 +123,6 @@ class ParallelDpuEngine
     void runSlice(unsigned worker_idx) const;
     /** Spawn pool workers up to @p count (caller holds no lock). */
     void ensureWorkers(size_t count) const;
-    /** Publish @p fn over [0, n) as the current job and wake workers
-     *  (caller holds callMutex_). */
-    void startJob(size_t n, const std::function<void(size_t)> &fn) const;
-    /** Join the current job; @return its first captured exception. */
-    std::exception_ptr joinJob() const;
 
     unsigned threads_;
     bool affinity_;
@@ -184,10 +138,7 @@ class ParallelDpuEngine
     /** Bumped per dispatched job; workers wait for it to move. */
     mutable uint64_t generation_ = 0;
     mutable bool stopping_ = false;
-    /** True between dispatch() and waitDispatch() (misuse guard). */
-    mutable bool dispatchActive_ = false;
-    /** Serializes concurrent top-level forEach() callers; held across
-     *  a dispatch()..waitDispatch() window. */
+    /** Serializes concurrent top-level forEach() callers. */
     mutable std::mutex callMutex_;
 };
 

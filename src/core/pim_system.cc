@@ -263,17 +263,6 @@ PimSystem::PimSystem(const PimSystemConfig &cfg)
     dpus_.reserve(sample);
     for (unsigned i = 0; i < sample; ++i)
         dpus_.push_back(std::make_unique<sim::Dpu>(cfg.dpuCfg));
-
-    if (engine_.affinityEnabled()) {
-        // Placement pass: with pinned workers and static slicing, each
-        // sample slot is simulated by the same worker (and thus the
-        // same core) on every launch, so let that worker bind its DPUs'
-        // banks to its NUMA node. Best-effort — a no-op on single-node
-        // hosts or PIM_SIM_NUMA=OFF builds.
-        engine_.forEach(dpus_.size(), [this](size_t i) {
-            (void)dpus_[i]->bindMemoryToCallingThread();
-        });
-    }
 }
 
 unsigned

@@ -134,20 +134,6 @@ class Dpu
         wram_.reset();
     }
 
-    /**
-     * Bind this DPU's MRAM and WRAM pages to the NUMA node of the
-     * calling thread (best-effort; see FlatMemory::bindToCallingThread).
-     * PimSystem runs this on each DPU's owning pool worker when
-     * PIM_SIM_AFFINITY pins workers to cores.
-     */
-    bool
-    bindMemoryToCallingThread()
-    {
-        const bool m = mram_.bindToCallingThread();
-        const bool w = wram_.bindToCallingThread();
-        return m || w;
-    }
-
   private:
     DpuConfig cfg_;
     FlatMemory mram_;

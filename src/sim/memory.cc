@@ -1,7 +1,5 @@
 #include "sim/memory.hh"
 
-#include "util/host_placement.hh"
-
 namespace pim::sim {
 
 FlatMemory::FlatMemory(size_t bytes, const char *name)
@@ -20,12 +18,6 @@ FlatMemory::reset()
         static_cast<uint8_t *>(std::calloc(size_ ? size_ : 1, 1)));
     PIM_ASSERT(data_ != nullptr, name_, " reallocation of ", size_,
                " bytes failed");
-}
-
-bool
-FlatMemory::bindToCallingThread()
-{
-    return util::bindMemoryToCurrentNode(data_.get(), size_);
 }
 
 void

@@ -75,17 +75,6 @@ class FlatMemory
      */
     void reset();
 
-    /**
-     * Best-effort NUMA placement: bind this memory's pages to the node
-     * of the CPU the calling thread runs on (util::
-     * bindMemoryToCurrentNode). Called by the owning worker of a pinned
-     * ParallelDpuEngine so a DPU's bank lives next to the core that
-     * simulates it. No-op (returns false) on single-node hosts,
-     * non-Linux builds, or when PIM_SIM_NUMA is disabled; simulation
-     * results never depend on it.
-     */
-    bool bindToCallingThread();
-
     /** Raw pointer for read-only inspection in tests. */
     const uint8_t *raw() const { return data_.get(); }
 

@@ -1,12 +1,12 @@
 /**
  * @file
- * Drain-mode contract tests. The pipelined drain (PIM_SIM_DRAIN=
- * pipelined) must be an invisible optimization: for any command script
- * — tenants, dependencies, callbacks, scatter copies, timed launches,
- * injected faults — its complete observable outcome is bit-identical
- * to the classic barrier drain, and invariant across worker-thread
- * counts. The differentials below compare full outcome digests with
- * exact double equality, the same bar the mutex-mode fuzz sets.
+ * Drain contract tests. For any command script — tenants,
+ * dependencies, callbacks, scatter copies, timed launches, injected
+ * faults — the drain's complete observable outcome is bit-identical
+ * for any worker-thread count and under pinned static-slice placement
+ * (PIM_SIM_AFFINITY=1). The differential below compares full outcome
+ * digests with exact double equality, the same bar the mutex-mode fuzz
+ * sets.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/command_queue.hh"
@@ -67,6 +66,25 @@ expectEqualOutcome(const Outcome &a, const Outcome &b)
 }
 
 /**
+ * A system whose engine has @p threads workers, pinned with static
+ * slices when @p pinned: the engine reads PIM_SIM_AFFINITY once, at
+ * construction, so the variable is set only around it.
+ */
+std::unique_ptr<core::PimSystem>
+makeSystem(unsigned threads, bool pinned)
+{
+    core::PimSystemConfig cfg;
+    cfg.numDpus = 256; // 4 ranks of 64
+    cfg.sampleDpus = 32;
+    cfg.simThreads = threads;
+    ::setenv("PIM_SIM_AFFINITY", pinned ? "1" : "0", 1);
+    auto sys = std::make_unique<core::PimSystem>(cfg);
+    ::unsetenv("PIM_SIM_AFFINITY");
+    EXPECT_EQ(sys->engine().affinityEnabled(), pinned);
+    return sys;
+}
+
+/**
  * A seeded random command storm: three sync rounds of launches (plain,
  * multi-tasklet, timed), async/buffered/scatter copies, host compute,
  * chained dependencies, three tenants, and completion/error callbacks,
@@ -74,16 +92,12 @@ expectEqualOutcome(const Outcome &a, const Outcome &b)
  * subset targets.
  */
 Outcome
-runScript(CommandQueue::DrainMode mode, unsigned threads, uint64_t seed,
-          bool faults)
+runScript(unsigned threads, bool pinned, uint64_t seed, bool faults)
 {
-    core::PimSystemConfig cfg;
-    cfg.numDpus = 256; // 4 ranks of 64
-    cfg.sampleDpus = 32;
-    cfg.simThreads = threads;
-    core::PimSystem sys(cfg);
+    const std::unique_ptr<core::PimSystem> sys_owner =
+        makeSystem(threads, pinned);
+    core::PimSystem &sys = *sys_owner;
     CommandQueue queue(sys);
-    queue.setDrainMode(mode);
 
     std::unique_ptr<fault::FaultInjector> inj;
     if (faults) {
@@ -244,135 +258,40 @@ runScript(CommandQueue::DrainMode mode, unsigned threads, uint64_t seed,
 
 } // namespace
 
-/** Seeded random-script differential: barrier vs pipelined, exact. */
-class DrainModeFuzz
-    : public ::testing::TestWithParam<std::tuple<int, bool>>
+/** Seeded random-script differential of the drain across worker
+ *  counts and placements, exact. */
+class DrainFuzz : public ::testing::TestWithParam<std::tuple<int, bool>>
 {
 };
 
-TEST_P(DrainModeFuzz, PipelinedMatchesBarrierExactly)
+TEST_P(DrainFuzz, ThreadCountAndPlacementInvariant)
 {
-    const auto [seed, faults] = GetParam();
-    const Outcome barrier =
-        runScript(CommandQueue::DrainMode::Barrier, 4,
-                  static_cast<uint64_t>(seed), faults);
-    const Outcome pipelined =
-        runScript(CommandQueue::DrainMode::Pipelined, 4,
-                  static_cast<uint64_t>(seed), faults);
-    expectEqualOutcome(barrier, pipelined);
-    EXPECT_FALSE(barrier.eventTimes.empty());
-    EXPECT_FALSE(barrier.callbacks.empty());
+    const auto [seed_param, faults] = GetParam();
+    const uint64_t seed = static_cast<uint64_t>(seed_param);
+    // threads=1 runs every chain inline on the caller; 4 and 7 shard
+    // them over the pool (7 with ragged slices), dynamically or, when
+    // pinned, as one fixed contiguous slice per worker.
+    const Outcome one = runScript(1, false, seed, faults);
+    expectEqualOutcome(one, runScript(4, false, seed, faults));
+    expectEqualOutcome(one, runScript(7, false, seed, faults));
+    expectEqualOutcome(one, runScript(4, true, seed, faults));
+    expectEqualOutcome(one, runScript(7, true, seed, faults));
+    EXPECT_FALSE(one.eventTimes.empty());
+    EXPECT_FALSE(one.callbacks.empty());
     if (faults) {
         // The fault plan actually fired, so the differential covered
         // the failure paths too.
         bool any_failed = false;
-        for (const char f : barrier.eventFailed)
+        for (const char f : one.eventFailed)
             any_failed = any_failed || f != 0;
         EXPECT_TRUE(any_failed);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsAndFaults, DrainModeFuzz,
+    SeedsAndFaults, DrainFuzz,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
                        ::testing::Values(false, true)));
-
-TEST(DrainMode, PipelinedIsThreadCountInvariant)
-{
-    // threads=1 exercises the barrier fallback (no pool to overlap
-    // with), 4 and 7 the dispatched pipeline with ragged slicing.
-    const Outcome one =
-        runScript(CommandQueue::DrainMode::Pipelined, 1, 2, true);
-    const Outcome four =
-        runScript(CommandQueue::DrainMode::Pipelined, 4, 2, true);
-    const Outcome seven =
-        runScript(CommandQueue::DrainMode::Pipelined, 7, 2, true);
-    expectEqualOutcome(one, four);
-    expectEqualOutcome(one, seven);
-}
-
-TEST(DrainMode, EnvParsing)
-{
-    EXPECT_EQ(CommandQueue::drainModeFromEnv(nullptr),
-              CommandQueue::DrainMode::Barrier);
-    EXPECT_EQ(CommandQueue::drainModeFromEnv(""),
-              CommandQueue::DrainMode::Barrier);
-    EXPECT_EQ(CommandQueue::drainModeFromEnv("barrier"),
-              CommandQueue::DrainMode::Barrier);
-    EXPECT_EQ(CommandQueue::drainModeFromEnv("pipelined"),
-              CommandQueue::DrainMode::Pipelined);
-    EXPECT_STREQ(
-        CommandQueue::drainModeName(CommandQueue::DrainMode::Barrier),
-        "barrier");
-    EXPECT_STREQ(
-        CommandQueue::drainModeName(CommandQueue::DrainMode::Pipelined),
-        "pipelined");
-}
-
-TEST(DrainModeDeathTest, GarbageEnvValueIsFatal)
-{
-    EXPECT_DEATH(CommandQueue::drainModeFromEnv("fast"),
-                 "PIM_SIM_DRAIN");
-}
-
-TEST(DrainMode, DefaultLatchesEnvAndOverrides)
-{
-    const char *saved = std::getenv("PIM_SIM_DRAIN");
-    const std::string saved_val = saved != nullptr ? saved : "";
-
-    ::setenv("PIM_SIM_DRAIN", "pipelined", 1);
-    CommandQueue::resetDefaultDrainModeForTesting();
-    EXPECT_EQ(CommandQueue::defaultDrainMode(),
-              CommandQueue::DrainMode::Pipelined);
-    // Latched: a later env change is deliberately ignored.
-    ::setenv("PIM_SIM_DRAIN", "barrier", 1);
-    EXPECT_EQ(CommandQueue::defaultDrainMode(),
-              CommandQueue::DrainMode::Pipelined);
-    // Programmatic override wins.
-    CommandQueue::setDefaultDrainMode(CommandQueue::DrainMode::Barrier);
-    EXPECT_EQ(CommandQueue::defaultDrainMode(),
-              CommandQueue::DrainMode::Barrier);
-
-    // New queues start from the default in force at construction.
-    CommandQueue::setDefaultDrainMode(
-        CommandQueue::DrainMode::Pipelined);
-    core::PimSystemConfig cfg;
-    cfg.numDpus = 64;
-    cfg.sampleDpus = 2;
-    core::PimSystem sys(cfg);
-    CommandQueue queue(sys);
-    EXPECT_EQ(queue.drainMode(), CommandQueue::DrainMode::Pipelined);
-
-    if (saved != nullptr)
-        ::setenv("PIM_SIM_DRAIN", saved_val.c_str(), 1);
-    else
-        ::unsetenv("PIM_SIM_DRAIN");
-    CommandQueue::resetDefaultDrainModeForTesting();
-}
-
-TEST(DrainMode, SetDrainModeDrainsPendingFirst)
-{
-    core::PimSystemConfig cfg;
-    cfg.numDpus = 64;
-    cfg.sampleDpus = 4;
-    cfg.simThreads = 2;
-    core::PimSystem sys(cfg);
-    CommandQueue queue(sys);
-    queue.setDrainMode(CommandQueue::DrainMode::Barrier);
-
-    std::atomic<int> runs{0};
-    queue.launch(sys.all(), 1, [&](sim::Tasklet &t, unsigned) {
-        t.execute(10);
-        runs.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(queue.pendingCommands(), 1u);
-    queue.setDrainMode(CommandQueue::DrainMode::Pipelined);
-    EXPECT_EQ(queue.pendingCommands(), 0u);
-    EXPECT_EQ(runs.load(), 4);
-    EXPECT_EQ(queue.drainMode(), CommandQueue::DrainMode::Pipelined);
-    EXPECT_EQ(queue.drainStats().drains, 1u);
-    EXPECT_EQ(queue.drainStats().commands, 1u);
-}
 
 TEST(DrainStats, AccumulateAndResetWithTimeline)
 {
@@ -382,7 +301,6 @@ TEST(DrainStats, AccumulateAndResetWithTimeline)
     cfg.simThreads = 2;
     core::PimSystem sys(cfg);
     CommandQueue queue(sys);
-    queue.setDrainMode(CommandQueue::DrainMode::Pipelined);
 
     for (int i = 0; i < 3; ++i)
         queue.launch(sys.all(), 1,

@@ -4,8 +4,7 @@
  * runtime: completion callbacks (timeline-order dispatch, thread-count
  * determinism, follow-up enqueues, misuse fatals), eventSeconds
  * fail-fast on never-enqueued handles, RankScheduler acquire/release/
- * contention, per-tenant host lanes, CommandOptions equivalence with
- * the deprecated positional overloads, DpuSet partition helpers, and
+ * contention, per-tenant host lanes, DpuSet partition helpers, and
  * per-tenant occupancy attribution of a co-tenant run.
  */
 
@@ -241,40 +240,6 @@ TEST(Tenants, IndependentHostIssueTimelines)
     const double m = q.sync();
     EXPECT_DOUBLE_EQ(q.hostSeconds(serving), m);
     EXPECT_DOUBLE_EQ(q.hostSeconds(graph), m);
-}
-
-// ---------------------------------------------------------------------
-// CommandOptions vs the deprecated positional tails
-// ---------------------------------------------------------------------
-
-TEST(CommandOptions, EquivalentToLegacyOverloads)
-{
-    const auto scenario = [](bool legacy) {
-        PimSystem sys(smallSystem(128, 64));
-        CommandQueue q(sys);
-        Event a, b;
-        if (legacy) {
-            a = q.launchTimed(sys.rank(0), 3e-3, kNoEvent, "a");
-            b = q.memcpyAsync(sys.rank(1), 1u << 16,
-                              CopyDirection::HostToPim, a, "b");
-            q.hostCompute(8, 1000, b, "c");
-            q.memcpy(sys.rank(0), 1u << 12, CopyDirection::PimToHost,
-                     std::string("d"));
-        } else {
-            a = q.launchTimed(sys.rank(0), 3e-3, {.label = "a"});
-            b = q.memcpyAsync(sys.rank(1), 1u << 16,
-                              CopyDirection::HostToPim,
-                              {.after = a, .label = "b"});
-            q.hostCompute(8, 1000, {.after = b, .label = "c"});
-            q.memcpy(sys.rank(0), 1u << 12, CopyDirection::PimToHost,
-                     CommandOptions{.label = "d"});
-        }
-        return std::pair{q.sync(), q.transferredBytes()};
-    };
-    const auto v1 = scenario(true);
-    const auto v2 = scenario(false);
-    EXPECT_DOUBLE_EQ(v1.first, v2.first);
-    EXPECT_EQ(v1.second, v2.second);
 }
 
 // ---------------------------------------------------------------------

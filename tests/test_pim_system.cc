@@ -282,7 +282,7 @@ TEST(CommandQueue, EventDependencyOrdersAcrossTimelines)
     const Event done = q.launch(
         sys.all(), 1, [](sim::Tasklet &t, unsigned) { t.execute(1000); });
     // Explicitly ordered behind the launch completion: no overlap.
-    const double host_sec = q.hostCompute(1, 1'000'000, done);
+    const double host_sec = q.hostCompute(1, 1'000'000, {.after = done});
     const double makespan = q.sync();
     EXPECT_NEAR(makespan,
                 kLaunchOverhead + launchSeconds(1000) + host_sec, 1e-12);
@@ -376,7 +376,7 @@ TEST(CommandQueue, ResetTimelineRebasesEarlierEvents)
     q.resetTimeline();
     // A pre-reset event must not leak its old absolute completion time
     // into the new epoch.
-    const double host_sec = q.hostCompute(1, 1000, e);
+    const double host_sec = q.hostCompute(1, 1000, {.after = e});
     EXPECT_DOUBLE_EQ(q.sync(), host_sec);
 }
 
@@ -502,7 +502,7 @@ TEST(CommandQueue, EventSecondsOrdersDependentTimedLaunches)
     const DpuSet b = sys.rankRange(1, 1);
     const Event first = q.launchTimed(a, 1e-3);
     // Dependent launch on a different rank starts only after `first`.
-    const Event second = q.launchTimed(b, 1e-3, first);
+    const Event second = q.launchTimed(b, 1e-3, {.after = first});
     EXPECT_NEAR(q.eventSeconds(second),
                 q.eventSeconds(first) + 1e-3, 1e-12);
     // eventSeconds drains but does not join: the host is still at the

@@ -251,11 +251,11 @@ TEST(QueueTracing, CommandsEmitSpansOnTheirLanes)
     EXPECT_EQ(rec.rankCount(), sys.numRanks());
 
     q.memcpyAsync(sys.all(), 1 << 20, core::CopyDirection::HostToPim,
-                  core::kNoEvent, "feed");
+                  {.label = "feed"});
     q.launch(sys.all(), 2,
              [](sim::Tasklet &t, unsigned) { t.execute(500); },
-             core::kNoEvent, "kernel");
-    q.hostCompute(64, 10000, core::kNoEvent, "reduce");
+             {.label = "kernel"});
+    q.hostCompute(64, 10000, {.label = "reduce"});
     const double makespan = q.sync();
 
     // Copy: one bus span + one span per touched rank, bytes on the bus.
@@ -351,8 +351,8 @@ TEST(QueueTracing, DependencyEventsAreRecordedOnSpans)
     const core::Event e = q.memcpyAsync(
         sys.rank(0), 1024, core::CopyDirection::HostToPim);
     q.launch(sys.rank(0), 1,
-             [](sim::Tasklet &t, unsigned) { t.execute(100); }, e,
-             "dependent");
+             [](sim::Tasklet &t, unsigned) { t.execute(100); },
+             {.after = e, .label = "dependent"});
     q.sync();
 
     bool found = false;
@@ -376,7 +376,7 @@ TEST(QueueTracing, ResetTimelineRebasesTraceEpoch)
     // Epoch 1: a launch and a sync.
     const core::Event old_event = q.launch(
         sys.all(), 1, [](sim::Tasklet &t, unsigned) { t.execute(1000); },
-        core::kNoEvent, "epoch1");
+        {.label = "epoch1"});
     const double epoch1 = q.sync();
     const double end1 = rec.endSeconds();
     EXPECT_DOUBLE_EQ(end1, epoch1);
@@ -387,7 +387,7 @@ TEST(QueueTracing, ResetTimelineRebasesTraceEpoch)
     // Epoch 2: depends on a pre-reset Event, which rebased to the new
     // epoch's origin — the host span must start at trace time end1
     // (origin of epoch 2), not at end1 + epoch1.
-    q.hostBusy(0.5e-3, old_event, "epoch2");
+    q.hostBusy(0.5e-3, {.after = old_event, .label = "epoch2"});
     const double epoch2 = q.sync();
 
     double epoch2_t0 = -1.0, epoch2_t1 = -1.0;
@@ -406,7 +406,7 @@ TEST(QueueTracing, ResetTimelineRebasesTraceEpoch)
 
     // A second reset stacks another epoch on top.
     q.resetTimeline();
-    q.hostBusy(0.25e-3, core::kNoEvent, "epoch3");
+    q.hostBusy(0.25e-3, {.label = "epoch3"});
     q.sync();
     double epoch3_t0 = -1.0;
     for (const Span &s : rec.spans()) {
