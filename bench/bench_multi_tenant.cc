@@ -28,20 +28,17 @@
 
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "core/command_queue.hh"
 #include "core/pim_system.hh"
 #include "core/rank_scheduler.hh"
-#include "fault/injector.hh"
+#include "core/session.hh"
 #include "telemetry/export.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/occupancy.hh"
 #include "util/cli.hh"
 #include "util/json.hh"
-#include "util/logging.hh"
 #include "util/table.hh"
 #include "workloads/graph/update_driver.hh"
 #include "workloads/llm/serving_engine.hh"
@@ -59,25 +56,12 @@ struct TenantSetup
     workloads::llm::ServingEngineConfig serving;
     workloads::graph::GraphUpdateConfig graph;
     /** Fault injection (--mtbf/--fault-spec/--fault-seed): every run —
-     *  both solos and the co-run — attaches its own injector over the
-     *  SAME plan, so solo and co-tenant experience identical fault
-     *  schedules. */
+     *  both solos and the co-run — drives its tenants through a session
+     *  over the SAME plan, so solo and co-tenant experience identical
+     *  fault schedules. */
     fault::FaultSpec faultSpec{};
     uint64_t faultSeed = 23;
 };
-
-/** Fresh injector over the shared plan (nullptr when faults are off). */
-std::unique_ptr<fault::FaultInjector>
-makeInjector(const TenantSetup &s, core::CommandQueue &queue,
-             unsigned num_ranks)
-{
-    if (!s.faultSpec.enabled())
-        return nullptr;
-    auto inj = std::make_unique<fault::FaultInjector>(
-        fault::FaultPlan(s.faultSpec, s.faultSeed, num_ranks));
-    queue.attachFaultInjector(inj.get());
-    return inj;
-}
 
 core::PimSystemConfig
 systemConfig(const TenantSetup &s)
@@ -91,52 +75,39 @@ systemConfig(const TenantSetup &s)
     return scfg;
 }
 
+/** One run's system, queue and session, with its observers attached. */
+struct Run
+{
+    Run(const TenantSetup &s, trace::Recorder *rec,
+        telemetry::Registry *met)
+        : sys(systemConfig(s)), queue(sys),
+          session(queue, s.faultSpec, s.faultSeed, met)
+    {
+        if (rec != nullptr)
+            queue.attachRecorder(rec);
+        if (met != nullptr)
+            queue.attachMetrics(met);
+        session.scheduler().attachMetrics(met);
+    }
+
+    core::PimSystem sys;
+    core::CommandQueue queue;
+    core::Session session;
+};
+
 /** Serving solo baseline: same ranks, otherwise idle system. */
 workloads::llm::ServingResult
 runServingSolo(const TenantSetup &s, trace::Recorder *rec,
                telemetry::Registry *met)
 {
-    core::PimSystem sys(systemConfig(s));
-    core::CommandQueue queue(sys);
-    if (rec != nullptr)
-        queue.attachRecorder(rec);
-    if (met != nullptr)
-        queue.attachMetrics(met);
-    const auto inj = makeInjector(s, queue, sys.numRanks());
-    core::RankScheduler sched(sys);
-    if (met != nullptr)
-        sched.attachMetrics(met);
-    const core::DpuSet part =
-        sched.acquireRanks(s.servingRanks, "serving");
+    Run run(s, rec, met);
     workloads::llm::ServingEngineConfig ecfg = s.serving;
     ecfg.base.metrics = met;
-    workloads::llm::DisaggServingTask task(s.scheme, ecfg, queue,
-                                           part);
-    const bool rank_faults =
-        inj != nullptr && s.faultSpec.rankMtbfSec > 0.0;
-    if (rank_faults) {
-        sched.onRevoke("serving", [&](unsigned rank) {
-            task.onRankFailed(rank, inj->rankFailSeconds(rank));
-            sched.requestRanks(1, "serving", [&](core::DpuSet repl) {
-                task.onReplacementGranted(std::move(repl));
-            });
-        });
-    }
-    while (!task.done()) {
-        task.step();
-        if (rank_faults) {
-            for (const fault::FaultEvent &ev :
-                 inj->drainFailedRanks(task.clockSeconds()))
-                sched.quarantine(ev.rank);
-            if (task.waitingReplacement())
-                PIM_FATAL("serving solo: rank failed with no free "
-                          "replacement left (", sched.freeRankCount(),
-                          " free)");
-        }
-    }
-    queue.sync();
-    if (inj != nullptr && met != nullptr)
-        inj->exportMetrics(*met);
+    workloads::llm::DisaggServingTask task(
+        s.scheme, ecfg, run.queue,
+        run.session.scheduler().acquireRanks(s.servingRanks, "serving"));
+    run.session.add("serving", task);
+    run.session.run();
     return task.result();
 }
 
@@ -146,53 +117,18 @@ workloads::graph::GraphUpdateResult
 runGraphSolo(const TenantSetup &s, trace::Recorder *rec,
              telemetry::Registry *met)
 {
-    core::PimSystem sys(systemConfig(s));
-    core::CommandQueue queue(sys);
-    if (rec != nullptr)
-        queue.attachRecorder(rec);
-    if (met != nullptr)
-        queue.attachMetrics(met);
-    const auto inj = makeInjector(s, queue, sys.numRanks());
-    core::RankScheduler sched(sys);
-    if (met != nullptr)
-        sched.attachMetrics(met);
-    const core::DpuSet reserved =
-        sched.acquireRanks(s.servingRanks, "reserved");
-    const bool rank_faults =
-        inj != nullptr && s.faultSpec.rankMtbfSec > 0.0;
+    Run run(s, rec, met);
+    core::RankScheduler &sched = run.session.scheduler();
+    sched.acquireRanks(s.servingRanks, "reserved");
     // Hold one rank back as a spare when ranks can die, so a
     // replacement grant exists (matches the co-run's partitioning).
-    const unsigned spare =
-        rank_faults && sched.freeRankCount() > 1 ? 1u : 0u;
-    const core::DpuSet part =
-        sched.acquireRanks(sched.freeRankCount() - spare, "graph");
     workloads::graph::GraphUpdateConfig gcfg = s.graph;
     gcfg.metrics = met;
-    workloads::graph::GraphUpdateTask task(gcfg, queue, part);
-    if (rank_faults) {
-        sched.onRevoke("graph", [&](unsigned rank) {
-            task.onRankFailed(rank, inj->rankFailSeconds(rank));
-            sched.requestRanks(1, "graph", [&](core::DpuSet repl) {
-                task.onReplacementGranted(std::move(repl));
-            });
-        });
-    }
-    while (!task.done()) {
-        task.step();
-        if (rank_faults) {
-            for (const fault::FaultEvent &ev :
-                 inj->drainFailedRanks(task.clockSeconds()))
-                sched.quarantine(ev.rank);
-            if (task.waitingReplacement())
-                PIM_FATAL("graph solo: rank failed with no free "
-                          "replacement left (", sched.freeRankCount(),
-                          " free)");
-        }
-    }
-    queue.sync();
-    if (inj != nullptr && met != nullptr)
-        inj->exportMetrics(*met);
-    sched.releaseRanks(reserved);
+    workloads::graph::GraphUpdateTask task(
+        gcfg, run.queue, run.session.acquireRest("graph", 1, 1));
+    run.session.add("graph", task);
+    run.session.run();
+    sched.releaseAll("reserved");
     return task.result();
 }
 
@@ -211,96 +147,30 @@ CoRunOutcome
 runCoTenant(const TenantSetup &s, trace::Recorder *rec,
             telemetry::Registry *met)
 {
-    core::PimSystem sys(systemConfig(s));
-    core::CommandQueue queue(sys);
-    if (rec != nullptr)
-        queue.attachRecorder(rec);
-    if (met != nullptr)
-        queue.attachMetrics(met);
-    const auto inj = makeInjector(s, queue, sys.numRanks());
-    core::RankScheduler sched(sys);
-    if (met != nullptr)
-        sched.attachMetrics(met);
-
-    const core::TenantId t_serving = queue.addTenant("serving");
-    const core::TenantId t_graph = queue.addTenant("graph");
-    const bool rank_faults =
-        inj != nullptr && s.faultSpec.rankMtbfSec > 0.0;
+    Run run(s, rec, met);
+    core::RankScheduler &sched = run.session.scheduler();
+    const core::TenantId t_serving = run.queue.addTenant("serving");
+    const core::TenantId t_graph = run.queue.addTenant("graph");
     const core::DpuSet serving_part =
         sched.acquireRanks(s.servingRanks, "serving");
     // Hold one rank back as a spare when ranks can die, so the first
     // revocation's replacement grant is satisfiable.
-    const unsigned spare =
-        rank_faults && sched.freeRankCount() > 1 ? 1u : 0u;
-    const core::DpuSet graph_part =
-        sched.acquireRanks(sched.freeRankCount() - spare, "graph");
+    const core::DpuSet graph_part = run.session.acquireRest("graph", 1, 1);
 
     workloads::llm::ServingEngineConfig ecfg = s.serving;
     ecfg.base.metrics = met;
     workloads::graph::GraphUpdateConfig gcfg = s.graph;
     gcfg.metrics = met;
     workloads::llm::DisaggServingTask serving(
-        s.scheme, ecfg, queue, serving_part, t_serving);
-    workloads::graph::GraphUpdateTask graph(gcfg, queue, graph_part,
+        s.scheme, ecfg, run.queue, serving_part, t_serving);
+    workloads::graph::GraphUpdateTask graph(gcfg, run.queue, graph_part,
                                             t_graph);
-
-    if (rank_faults) {
-        sched.onRevoke("serving", [&](unsigned rank) {
-            serving.onRankFailed(rank, inj->rankFailSeconds(rank));
-            sched.requestRanks(1, "serving", [&](core::DpuSet repl) {
-                serving.onReplacementGranted(std::move(repl));
-            });
-        });
-        sched.onRevoke("graph", [&](unsigned rank) {
-            graph.onRankFailed(rank, inj->rankFailSeconds(rank));
-            sched.requestRanks(1, "graph", [&](core::DpuSet repl) {
-                graph.onReplacementGranted(std::move(repl));
-            });
-        });
-    }
-
-    // Deterministic co-scheduler: advance the tenant whose pipeline
-    // clock is behind (ties go to serving), so the command interleaving
-    // on the shared bus is a pure function of the configs.
-    bool released_serving = false;
-    bool released_graph = false;
-    while (!serving.done() || !graph.done()) {
-        double stepped_clock;
-        if (serving.done() || (!graph.done()
-                               && graph.clockSeconds()
-                                   < serving.clockSeconds())) {
-            graph.step();
-            stepped_clock = graph.clockSeconds();
-        } else {
-            serving.step();
-            stepped_clock = serving.clockSeconds();
-        }
-        if (!rank_faults)
-            continue;
-        // A finished tenant returns its grant: later deaths there hit
-        // free ranks (no revocation), and the freed ranks can serve as
-        // replacements for the surviving tenant.
-        if (serving.done() && !released_serving) {
-            sched.releaseAll("serving");
-            released_serving = true;
-        }
-        if (graph.done() && !released_graph) {
-            sched.releaseAll("graph");
-            released_graph = true;
-        }
-        for (const fault::FaultEvent &ev :
-             inj->drainFailedRanks(stepped_clock))
-            sched.quarantine(ev.rank);
-        if ((!serving.done() && serving.waitingReplacement())
-            || (!graph.done() && graph.waitingReplacement()))
-            PIM_FATAL("co-tenant: rank failed with no free replacement "
-                      "left (", sched.freeRankCount(), " free)");
-    }
+    // Serving is added first, so it wins clock ties.
+    run.session.add("serving", serving);
+    run.session.add("graph", graph);
 
     CoRunOutcome out;
-    out.joinedMakespanSec = queue.sync();
-    if (inj != nullptr && met != nullptr)
-        inj->exportMetrics(*met);
+    out.joinedMakespanSec = run.session.run();
     out.serving = serving.result();
     out.graph = graph.result();
     sched.releaseAll("serving");

@@ -4,8 +4,8 @@
  *
  * The plan is the immutable schedule; the injector is the mutable
  * cursor the runtime queries while it resolves commands. All queries
- * happen in core::CommandQueue's *sequential* resolve fold (and in the
- * control-plane loop of whoever drives recovery), so consumption order
+ * happen in core::CommandQueue's *sequential* resolve fold (and in
+ * core::Session's control-plane loop), so consumption order
  * — and therefore every injected outcome — is independent of the sim
  * thread count.
  *

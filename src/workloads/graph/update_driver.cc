@@ -8,8 +8,6 @@
 
 #include "alloc/allocator.hh"
 #include "core/pim_system.hh"
-#include "core/rank_scheduler.hh"
-#include "fault/injector.hh"
 #include "sim/dpu.hh"
 #include "telemetry/registry.hh"
 #include "util/logging.hh"
@@ -860,88 +858,13 @@ runGraphUpdate(const GraphUpdateConfig &cfg)
     PIM_ASSERT(cfg.numDpus >= 1, "need at least one DPU");
 
     // The dataset is sharded across the whole system; the unified
-    // runtime materializes the sampled shards and executes the
-    // launches below on its host pool.
+    // runtime materializes the sampled shards and executes the task's
+    // launches on its host pool.
     core::PimSystemConfig scfg;
     scfg.numDpus = cfg.numDpus;
     scfg.sampleDpus = cfg.sampleDpus;
     scfg.dpuCfg = cfg.dpuCfg;
     scfg.simThreads = cfg.simThreads;
-
-    if (cfg.updateRounds > 1 || cfg.shipUpdates
-        || cfg.faultSpec.enabled()) {
-        // Streaming-ingest mode: the round-driven stepper on a private
-        // queue (the co-tenant form runs the same task on a shared
-        // queue instead). Fault injection rides this path — round
-        // granularity is what makes recovery possible.
-        core::PimSystem sys(scfg);
-        core::CommandQueue queue(sys);
-        if (cfg.recorder != nullptr)
-            queue.attachRecorder(cfg.recorder);
-        if (cfg.metrics != nullptr)
-            queue.attachMetrics(cfg.metrics);
-
-        std::unique_ptr<fault::FaultInjector> inj;
-        std::unique_ptr<core::RankScheduler> sched;
-        std::unique_ptr<GraphUpdateTask> task;
-        if (cfg.faultSpec.enabled()) {
-            inj = std::make_unique<fault::FaultInjector>(
-                fault::FaultPlan(cfg.faultSpec, cfg.faultSeed,
-                                 sys.numRanks()));
-            queue.attachFaultInjector(inj.get());
-        }
-        if (inj != nullptr && cfg.faultSpec.rankMtbfSec > 0.0) {
-            sched = std::make_unique<core::RankScheduler>(sys);
-            if (cfg.metrics != nullptr)
-                sched->attachMetrics(cfg.metrics);
-            const unsigned spare = std::min(
-                cfg.spareRanks,
-                sys.numRanks() > 1 ? sys.numRanks() - 1 : 0u);
-            task = std::make_unique<GraphUpdateTask>(
-                cfg, queue,
-                sched->acquireRanks(sys.numRanks() - spare, "graph"));
-            sched->onRevoke("graph", [&](unsigned rank) {
-                task->onRankFailed(rank, inj->rankFailSeconds(rank));
-                if (cfg.faultPolicy == fault::FaultPolicy::Recover) {
-                    sched->requestRanks(
-                        1, "graph", [&](core::DpuSet replacement) {
-                            task->onReplacementGranted(
-                                std::move(replacement));
-                        });
-                }
-            });
-        } else {
-            task = std::make_unique<GraphUpdateTask>(cfg, queue,
-                                                     sys.all());
-        }
-
-        while (!task->done()) {
-            task->step();
-            if (sched != nullptr) {
-                for (const fault::FaultEvent &ev :
-                     inj->drainFailedRanks(task->clockSeconds()))
-                    sched->quarantine(ev.rank);
-                if (task->waitingReplacement()) {
-                    PIM_FATAL("rank failed with no spare replacement "
-                              "left (", sched->freeRankCount(),
-                              " free): raise "
-                              "GraphUpdateConfig::spareRanks or "
-                              "shorten the stream");
-                }
-            }
-        }
-        if (inj != nullptr && cfg.metrics != nullptr)
-            inj->exportMetrics(*cfg.metrics);
-        GraphUpdateResult out = task->result();
-        queue.sync();
-        return out;
-    }
-
-    const UpdateWorkload w = buildWorkload(cfg);
-
-    GraphUpdateResult out;
-    out.updateEdgesTotal = w.updateEdges.size();
-
     core::PimSystem sys(scfg);
     core::CommandQueue queue(sys);
     if (cfg.recorder != nullptr)
@@ -949,95 +872,17 @@ runGraphUpdate(const GraphUpdateConfig &cfg)
     if (cfg.metrics != nullptr)
         queue.attachMetrics(cfg.metrics);
 
-    const unsigned simulated = sys.sampleCount();
-    std::vector<ShardOutcome> outcomes(simulated);
-
-    // One launch, heterogeneous per-DPU work: every sampled DPU builds
-    // and updates its own shard (no two shards share state, so the
-    // bodies are safely concurrent).
-    queue.launchProgram(sys.all(), [&](sim::Dpu &dpu, unsigned dpu_idx) {
-        const unsigned slot = sys.slotOf(dpu_idx);
-        const Shard shard = buildShard(w, dpu_idx, cfg.numDpus);
-        if (shard.numLocalNodes == 0)
-            return;
-
-        std::unique_ptr<alloc::Allocator> allocator;
-        std::unique_ptr<GraphStructure> graph;
-
-        if (cfg.structure == StructureKind::StaticCsr) {
-            const uint32_t max_edges = static_cast<uint32_t>(
-                shard.baseEdges.size() + shard.updateEdges.size());
-            graph = std::make_unique<CsrGraph>(
-                dpu, kTableBase, shard.numLocalNodes, max_edges);
-        } else {
-            core::AllocatorOverrides ov;
-            ov.numTasklets = cfg.tasklets;
-            allocator = core::makeAllocator(dpu, cfg.allocator, ov);
-            if (cfg.structure == StructureKind::LinkedList) {
-                graph = std::make_unique<LinkedListGraph>(
-                    dpu, *allocator, kTableBase, shard.numLocalNodes);
-            } else {
-                graph = std::make_unique<VarArrayGraph>(
-                    dpu, *allocator, kTableBase, shard.numLocalNodes);
-            }
-        }
-
-        // Untimed: allocator init, then pre-update graph construction.
-        if (allocator)
-            dpu.run(1, [&](sim::Tasklet &t) { allocator->init(t); });
-        dpu.run(cfg.tasklets, [&](sim::Tasklet &t) {
-            if (cfg.structure == StructureKind::StaticCsr) {
-                if (t.id() == 0)
-                    graph->build(t, shard.baseEdges);
-                return;
-            }
-            // Node-partitioned parallel build: tasklet k owns local
-            // nodes with id % tasklets == k, so no two tasklets ever
-            // touch the same adjacency list.
-            std::vector<Edge> mine;
-            for (const auto &e : shard.baseEdges) {
-                if (e.src % cfg.tasklets == t.id())
-                    mine.push_back(e);
-            }
-            graph->build(t, mine);
-        });
-
-        // Measured phase starts here.
-        dpu.resetStats();
-        if (allocator) {
-            allocator->stats().resetCounters();
-            allocator->stats().traceEvents = cfg.traceEvents;
-        }
-
-        dpu.run(cfg.tasklets, [&](sim::Tasklet &t) {
-            for (const auto &e : shard.updateEdges) {
-                if (e.src % cfg.tasklets != t.id())
-                    continue;
-                const bool ok = graph->insertEdge(t, e.src, e.dst);
-                PIM_ASSERT(ok, "update insertion failed (capacity)");
-            }
-        });
-
-        ShardOutcome &oc = outcomes[slot];
-        oc.simulated = true;
-        oc.cycles = dpu.lastElapsedCycles();
-        oc.breakdown = dpu.lastBreakdown();
-        oc.traffic = dpu.traffic();
-        if (allocator) {
-            oc.hasAllocator = true;
-            oc.stats = allocator->stats();
-            oc.metadataBytes = allocator->metadataBytes();
-        }
-        // Outcome harvested — return this shard's pages so full-system
-        // (sample = 0) runs don't hold every shard resident at once.
-        graph.reset();
-        allocator.reset();
-        dpu.reclaimMemory();
-    }, {.label = "build+update"});
-    queue.sync();
-
-    mergeOutcomes(out, cfg, outcomes);
-    return out;
+    core::Session session(queue, cfg.faultSpec, cfg.faultSeed, cfg.metrics);
+    core::DpuSet part = sys.all();
+    if (session.rankFaults()) {
+        // Hold spare ranks back so a dead rank's replacement exists.
+        session.scheduler().attachMetrics(cfg.metrics);
+        part = session.acquireRest("graph", cfg.spareRanks, 1);
+    }
+    GraphUpdateTask task(cfg, queue, part);
+    session.add("graph", task);
+    session.run();
+    return task.result();
 }
 
 } // namespace pim::workloads::graph

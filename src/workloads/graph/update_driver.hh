@@ -3,7 +3,8 @@
  * End-to-end dynamic graph update experiment (Fig 3(c), Fig 17):
  * shards the synthetic dataset across DPUs, bulk-loads the pre-update
  * graph in an untimed launch, then measures the parallel insertion of
- * the update stream with the selected data structure and allocator.
+ * the update stream, in one or more rounds, with the selected data
+ * structure and allocator.
  */
 
 #ifndef PIM_WORKLOADS_GRAPH_UPDATE_DRIVER_HH
@@ -15,6 +16,7 @@
 #include "alloc/alloc_stats.hh"
 #include "core/allocator_factory.hh"
 #include "core/command_queue.hh"
+#include "core/session.hh"
 #include "fault/fault_plan.hh"
 #include "sim/config.hh"
 #include "sim/types.hh"
@@ -66,27 +68,24 @@ struct GraphUpdateConfig
     /** DPU hardware parameters. */
     sim::DpuConfig dpuCfg{};
     /**
-     * Number of batched update rounds the stream is split into
-     * (streaming-ingest mode). 1 = the historical single measured
-     * launch. With R > 1 every shard inserts its edges in R slices,
-     * each slice a separate launch on the command queue, so a co-tenant
-     * run interleaves with other tenants at round granularity.
+     * Number of update rounds the stream is split into: every shard
+     * inserts its edges in R slices, each slice a separate launch on
+     * the command queue, so a co-tenant run interleaves with other
+     * tenants at round granularity. 1 = one measured launch.
      */
     unsigned updateRounds = 1;
     /**
      * Ship each round's update edges (8 B/edge) to the owning DPUs over
      * the bus (double-buffered scatter) before the round's launch,
-     * instead of assuming the stream is resident. Implies the
-     * round-driven path even when updateRounds == 1.
+     * instead of assuming the stream is resident.
      */
     bool shipUpdates = false;
     /**
-     * Ingest cadence of the round-driven path: round r is not issued
-     * before r * roundIntervalSec after the build completes (the
-     * tenant's host lane idles until then), modeling an update stream
-     * that arrives over time instead of being fully buffered. 0 =
-     * back-to-back rounds. Only meaningful with updateRounds > 1 or
-     * shipUpdates.
+     * Ingest cadence: round r is not issued before r *
+     * roundIntervalSec after the build completes (the tenant's host
+     * lane idles until then), modeling an update stream that arrives
+     * over time instead of being fully buffered. 0 = back-to-back
+     * rounds.
      */
     double roundIntervalSec = 0.0;
     /** Workload split seed. */
@@ -99,22 +98,20 @@ struct GraphUpdateConfig
     /**
      * Metrics registry (nullptr = off): queue counters/utilization plus
      * the per-round ingest latency histogram "graph.round_sec"
-     * (completion minus the round's scheduled issue time; round-driven
-     * path only) and, when sloRoundSec is set, attainment under
-     * "graph.round".
+     * (completion minus the round's scheduled issue time) and, when
+     * sloRoundSec is set, attainment under "graph.round".
      */
     telemetry::Registry *metrics = nullptr;
     /** Round-latency SLO target in seconds (0 = no SLO declared). */
     double sloRoundSec = 0.0;
     /**
      * Fault injection (opt-in): when faultSpec.enabled(),
-     * runGraphUpdate takes the round-driven path, builds a FaultPlan
-     * from (faultSpec, faultSeed), attaches it to the run's queue, and
-     * — if rank failures are in play — arbitrates ranks through a
-     * RankScheduler holding spareRanks back so replacements exist.
-     * Disabled by default; the fault-free path is byte-identical to
-     * the pre-fault driver. (Co-tenant GraphUpdateTask callers wire
-     * injector + scheduler themselves and only set faultPolicy.)
+     * runGraphUpdate runs its task in a core::Session built from
+     * (faultSpec, faultSeed), which holds spareRanks back from the
+     * task's grant when rank failures are in play so replacements
+     * exist. Disabled by default; the fault-free path is byte-identical
+     * to the pre-fault driver. (Co-tenant GraphUpdateTask callers hand
+     * the fault knobs to their own Session and only set faultPolicy.)
      */
     fault::FaultSpec faultSpec{};
     uint64_t faultSeed = 29;
@@ -147,8 +144,7 @@ struct GraphUpdateResult
     /**
      * Queue-timeline wall time of the update rounds (completion of the
      * last round minus completion of the build launch) — the metric a
-     * co-tenant run compares against its solo baseline. 0 in the
-     * historical single-launch path, where no round boundary exists.
+     * co-tenant run compares against its solo baseline.
      */
     double wallSeconds = 0.0;
 
@@ -165,24 +161,25 @@ struct GraphUpdateResult
     double availability = 1.0;
 };
 
-/** Run the experiment. Deterministic in the config. */
+/**
+ * Run the experiment: one GraphUpdateTask over a fresh system, driven
+ * by a core::Session. Deterministic in the config.
+ */
 GraphUpdateResult runGraphUpdate(const GraphUpdateConfig &cfg);
 
 /**
- * The graph-update experiment as a *resumable stepper* on an externally
- * owned CommandQueue and rank partition — the co-tenant form of
- * runGraphUpdate. Construction shards the dataset across the
- * partition's logical DPUs (dense DpuSet::indexOf order) and enqueues
- * the untimed build launch; each step() enqueues one update round
- * (optionally preceded by its double-buffered edge shipment) and
- * advances the task clock to the round's completion. A standalone run
- * ("construct over all ranks of a fresh system, step() until done()")
- * reproduces runGraphUpdate's round-driven path exactly.
+ * The graph-update experiment as a core::Stepper on an externally owned
+ * CommandQueue and rank partition. Construction shards the dataset
+ * across the partition's logical DPUs (dense DpuSet::indexOf order) and
+ * enqueues the untimed build launch; each step() enqueues one update
+ * round (optionally preceded by its double-buffered edge shipment) and
+ * advances the task clock to the round's completion. runGraphUpdate is
+ * this task over all ranks of a fresh system.
  *
  * The task never joins the queue's timelines (no sync()); co-resident
  * tenants keep issuing while it runs.
  */
-class GraphUpdateTask
+class GraphUpdateTask : public core::Stepper
 {
   public:
     /**
@@ -195,45 +192,30 @@ class GraphUpdateTask
                     core::CommandQueue &queue,
                     const core::DpuSet &partition,
                     core::TenantId tenant = core::kDefaultTenant);
-    ~GraphUpdateTask();
-
-    GraphUpdateTask(const GraphUpdateTask &) = delete;
-    GraphUpdateTask &operator=(const GraphUpdateTask &) = delete;
+    ~GraphUpdateTask() override;
 
     /** True once every update round has completed. */
-    bool done() const;
+    bool done() const override;
 
-    /** Completion time of the task's latest round on the queue
-     *  timeline (the co-scheduler's ordering key). */
-    double clockSeconds() const;
+    /** Completion time of the task's latest round. */
+    double clockSeconds() const override;
 
-    /** Enqueue the next update round and wait for it (event-driven).
-     *  Must not be called after done(), nor while
-     *  waitingReplacement(). */
-    void step();
+    /** Enqueue the next update round and wait for it. */
+    void step() override;
 
-    /**
-     * Control-plane notification: @p rank — part of this task's
-     * partition — died at simulated time @p failSec (wire this to
-     * RankScheduler::onRevoke). Under fault::FaultPolicy::Drop the
-     * dead rank's shards (and their un-inserted edges) are lost and
-     * the partition shrinks; under Recover the task pauses
-     * (waitingReplacement()) until onReplacementGranted().
-     */
-    void onRankFailed(unsigned rank, double failSec);
+    /** Drop loses the dead rank's shards and their un-inserted edges;
+     *  Recover pauses until a replacement is granted. */
+    void onRankFailed(unsigned rank, double failSec) override;
 
     /**
-     * A replacement grant (single rank) for the oldest outstanding
-     * failure: the dead rank's shard state is restored onto the
-     * replacement from the host-side checkpoint (costed as a bus
-     * transfer), and the failed round — plus the migrated shards'
-     * remaining rounds — re-executes there as timed launches.
+     * The dead rank's shard state is restored onto the replacement
+     * from the host-side checkpoint (costed as a bus transfer), and the
+     * failed round — plus the migrated shards' remaining rounds —
+     * re-executes there as timed launches.
      */
-    void onReplacementGranted(const core::DpuSet &replacement);
+    void onReplacementGranted(const core::DpuSet &replacement) override;
 
-    /** True while the task cannot progress awaiting a replacement
-     *  grant; the driver must not step() the task in that state. */
-    bool waitingReplacement() const;
+    bool waitingReplacement() const override;
 
     /** Metrics of the completed experiment (valid once done()). */
     GraphUpdateResult result() const;

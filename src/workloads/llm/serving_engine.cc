@@ -11,8 +11,6 @@
 
 #include "alloc/pim_malloc.hh"
 #include "core/pim_system.hh"
-#include "core/rank_scheduler.hh"
-#include "fault/injector.hh"
 #include "telemetry/registry.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
@@ -979,73 +977,29 @@ ServingEngine::runDisaggregated()
     if (cfg.metrics != nullptr)
         queue.attachMetrics(cfg.metrics);
 
-    // Fault injection (opt-in): attach the deterministic plan to the
-    // queue and, when rank deaths are in play, arbitrate the ranks
-    // through a RankScheduler holding spare ranks back — spares are
-    // held for every policy so a Recover run and its Drop baseline
-    // serve on identically sized partitions.
-    std::unique_ptr<fault::FaultInjector> inj;
-    std::unique_ptr<core::RankScheduler> sched;
-    std::unique_ptr<DisaggServingTask> task;
-    if (cfg_.faultSpec.enabled()) {
-        inj = std::make_unique<fault::FaultInjector>(fault::FaultPlan(
-            cfg_.faultSpec, cfg_.faultSeed, sys.numRanks()));
-        queue.attachFaultInjector(inj.get());
+    // Fault injection (opt-in) rides the session. With rank deaths in
+    // play it holds spare ranks back from the task's grant — for every
+    // policy, so a Recover run and its Drop baseline serve on
+    // identically sized partitions.
+    core::Session session(queue, cfg_.faultSpec, cfg_.faultSeed,
+                          cfg.metrics);
+    core::DpuSet part = sys.all();
+    if (session.rankFaults()) {
+        session.scheduler().attachMetrics(cfg.metrics);
+        part = session.acquireRest("serving", cfg_.spareRanks, 2);
     }
-    if (inj != nullptr && cfg_.faultSpec.rankMtbfSec > 0.0) {
-        sched = std::make_unique<core::RankScheduler>(sys);
-        if (cfg.metrics != nullptr)
-            sched->attachMetrics(cfg.metrics);
-        const unsigned spare = std::min(
-            cfg_.spareRanks, sys.numRanks() > 2 ? sys.numRanks() - 2
-                                                : 0u);
-        task = std::make_unique<DisaggServingTask>(
-            scheme_, cfg_, queue,
-            sched->acquireRanks(sys.numRanks() - spare, "serving"));
-        sched->onRevoke("serving", [&](unsigned rank) {
-            task->onRankFailed(rank, inj->rankFailSeconds(rank));
-            if (cfg_.faultPolicy == FaultPolicy::Recover) {
-                sched->requestRanks(1, "serving",
-                                    [&](core::DpuSet replacement) {
-                    task->onReplacementGranted(std::move(replacement));
-                });
-            }
-        });
-    } else {
-        task = std::make_unique<DisaggServingTask>(scheme_, cfg_,
-                                                   queue, sys.all());
-    }
-
-    while (!task->done()) {
-        task->step();
-        if (sched != nullptr) {
-            // Quarantine ranks whose scheduled death the pipeline has
-            // now reached; the revoke callback above notifies the task
-            // and (Recover) requests the replacement, which the
-            // scheduler grants from the spare pool before returning.
-            for (const fault::FaultEvent &ev :
-                 inj->drainFailedRanks(task->clockSeconds()))
-                sched->quarantine(ev.rank);
-            if (task->waitingReplacement()) {
-                PIM_FATAL("rank failed with no spare replacement left "
-                          "(", sched->freeRankCount(), " free): raise "
-                          "ServingEngineConfig::spareRanks or shorten "
-                          "the trace");
-            }
-        }
-    }
-
-    if (inj != nullptr && cfg.metrics != nullptr)
-        inj->exportMetrics(*cfg.metrics);
+    DisaggServingTask task(scheme_, cfg_, queue, part);
+    session.add("serving", task);
+    const double makespan = session.run();
 
     // Standalone: the queue is exclusively ours, so the joined-queue
     // makespan, the queue's transfer counter, and the hidden-work sum
     // are all this run's own (a co-tenant run reads task.result()
     // as-is instead and gets tenant-local numbers).
-    ServingResult res = task->result();
-    res.makespanSec = queue.sync();
+    ServingResult res = task.result();
+    res.makespanSec = makespan;
     res.throughputTokensPerSec =
-        static_cast<double>(task->impl_->tokensOut)
+        static_cast<double>(task.impl_->tokensOut)
         / std::max(res.makespanSec, 1e-9);
     res.kvShippedBytes = queue.transferredBytes();
     res.overlapSeconds = std::max(

@@ -33,6 +33,7 @@
 #include <memory>
 
 #include "core/command_queue.hh"
+#include "core/session.hh"
 #include "fault/fault_plan.hh"
 #include "workloads/llm/serving_sim.hh"
 
@@ -71,13 +72,13 @@ struct ServingEngineConfig
 
     /**
      * Fault injection for the standalone Disaggregated run: when
-     * faultSpec.enabled(), runDisaggregated() builds a FaultPlan from
-     * (faultSpec, faultSeed), attaches it to the run's queue, and —
-     * if rank failures are in play — holds spareRanks back from the
-     * task's grant behind a RankScheduler so replacements exist.
-     * Disabled by default; the fault-free path is byte-identical to
-     * the pre-fault engine. (Co-tenant DisaggServingTask callers wire
-     * injector + scheduler themselves and only set faultPolicy.)
+     * faultSpec.enabled(), runDisaggregated() runs its task in a
+     * core::Session built from (faultSpec, faultSeed), which holds
+     * spareRanks back from the task's grant when rank failures are in
+     * play so replacements exist. Disabled by default; the fault-free
+     * path is byte-identical to the pre-fault engine. (Co-tenant
+     * DisaggServingTask callers hand the fault knobs to their own
+     * Session and only set faultPolicy.)
      */
     fault::FaultSpec faultSpec{};
     uint64_t faultSeed = 23;
@@ -116,22 +117,19 @@ class ServingEngine
 };
 
 /**
- * The disaggregated serving pipeline as a *resumable stepper* on an
- * externally owned CommandQueue and rank partition — the co-tenant
- * form of ServingEngine's Disaggregated mode. A standalone run is
- * "construct on a fresh system's queue over all its ranks, then step()
- * until done()" (exactly what ServingEngine::runDisaggregated does);
- * a co-tenant run constructs the task on a shared queue with the ranks
- * a core::RankScheduler granted (split internally into prefill/decode
- * partitions) and a registered TenantId, and interleaves step() with
- * other tenants' steppers — the deterministic co-scheduler advances
- * whichever task's clockSeconds() is behind.
+ * The disaggregated serving pipeline as a core::Stepper on an
+ * externally owned CommandQueue and rank partition. A standalone run
+ * (ServingEngine::runDisaggregated) is this task over all ranks of a
+ * fresh system; a co-tenant run constructs it on a shared queue with
+ * the ranks a core::RankScheduler granted (split internally into
+ * prefill/decode partitions) and a registered TenantId, and hands it to
+ * the same core::Session as the other tenants' steppers.
  *
  * The task never joins the queue's timelines (no sync()), so
  * co-resident tenants keep issuing while it runs; all admission/TPOT
  * accounting is event-timestamp driven.
  */
-class DisaggServingTask
+class DisaggServingTask : public core::Stepper
 {
   public:
     /**
@@ -146,44 +144,29 @@ class DisaggServingTask
                       core::CommandQueue &queue,
                       const core::DpuSet &partition,
                       core::TenantId tenant = core::kDefaultTenant);
-    ~DisaggServingTask();
-
-    DisaggServingTask(const DisaggServingTask &) = delete;
-    DisaggServingTask &operator=(const DisaggServingTask &) = delete;
+    ~DisaggServingTask() override;
 
     /** True once every request of the trace has fully decoded. */
-    bool done() const;
+    bool done() const override;
 
-    /** The task's pipeline clock: completion time of its latest decode
-     *  step on the queue timeline (the co-scheduler's ordering key). */
-    double clockSeconds() const;
+    /** Completion time of the task's latest decode step. */
+    double clockSeconds() const override;
 
     /** One scheduler iteration: admit arrivals, launch/activate
      *  prefill waves, run one decode step (or idle to the next
-     *  arrival). Must not be called after done(), nor while
-     *  waitingReplacement(). */
-    void step();
+     *  arrival). */
+    void step() override;
 
-    /**
-     * Control-plane notification: @p rank — part of this task's
-     * partition — died at simulated time @p failSec (wire this to
-     * RankScheduler::onRevoke). Under FaultPolicy::Drop the task sheds
-     * the affected requests and shrinks; under Recover it pauses
-     * (waitingReplacement()) until onReplacementGranted().
-     */
-    void onRankFailed(unsigned rank, double failSec);
+    /** Drop sheds the affected requests and shrinks; Recover pauses
+     *  until a replacement is granted. */
+    void onRankFailed(unsigned rank, double failSec) override;
 
-    /**
-     * A replacement grant (single rank) for the oldest outstanding
-     * failure: the task re-joins it to the side that lost a rank,
-     * re-initializes prefill state / re-ships the affected KV via the
-     * double-buffered path, and resumes.
-     */
-    void onReplacementGranted(const core::DpuSet &replacement);
+    /** The replacement re-joins the side that lost a rank, prefill
+     *  state is re-initialized and the affected KV re-shipped via the
+     *  double-buffered path. */
+    void onReplacementGranted(const core::DpuSet &replacement) override;
 
-    /** True while decode cannot progress awaiting a replacement
-     *  grant; the driver must not step() the task in that state. */
-    bool waitingReplacement() const;
+    bool waitingReplacement() const override;
 
     /**
      * Metrics of the completed trace (valid once done()). makespanSec

@@ -22,6 +22,7 @@
 #include "core/command_queue.hh"
 #include "core/pim_system.hh"
 #include "core/rank_scheduler.hh"
+#include "core/session.hh"
 #include "fault/fault_plan.hh"
 #include "fault/injector.hh"
 #include "trace/occupancy.hh"
@@ -900,29 +901,13 @@ TEST(ServingFaults, KvReshipBytesVisibleInTenantOccupancy)
         queue.attachRecorder(&rec);
         fault::FaultSpec fspec;
         fspec.rankMtbfSec = mtbf;
-        fault::FaultInjector inj(
-            fault::FaultPlan(fspec, seed, sys.numRanks()));
-        queue.attachFaultInjector(&inj);
+        core::Session session(queue, fspec, seed);
         const TenantId tenant = queue.addTenant("serving");
-        RankScheduler sched(sys);
-        const DpuSet part = sched.acquireRanks(4, "serving");
         DisaggServingTask task(
             ServingScheme{core::AllocatorKind::PimMallocHwSw}, ecfg,
-            queue, part, tenant);
-        sched.onRevoke("serving", [&](unsigned rank) {
-            task.onRankFailed(rank, inj.rankFailSeconds(rank));
-            sched.requestRanks(1, "serving", [&](DpuSet repl) {
-                task.onReplacementGranted(std::move(repl));
-            });
-        });
-        while (!task.done()) {
-            task.step();
-            for (const fault::FaultEvent &ev :
-                 inj.drainFailedRanks(task.clockSeconds()))
-                sched.quarantine(ev.rank);
-            ASSERT_FALSE(task.waitingReplacement());
-        }
-        queue.sync();
+            queue, session.scheduler().acquireRanks(4, "serving"), tenant);
+        session.add("serving", task);
+        session.run();
         res = task.result();
         rep = trace::analyzeOccupancy(rec);
     };

@@ -44,6 +44,37 @@ TEST(UpdateDriver, ProducesThroughputAndBreakdown)
     EXPECT_GT(r.fragmentation, 0.0);
 }
 
+TEST(UpdateDriver, OneRoundMatchesTheSingleLaunchFingerprints)
+{
+    // A one-round run is a build launch plus one update launch. These
+    // integers were produced when build and update shared one launch;
+    // splitting them must not move a cycle or a byte.
+    struct Golden
+    {
+        StructureKind structure;
+        uint64_t maxCycles;
+        uint64_t taskletCycles;
+        uint64_t trafficBytes;
+        uint64_t mallocs;
+    };
+    const Golden goldens[] = {
+        {StructureKind::StaticCsr, 1036462, 8291696, 1287936, 0},
+        {StructureKind::LinkedList, 150658, 1205264, 10248, 320},
+        {StructureKind::VarArray, 21744, 173952, 11392, 25},
+    };
+    for (const Golden &g : goldens) {
+        const GraphUpdateConfig cfg =
+            smallCfg(g.structure, core::AllocatorKind::PimMallocHwSw);
+        const auto r = runGraphUpdate(cfg);
+        EXPECT_EQ(r.updateSeconds, cfg.dpuCfg.cyclesToSeconds(g.maxCycles));
+        EXPECT_EQ(r.breakdown.total(), g.taskletCycles);
+        EXPECT_EQ(r.traffic.totalBytes(), g.trafficBytes);
+        EXPECT_EQ(r.allocStats.mallocCalls, g.mallocs);
+        // The round boundary adds one launch overhead to the wall time.
+        EXPECT_GT(r.wallSeconds, r.updateSeconds);
+    }
+}
+
 TEST(UpdateDriver, StaticCsrNeedsNoAllocator)
 {
     const auto r = runGraphUpdate(smallCfg(
