@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/allocator_factory.hh"
-#include "core/command_queue.hh"
 #include "core/parallel_engine.hh"
 #include "core/pim_system.hh"
 #include "sim/dpu.hh"
@@ -162,99 +161,6 @@ runMutexCase(unsigned tasklets, unsigned iters, unsigned reps)
     return res;
 }
 
-/**
- * Queue-pressure result: how fast the command-queue *runtime* drains a
- * storm of tiny commands on a multi-thousand-rank system, where the
- * per-command orchestration (chain build, slot→rank folding, arenas)
- * dominates and the simulated DPU work is negligible. This is the case
- * the O(slots) partition fold accelerates.
- */
-struct QueuePressureResult
-{
-    unsigned ranks = 0;
-    unsigned waves = 0;
-    uint64_t commands = 0;
-    /** End-to-end wall of the command script (enqueue + drains). */
-    double wallSeconds = 0.0;
-    /** Cumulative drain phase walls (CommandQueue::drainStats). */
-    double phase1Sec = 0.0;
-    double phase2Sec = 0.0;
-    double commandsPerSec = 0.0;
-    /** Simulated makespan — deterministic, identical across thread
-     *  counts (the fidelity cross-check). */
-    double simSeconds = 0.0;
-};
-
-QueuePressureResult
-runQueuePressure(unsigned ranks, unsigned waves, unsigned reps)
-{
-    QueuePressureResult res;
-    res.ranks = ranks;
-    res.waves = waves;
-
-    double best = -1.0;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        core::PimSystemConfig cfg;
-        cfg.numDpus = ranks * 64;
-        cfg.dpusPerRank = 64;
-        cfg.samplePerRank = true; // one materialized DPU per rank
-        // The launch bodies never touch DPU memory; small backing
-        // stores keep thousands of materialized DPUs cheap.
-        cfg.dpuCfg.mramBytes = 1u << 20;
-        cfg.dpuCfg.wramBytes = 4u << 10;
-        core::PimSystem sys(cfg);
-        core::CommandQueue queue(sys);
-        const core::DpuSet all = sys.all();
-        std::vector<core::DpuSet> rank_sets;
-        rank_sets.reserve(ranks);
-        for (unsigned r = 0; r < ranks; ++r)
-            rank_sets.push_back(sys.rank(r));
-
-        const auto start = std::chrono::steady_clock::now();
-        double makespan = 0.0;
-        for (unsigned w = 0; w < waves; ++w) {
-            // A few full-system launches (the worst case for the old
-            // O(ranks x slots) fold) ...
-            for (unsigned i = 0; i < 32; ++i) {
-                queue.launch(all, 1,
-                             [i](sim::Tasklet &t, unsigned global) {
-                                 t.execute(16 + (global + i) % 7);
-                             });
-            }
-            // ... and a storm of single-rank tiny launches and async
-            // copies, alternating, like a sharded serving step.
-            for (unsigned r = 0; r < ranks; ++r) {
-                if (r % 2 == 0) {
-                    queue.launch(rank_sets[r], 1,
-                                 [](sim::Tasklet &t, unsigned) {
-                                     t.execute(24);
-                                 });
-                } else {
-                    queue.memcpyAsync(rank_sets[r], 64,
-                                      core::CopyDirection::HostToPim);
-                }
-            }
-            makespan = queue.sync();
-        }
-        const std::chrono::duration<double> wall =
-            std::chrono::steady_clock::now() - start;
-
-        if (best < 0.0 || wall.count() < best) {
-            best = wall.count();
-            const core::CommandQueue::DrainStats &st =
-                queue.drainStats();
-            res.commands = st.commands;
-            res.phase1Sec = st.phase1Sec;
-            res.phase2Sec = st.phase2Sec;
-            res.simSeconds = makespan;
-        }
-    }
-    res.wallSeconds = best;
-    res.commandsPerSec = best > 0.0
-        ? static_cast<double>(res.commands) / best : 0.0;
-    return res;
-}
-
 #ifdef PIM_TRACE_SIM
 /** Replay one case, untimed, recording per-tasklet spans into @p rec. */
 void
@@ -285,17 +191,11 @@ tracedCase(unsigned tasklets, unsigned allocs, trace::Recorder &rec)
 int
 main(int argc, char **argv)
 {
-    util::Cli cli(argc, argv,
-                  "allocs,reps,qp-ranks,qp-waves,json,trace,occupancy,"
-                  "metrics");
+    util::Cli cli(argc, argv, "allocs,reps,json,trace,occupancy,metrics");
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli);
     const unsigned allocs =
         static_cast<unsigned>(cli.getInt("allocs", 2048));
     const unsigned reps = static_cast<unsigned>(cli.getInt("reps", 3));
-    const unsigned qp_ranks =
-        static_cast<unsigned>(cli.getInt("qp-ranks", 2048));
-    const unsigned qp_waves =
-        static_cast<unsigned>(cli.getInt("qp-waves", 4));
     const std::string &json_path = knobs.jsonPath;
 
     // Run configuration, recorded alongside every result so BENCH_*
@@ -307,8 +207,6 @@ main(int argc, char **argv)
     const char *mutex_mode =
         sim::SimMutex::modeName(sim::SimMutex::defaultMode());
     const unsigned threads = core::resolveSimThreads(knobs.threads);
-    const bool affinity = core::ParallelDpuEngine::affinityFromEnv(
-        std::getenv("PIM_SIM_AFFINITY"));
 
     std::vector<CaseResult> results;
     for (unsigned tasklets : {1u, 16u})
@@ -330,25 +228,6 @@ main(int argc, char **argv)
                       util::Table::num(r.eventsPerSec / 1e6, 2) + "M"});
     }
     table.print(std::cout);
-
-    // Queue pressure: the command-queue runtime itself under a storm of
-    // tiny commands (drain scaling, not DPU simulation).
-    const QueuePressureResult qp =
-        runQueuePressure(qp_ranks, qp_waves, reps);
-    util::Table qp_table(
-        std::string("Queue pressure (") + std::to_string(qp.ranks)
-        + " ranks, "
-        + std::to_string(qp.waves) + " waves, best of "
-        + std::to_string(reps) + ")");
-    qp_table.setHeader({"Commands", "Wall (ms)", "Phase1 (ms)",
-                        "Phase2 (ms)", "Commands/sec", "Sim (s)"});
-    qp_table.addRow({std::to_string(qp.commands),
-                     util::Table::num(qp.wallSeconds * 1e3, 2),
-                     util::Table::num(qp.phase1Sec * 1e3, 2),
-                     util::Table::num(qp.phase2Sec * 1e3, 2),
-                     util::Table::num(qp.commandsPerSec / 1e3, 1) + "K",
-                     util::Table::num(qp.simSeconds, 6)});
-    qp_table.print(std::cout);
 
     // The measured loops run on bare DPUs (no CommandQueue), so the
     // registries are filled from the best-rep results afterwards: the
@@ -378,7 +257,6 @@ main(int argc, char **argv)
         j.key("sched").value(sched_name);
         j.key("mutex_mode").value(mutex_mode);
         j.key("threads").value(threads);
-        j.key("affinity").value(affinity);
         j.key("allocs_per_tasklet").value(allocs);
         j.key("reps").value(reps);
         j.key("cases").beginArray();
@@ -395,16 +273,6 @@ main(int argc, char **argv)
             j.endObject();
         }
         j.endArray();
-        j.key("queue_pressure").beginObject();
-        j.key("ranks").value(qp.ranks);
-        j.key("waves").value(qp.waves);
-        j.key("commands").value(qp.commands);
-        j.key("wall_seconds").value(qp.wallSeconds);
-        j.key("phase1_sec").value(qp.phase1Sec);
-        j.key("phase2_sec").value(qp.phase2Sec);
-        j.key("commands_per_sec").value(qp.commandsPerSec);
-        j.key("sim_seconds").value(qp.simSeconds);
-        j.endObject();
         telemetry::writeMetricsJson(j, metrics);
         j.endObject();
         std::cout << "\nJSON written to " << json_path << "\n";

@@ -1,10 +1,10 @@
 /**
  * @file
  * Asynchronous command-queue runtime (the unified execution path of the
- * Fig 5 host programming model). Every way the repo drives DPUs —
- * simulateDpus(), HostRuntime, the graph/LLM workload drivers — funnels
- * through this queue: commands are enqueued against a DpuSet and
- * resolved against three kinds of timelines:
+ * Fig 5 host programming model). Every way the repo drives DPUs — the
+ * graph/LLM workload drivers, the microbenchmark, the design-space
+ * replays — funnels through this queue: commands are enqueued against
+ * a DpuSet and resolved against three kinds of timelines:
  *
  *   host      — one issue timeline per *tenant* (see below; a single-
  *               tenant queue has exactly one, the classic host thread)
@@ -46,7 +46,7 @@
  * the target set. A touched rank's launch time is the max over its
  * sampled members; ranks with no sampled member are charged the max
  * over all sampled members of the launch (the sample is assumed
- * representative, consistent with the reduction in core::simulateDpus).
+ * representative: the paper's workloads shard uniformly across DPUs).
  *
  * Tracing: attachRecorder() hooks a trace::Recorder into the drain —
  * every resolved command then also emits spans on the lane(s) it

@@ -1,12 +1,8 @@
 #include "core/parallel_engine.hh"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
-#include <cstring>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #include "util/logging.hh"
 
@@ -19,46 +15,6 @@ namespace {
  *  re-entering the dispatcher (which would deadlock on callMutex_). */
 thread_local bool tl_in_pool_worker = false;
 
-/**
- * Pin the calling thread to the @p cpu-th CPU this process may run on
- * (wrapping around the allowed set). Best-effort: where the call is
- * unsupported or rejected, the thread stays unpinned.
- */
-void
-pinCurrentThreadToCpu(unsigned cpu)
-{
-#if defined(__linux__)
-    // Map the logical worker index onto the process's *allowed* CPUs:
-    // under a container quota the allowed set need not start at 0.
-    cpu_set_t allowed;
-    CPU_ZERO(&allowed);
-    if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0)
-        return;
-    const int total = CPU_COUNT(&allowed);
-    if (total <= 0)
-        return;
-    unsigned want = cpu % static_cast<unsigned>(total);
-    int target = -1;
-    for (int c = 0; c < CPU_SETSIZE; ++c) {
-        if (!CPU_ISSET(c, &allowed))
-            continue;
-        if (want == 0) {
-            target = c;
-            break;
-        }
-        --want;
-    }
-    if (target < 0)
-        return;
-    cpu_set_t mask;
-    CPU_ZERO(&mask);
-    CPU_SET(target, &mask);
-    (void)sched_setaffinity(0, sizeof(mask), &mask);
-#else
-    (void)cpu;
-#endif
-}
-
 } // namespace
 
 unsigned
@@ -68,12 +24,14 @@ resolveSimThreads(unsigned requested)
         return requested;
     if (const char *env = std::getenv("PIM_SIM_THREADS")) {
         // An empty value counts as unset; anything else must be a
-        // positive integer — a typo silently falling back to the
-        // hardware thread count would quietly change every experiment.
+        // positive integer that fits an unsigned — a typo silently
+        // falling back to the hardware thread count, or a huge value
+        // wrapping to a small one, would quietly change every
+        // experiment.
         if (*env != '\0') {
             char *end = nullptr;
             const long v = std::strtol(env, &end, 10);
-            if (end == env || *end != '\0' || v <= 0)
+            if (end == env || *end != '\0' || v <= 0 || v > UINT_MAX)
                 PIM_FATAL("PIM_SIM_THREADS must be a positive integer, "
                           "got '", env, "'");
             return static_cast<unsigned>(v);
@@ -83,21 +41,8 @@ resolveSimThreads(unsigned requested)
     return hw > 0 ? hw : 1;
 }
 
-bool
-ParallelDpuEngine::affinityFromEnv(const char *value)
-{
-    if (value == nullptr || *value == '\0'
-        || std::strcmp(value, "0") == 0)
-        return false;
-    if (std::strcmp(value, "1") == 0)
-        return true;
-    PIM_FATAL("PIM_SIM_AFFINITY must be \"0\" or \"1\", got '", value,
-              "'");
-}
-
 ParallelDpuEngine::ParallelDpuEngine(unsigned num_threads)
-    : threads_(resolveSimThreads(num_threads)),
-      affinity_(affinityFromEnv(std::getenv("PIM_SIM_AFFINITY")))
+    : threads_(resolveSimThreads(num_threads))
 {
 }
 
@@ -130,25 +75,9 @@ ParallelDpuEngine::ensureWorkers(size_t count) const
 }
 
 void
-ParallelDpuEngine::runSlice(unsigned worker_idx) const
+ParallelDpuEngine::runChunks() const
 {
     const std::function<void(size_t)> &fn = *job_.fn;
-    if (job_.staticSlices) {
-        // Pinned placement: fixed contiguous slice per worker so the
-        // index -> CPU mapping is stable across calls.
-        const size_t begin = (worker_idx * job_.n) / job_.participants;
-        const size_t end =
-            ((worker_idx + 1) * job_.n) / job_.participants;
-        try {
-            for (size_t i = begin; i < end; ++i)
-                fn(i);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(poolMutex_);
-            if (!job_.firstError)
-                job_.firstError = std::current_exception();
-        }
-        return;
-    }
     for (;;) {
         const size_t c =
             job_.nextChunk.fetch_add(1, std::memory_order_relaxed);
@@ -176,8 +105,6 @@ void
 ParallelDpuEngine::workerMain(unsigned worker_idx) const
 {
     tl_in_pool_worker = true;
-    if (affinity_)
-        pinCurrentThreadToCpu(worker_idx);
 
     uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(poolMutex_);
@@ -191,7 +118,7 @@ ParallelDpuEngine::workerMain(unsigned worker_idx) const
         if (worker_idx >= job_.participants)
             continue;
         lock.unlock();
-        runSlice(worker_idx);
+        runChunks();
         lock.lock();
         if (++job_.workersDone == job_.participants)
             doneCv_.notify_all();
@@ -222,8 +149,7 @@ ParallelDpuEngine::forEach(size_t n,
     const size_t chunk = std::clamp<size_t>(
         n / (static_cast<size_t>(threads_) * 8), 1, kMaxGrabChunk);
     const size_t num_chunks = (n + chunk - 1) / chunk;
-    const size_t participants =
-        std::min<size_t>(threads_, affinity_ ? n : num_chunks);
+    const size_t participants = std::min<size_t>(threads_, num_chunks);
 
     ensureWorkers(participants);
     {
@@ -236,7 +162,6 @@ ParallelDpuEngine::forEach(size_t n,
         job_.nextChunk.store(0, std::memory_order_relaxed);
         job_.workersDone = 0;
         job_.firstError = nullptr;
-        job_.staticSlices = affinity_;
         ++generation_;
     }
     wakeCv_.notify_all();

@@ -18,16 +18,9 @@
  * the floating-point sums, whose association matches a plain serial
  * loop, not thread scheduling.
  *
- * Work distribution has two modes:
- *
- *  - Dynamic (default): workers grab contiguous chunks from a shared
- *    atomic cursor, so expensive indices spread across the pool.
- *
- *  - Pinned (PIM_SIM_AFFINITY=1): each worker is pinned to one host CPU
- *    and owns a fixed contiguous slice of the index space, the same
- *    slice on every call with the same n, so every launch simulates a
- *    given DPU on the same core (simulation results are identical
- *    either way, only wall time differs).
+ * Work distribution: workers grab contiguous chunks of indices from a
+ * shared atomic cursor, so a few expensive indices (skewed shards)
+ * still spread across the whole pool.
  *
  * Thread-count resolution: an explicit request wins; otherwise the
  * PIM_SIM_THREADS environment variable; otherwise the hardware
@@ -52,8 +45,9 @@ namespace pim::core {
 /**
  * Resolve the worker-thread count for DPU simulation.
  * @param requested explicit count; 0 defers to the environment.
- * @return requested if > 0; else PIM_SIM_THREADS if set to a positive
- *         integer; else std::thread::hardware_concurrency(); at least 1.
+ * @return requested if > 0; else PIM_SIM_THREADS if set (it must be
+ *         a positive integer no larger than UINT_MAX, else the call is
+ *         fatal); else std::thread::hardware_concurrency(); at least 1.
  */
 unsigned resolveSimThreads(unsigned requested = 0);
 
@@ -61,8 +55,8 @@ unsigned resolveSimThreads(unsigned requested = 0);
 class ParallelDpuEngine
 {
   public:
-    /** Upper bound on indices grabbed per dynamic scheduling step; the
-     *  actual grab size adapts down so few-index workloads still spread
+    /** Upper bound on indices grabbed per scheduling step; the actual
+     *  grab size adapts down so few-index workloads still spread
      *  across all workers. Scheduling granularity only — determinism
      *  never depends on it. */
     static constexpr size_t kMaxGrabChunk = 16;
@@ -82,15 +76,6 @@ class ParallelDpuEngine
     /** Pool workers currently alive (0 until the first parallel call,
      *  then grows lazily up to threadCount()). */
     unsigned liveWorkers() const;
-
-    /** True when PIM_SIM_AFFINITY pinned-worker placement is active. */
-    bool affinityEnabled() const { return affinity_; }
-
-    /**
-     * Parse a PIM_SIM_AFFINITY value: unset / "" / "0" -> off,
-     * "1" -> on; anything else is a fatal config error.
-     */
-    static bool affinityFromEnv(const char *value);
 
     /**
      * Run @p fn(i) for every i in [0, n), sharded across the pool in
@@ -116,16 +101,15 @@ class ParallelDpuEngine
         std::atomic<size_t> nextChunk{0};
         size_t workersDone = 0;
         std::exception_ptr firstError;
-        bool staticSlices = false;
     };
 
     void workerMain(unsigned worker_idx) const;
-    void runSlice(unsigned worker_idx) const;
+    /** Grab and run chunks of the current job until none are left. */
+    void runChunks() const;
     /** Spawn pool workers up to @p count (caller holds no lock). */
     void ensureWorkers(size_t count) const;
 
     unsigned threads_;
-    bool affinity_;
 
     /** Pool state below is mutable: forEach() is logically const (it
      *  only runs the caller's fn), but dispatching it mutates the

@@ -124,9 +124,10 @@ class Dpu
 
     /**
      * Return this DPU's touched MRAM/WRAM pages to the OS (contents are
-     * lost; statistics and the last run's results survive). One-shot
-     * reductions call this after harvesting a DPU's outcome so peak
-     * memory tracks the in-flight workers, not the whole system.
+     * lost; statistics and the last run's results survive). The graph
+     * update driver calls this after harvesting a shard's final round,
+     * so peak memory tracks the in-flight workers, not the whole
+     * system.
      */
     void reclaimMemory()
     {

@@ -71,7 +71,8 @@ class FlatMemory
      * Drop the backing store and reallocate it lazily zeroed: returns
      * every touched page to the OS. Contents are lost; capacity is
      * unchanged. Used to bound peak memory when thousands of DPUs are
-     * simulated once and reduced (core::simulateDpus and friends).
+     * simulated and then harvested (the graph update driver's final
+     * round, via sim::Dpu::reclaimMemory).
      */
     void reset();
 

@@ -1,5 +1,6 @@
 #include "util/cli.hh"
 
+#include <climits>
 #include <cstdlib>
 #include <set>
 #include <sstream>
@@ -107,13 +108,17 @@ benchKnobNames(const std::string &extra)
 
 namespace {
 
-/** Read an integer knob, enforcing @p min <= value. */
+/** Read an integer knob, enforcing @p min <= value <= @p max. The
+ *  default bound is the largest value an unsigned knob can hold, so a
+ *  huge count is rejected instead of wrapping to a small one. */
 int64_t
-knobInt(const Cli &cli, const char *name, int64_t def, int64_t min)
+knobInt(const Cli &cli, const char *name, int64_t def, int64_t min,
+        int64_t max = UINT_MAX)
 {
     const int64_t v = cli.getInt(name, def);
-    if (v < min)
-        PIM_FATAL("flag --", name, " must be >= ", min, ", got ", v);
+    if (v < min || v > max)
+        PIM_FATAL("flag --", name, " must be >= ", min, " and <= ", max,
+                  ", got ", v);
     return v;
 }
 
@@ -129,10 +134,11 @@ parseBenchKnobs(const Cli &cli, const BenchKnobs &defaults)
     k.tasklets =
         static_cast<unsigned>(knobInt(cli, "tasklets", k.tasklets, 1));
     // 0 means "auto" internally, but an *explicit* --threads=0 (or a
-    // negative count) is a config error, not a request for the default.
+    // negative count, or one too large to hold) is a config error, not
+    // a request for the default.
     if (cli.has("threads")) {
         const int64_t t = cli.getInt("threads", 0);
-        if (t <= 0)
+        if (t <= 0 || t > UINT_MAX)
             PIM_FATAL("flag --threads must be a positive integer, got ",
                       t, " (omit the flag or set PIM_SIM_THREADS for "
                       "the automatic thread count)");
@@ -143,8 +149,8 @@ parseBenchKnobs(const Cli &cli, const BenchKnobs &defaults)
     k.occupancy = cli.getBool("occupancy", k.occupancy);
     k.metrics = cli.getBool("metrics", k.metrics);
     k.faultSeed = static_cast<uint64_t>(
-        knobInt(cli, "fault-seed", static_cast<int64_t>(k.faultSeed),
-                0));
+        knobInt(cli, "fault-seed", static_cast<int64_t>(k.faultSeed), 0,
+                INT64_MAX));
     k.mtbf = cli.getDouble("mtbf", k.mtbf);
     if (k.mtbf < 0)
         PIM_FATAL("flag --mtbf must be >= 0, got ", k.mtbf);

@@ -112,8 +112,9 @@ std::string benchKnobNames(const std::string &extra = "");
  * Read the shared knobs from @p cli over per-bench @p defaults.
  * Validates what it reads: --dpus/--tasklets must be >= 1 and --threads
  * must be a positive integer (omit it — or set PIM_SIM_THREADS — for
- * the automatic thread count); violations are fatal, consistent with
- * the unknown-flag policy.
+ * the automatic thread count), and none of the three nor --sample may
+ * exceed UINT_MAX; violations are fatal, consistent with the
+ * unknown-flag policy.
  */
 BenchKnobs parseBenchKnobs(const Cli &cli,
                            const BenchKnobs &defaults = {});

@@ -154,6 +154,14 @@ TEST(CliDeath, NegativeThreadsIsFatal)
                  "--threads must be a positive integer");
 }
 
+TEST(CliDeath, ThreadsAboveUintMaxIsFatal)
+{
+    // 2^32 would otherwise wrap to 0, which means "auto".
+    auto c = parse({"--threads=4294967296"}, pim::util::benchKnobNames());
+    EXPECT_DEATH(pim::util::parseBenchKnobs(c),
+                 "--threads must be a positive integer");
+}
+
 TEST(CliDeath, GarbageThreadsIsFatal)
 {
     auto c = parse({"--threads=many"}, pim::util::benchKnobNames());
@@ -164,6 +172,14 @@ TEST(CliDeath, ZeroDpusIsFatal)
 {
     auto c = parse({"--dpus=0"}, pim::util::benchKnobNames());
     EXPECT_DEATH(pim::util::parseBenchKnobs(c), "--dpus must be >= 1");
+}
+
+TEST(CliDeath, DpusAboveUintMaxIsFatal)
+{
+    // 2^32 would otherwise pass the >= 1 check and wrap to 0 DPUs.
+    auto c = parse({"--dpus=4294967296"}, pim::util::benchKnobNames());
+    EXPECT_DEATH(pim::util::parseBenchKnobs(c),
+                 "--dpus must be >= 1 and <= 4294967295");
 }
 
 TEST(Cli, ThreadsFlagAcceptsPositive)

@@ -3,16 +3,14 @@
  * Drain contract tests. For any command script — tenants,
  * dependencies, callbacks, scatter copies, timed launches, injected
  * faults — the drain's complete observable outcome is bit-identical
- * for any worker-thread count and under pinned static-slice placement
- * (PIM_SIM_AFFINITY=1). The differential below compares full outcome
- * digests with exact double equality, the same bar the mutex-mode fuzz
- * sets.
+ * for any worker-thread count. The differential below compares full
+ * outcome digests with exact double equality, the same bar the
+ * mutex-mode fuzz sets.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -66,25 +64,6 @@ expectEqualOutcome(const Outcome &a, const Outcome &b)
 }
 
 /**
- * A system whose engine has @p threads workers, pinned with static
- * slices when @p pinned: the engine reads PIM_SIM_AFFINITY once, at
- * construction, so the variable is set only around it.
- */
-std::unique_ptr<core::PimSystem>
-makeSystem(unsigned threads, bool pinned)
-{
-    core::PimSystemConfig cfg;
-    cfg.numDpus = 256; // 4 ranks of 64
-    cfg.sampleDpus = 32;
-    cfg.simThreads = threads;
-    ::setenv("PIM_SIM_AFFINITY", pinned ? "1" : "0", 1);
-    auto sys = std::make_unique<core::PimSystem>(cfg);
-    ::unsetenv("PIM_SIM_AFFINITY");
-    EXPECT_EQ(sys->engine().affinityEnabled(), pinned);
-    return sys;
-}
-
-/**
  * A seeded random command storm: three sync rounds of launches (plain,
  * multi-tasklet, timed), async/buffered/scatter copies, host compute,
  * chained dependencies, three tenants, and completion/error callbacks,
@@ -92,11 +71,13 @@ makeSystem(unsigned threads, bool pinned)
  * subset targets.
  */
 Outcome
-runScript(unsigned threads, bool pinned, uint64_t seed, bool faults)
+runScript(unsigned threads, uint64_t seed, bool faults)
 {
-    const std::unique_ptr<core::PimSystem> sys_owner =
-        makeSystem(threads, pinned);
-    core::PimSystem &sys = *sys_owner;
+    core::PimSystemConfig cfg;
+    cfg.numDpus = 256; // 4 ranks of 64
+    cfg.sampleDpus = 32;
+    cfg.simThreads = threads;
+    core::PimSystem sys(cfg);
     CommandQueue queue(sys);
 
     std::unique_ptr<fault::FaultInjector> inj;
@@ -259,23 +240,20 @@ runScript(unsigned threads, bool pinned, uint64_t seed, bool faults)
 } // namespace
 
 /** Seeded random-script differential of the drain across worker
- *  counts and placements, exact. */
+ *  counts, exact. */
 class DrainFuzz : public ::testing::TestWithParam<std::tuple<int, bool>>
 {
 };
 
-TEST_P(DrainFuzz, ThreadCountAndPlacementInvariant)
+TEST_P(DrainFuzz, ThreadCountInvariant)
 {
     const auto [seed_param, faults] = GetParam();
     const uint64_t seed = static_cast<uint64_t>(seed_param);
     // threads=1 runs every chain inline on the caller; 4 and 7 shard
-    // them over the pool (7 with ragged slices), dynamically or, when
-    // pinned, as one fixed contiguous slice per worker.
-    const Outcome one = runScript(1, false, seed, faults);
-    expectEqualOutcome(one, runScript(4, false, seed, faults));
-    expectEqualOutcome(one, runScript(7, false, seed, faults));
-    expectEqualOutcome(one, runScript(4, true, seed, faults));
-    expectEqualOutcome(one, runScript(7, true, seed, faults));
+    // the 32 slot chains over the pool (7 unevenly).
+    const Outcome one = runScript(1, seed, faults);
+    expectEqualOutcome(one, runScript(4, seed, faults));
+    expectEqualOutcome(one, runScript(7, seed, faults));
     EXPECT_FALSE(one.eventTimes.empty());
     EXPECT_FALSE(one.callbacks.empty());
     if (faults) {

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the parallel multi-DPU execution engine: thread-count
- * invariance of MultiDpuResult (the deterministic-reduction guarantee),
- * correct merge of per-worker partials against a sequential reference,
- * PIM_SIM_THREADS resolution, and forEach coverage/exception semantics.
+ * invariance of a whole-system launch's slot-order reduction (the
+ * deterministic-reduction guarantee), correct merge of per-worker
+ * partials against a sequential reference, PIM_SIM_THREADS resolution,
+ * and forEach coverage/exception semantics.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
@@ -17,10 +19,8 @@
 #include <vector>
 
 #include "core/command_queue.hh"
-#include "core/host_runtime.hh"
 #include "core/parallel_engine.hh"
 #include "core/pim_system.hh"
-#include "core/system.hh"
 #include "sim/mutex.hh"
 #include "workloads/graph/update_driver.hh"
 
@@ -39,7 +39,7 @@ smallDpuCfg()
 }
 
 /** A contention-free per-DPU program with index-dependent compute,
- *  DMA traffic, and idle time, so every MultiDpuResult field is
+ *  DMA traffic, and idle time, so every LaunchReduction field is
  *  exercised (incl. the floating-point reductions). */
 void
 referenceProgram(sim::Dpu &dpu, unsigned idx)
@@ -52,23 +52,63 @@ referenceProgram(sim::Dpu &dpu, unsigned idx)
     });
 }
 
-MultiDpuResult
+/** One whole-system launch, reduced over the materialized DPUs in slot
+ *  order: elapsed cycles = max, breakdown and traffic = sums. */
+struct LaunchReduction
+{
+    unsigned simulatedDpus = 0;
+    uint64_t maxCycles = 0;
+    double meanSeconds = 0.0;
+    /** The queue's resolved makespan for the launch. */
+    double makespan = 0.0;
+    sim::CycleBreakdown breakdown{};
+    sim::TrafficStats traffic{};
+};
+
+LaunchReduction
+launchAndReduce(unsigned num_dpus, unsigned threads,
+                void (*program)(sim::Dpu &, unsigned),
+                unsigned sample = 0)
+{
+    PimSystemConfig cfg;
+    cfg.numDpus = num_dpus;
+    cfg.sampleDpus = sample;
+    cfg.dpuCfg = smallDpuCfg();
+    cfg.simThreads = threads;
+    PimSystem sys(cfg);
+    CommandQueue queue(sys);
+    queue.launchProgram(sys.all(), program);
+
+    LaunchReduction r;
+    r.makespan = queue.sync();
+    r.simulatedDpus = sys.sampleCount();
+    double sum_seconds = 0.0;
+    for (unsigned slot = 0; slot < r.simulatedDpus; ++slot) {
+        const sim::Dpu &dpu = sys.dpu(slot);
+        r.maxCycles = std::max(r.maxCycles, dpu.lastElapsedCycles());
+        sum_seconds += dpu.lastElapsedSeconds();
+        r.breakdown.merge(dpu.lastBreakdown());
+        r.traffic.merge(dpu.traffic());
+    }
+    r.meanSeconds = sum_seconds / r.simulatedDpus;
+    return r;
+}
+
+LaunchReduction
 runWithThreads(unsigned num_dpus, unsigned threads, unsigned sample = 0)
 {
-    return simulateDpus(num_dpus, smallDpuCfg(), referenceProgram,
-                        sample, threads);
+    return launchAndReduce(num_dpus, threads, referenceProgram, sample);
 }
 
 void
-expectIdentical(const MultiDpuResult &a, const MultiDpuResult &b)
+expectIdentical(const LaunchReduction &a, const LaunchReduction &b)
 {
-    EXPECT_EQ(a.numDpus, b.numDpus);
     EXPECT_EQ(a.simulatedDpus, b.simulatedDpus);
     EXPECT_EQ(a.maxCycles, b.maxCycles);
-    // Bit-identical doubles, not just approximately equal: the chunked
-    // reduction fixes the floating-point association.
-    EXPECT_EQ(a.maxSeconds, b.maxSeconds);
+    // Bit-identical doubles, not just approximately equal: the
+    // slot-order fold fixes the floating-point association.
     EXPECT_EQ(a.meanSeconds, b.meanSeconds);
+    EXPECT_EQ(a.makespan, b.makespan);
     for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
         EXPECT_EQ(a.breakdown.cycles[k], b.breakdown.cycles[k]);
     EXPECT_EQ(a.traffic.dataReadBytes, b.traffic.dataReadBytes);
@@ -98,7 +138,6 @@ TEST(ParallelEngine, ThreadCountInvarianceUnderSampling)
     const auto r1 = runWithThreads(512, 1, 48);
     const auto r8 = runWithThreads(512, 8, 48);
     expectIdentical(r1, r8);
-    EXPECT_EQ(r1.numDpus, 512u);
     EXPECT_EQ(r1.simulatedDpus, 48u);
 }
 
@@ -124,37 +163,6 @@ TEST(ParallelEngine, MergesPartialsLikeSequentialReference)
     EXPECT_EQ(r.traffic.dataReadBytes, ref_traffic.dataReadBytes);
     EXPECT_EQ(r.traffic.dataWriteBytes, ref_traffic.dataWriteBytes);
     EXPECT_EQ(r.traffic.dmaTransfers, ref_traffic.dmaTransfers);
-}
-
-TEST(ParallelEngine, SimulateDpusFacadeMatchesManualQueueUse)
-{
-    // The synchronous facade and a hand-driven PimSystem+CommandQueue
-    // must produce identical reductions.
-    const auto facade =
-        simulateDpus(96, smallDpuCfg(), referenceProgram, 0, 3);
-
-    PimSystemConfig scfg;
-    scfg.numDpus = 96;
-    scfg.dpuCfg = smallDpuCfg();
-    scfg.simThreads = 3;
-    PimSystem sys(scfg);
-    CommandQueue queue(sys);
-    queue.launchProgram(sys.all(), referenceProgram);
-    queue.sync();
-
-    uint64_t max_cycles = 0;
-    sim::CycleBreakdown breakdown{};
-    sim::TrafficStats traffic{};
-    for (unsigned slot = 0; slot < sys.sampleCount(); ++slot) {
-        max_cycles =
-            std::max(max_cycles, sys.dpu(slot).lastElapsedCycles());
-        breakdown.merge(sys.dpu(slot).lastBreakdown());
-        traffic.merge(sys.dpu(slot).traffic());
-    }
-    EXPECT_EQ(facade.maxCycles, max_cycles);
-    for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
-        EXPECT_EQ(facade.breakdown.cycles[k], breakdown.cycles[k]);
-    EXPECT_EQ(facade.traffic.totalBytes(), traffic.totalBytes());
 }
 
 TEST(ParallelEngine, ResolveThreadsPrecedence)
@@ -201,19 +209,42 @@ TEST(ParallelEngineDeath, InvalidEnvThreadCountIsFatal)
         ::setenv("PIM_SIM_THREADS", "4cores", 1);
         resolveSimThreads(0);
     }, "PIM_SIM_THREADS must be a positive integer");
+    // Values above UINT_MAX must not wrap to a small worker count
+    // (2^32 + 1 would otherwise become 1).
+    EXPECT_DEATH({
+        ::setenv("PIM_SIM_THREADS", "4294967296", 1);
+        resolveSimThreads(0);
+    }, "PIM_SIM_THREADS must be a positive integer");
+    EXPECT_DEATH({
+        ::setenv("PIM_SIM_THREADS", "4294967297", 1);
+        resolveSimThreads(0);
+    }, "PIM_SIM_THREADS must be a positive integer");
     ::unsetenv("PIM_SIM_THREADS");
 }
 
-TEST(ParallelEngine, ForEachCoversEveryIndexExactlyOnce)
+namespace {
+
+/** Run one forEach over [0, n) and check every index ran exactly once. */
+void
+expectCoversEveryIndexOnce(const ParallelDpuEngine &engine, size_t n)
 {
-    const size_t n = 1000; // spans many chunks
     std::vector<std::atomic<unsigned>> hits(n);
-    ParallelDpuEngine engine(8);
     engine.forEach(n, [&](size_t i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (size_t i = 0; i < n; ++i)
-        EXPECT_EQ(hits[i].load(), 1u) << "index " << i;
+        EXPECT_EQ(hits[i].load(), 1u) << "n " << n << ", index " << i;
+}
+
+} // namespace
+
+TEST(ParallelEngine, ForEachCoversEveryIndexExactlyOnce)
+{
+    ParallelDpuEngine engine(8);
+    // Fewer indices than workers, a count the 8 workers cannot split
+    // evenly, and one that spans many chunks.
+    for (const size_t n : {3, 130, 1000})
+        expectCoversEveryIndexOnce(engine, n);
 }
 
 TEST(ParallelEngine, ForEachHandlesEmptyAndTiny)
@@ -235,31 +266,9 @@ TEST(ParallelEngine, ForEachPropagatesExceptions)
                                         throw std::runtime_error("boom");
                                 }),
                  std::runtime_error);
-}
-
-TEST(ParallelEngine, HostRuntimeLaunchIsThreadCountInvariant)
-{
-    auto launch = [](unsigned threads) {
-        HostRuntimeConfig cfg;
-        cfg.numDpus = 64;
-        cfg.sampleDpus = 32;
-        cfg.dpuCfg = smallDpuCfg();
-        cfg.simThreads = threads;
-        HostRuntime rt(cfg);
-        rt.pimLaunch(8, [](sim::Tasklet &t, unsigned idx) {
-            t.execute(100 + idx + t.id());
-            t.dmaRead(0, 64);
-        });
-        return rt.elapsedSeconds();
-    };
-    const double s1 = launch(1);
-    const double s8 = launch(8);
-    EXPECT_EQ(s1, s8); // bit-identical timeline
-    EXPECT_GT(s1, 0.0);
-
-    HostRuntimeConfig cfg;
-    cfg.simThreads = 6;
-    EXPECT_EQ(HostRuntime(cfg).simThreads(), 6u);
+    // The pool survives a throwing job: the next call on the same
+    // engine runs every index exactly once.
+    expectCoversEveryIndexOnce(engine, 256);
 }
 
 TEST(ParallelEngine, GraphUpdateDriverIsThreadCountInvariant)
@@ -372,63 +381,14 @@ TEST(ParallelEngine, NestedForEachRunsInline)
         EXPECT_EQ(hits[i].load(), 1u) << "index " << i;
 }
 
-TEST(ParallelEngine, AffinityFromEnvParsing)
-{
-    EXPECT_FALSE(ParallelDpuEngine::affinityFromEnv(nullptr));
-    EXPECT_FALSE(ParallelDpuEngine::affinityFromEnv(""));
-    EXPECT_FALSE(ParallelDpuEngine::affinityFromEnv("0"));
-    EXPECT_TRUE(ParallelDpuEngine::affinityFromEnv("1"));
-}
-
-TEST(ParallelEngineDeath, InvalidAffinityEnvValueIsFatal)
-{
-    EXPECT_DEATH({
-        ::setenv("PIM_SIM_AFFINITY", "yes", 1);
-        ParallelDpuEngine engine(2);
-    }, "PIM_SIM_AFFINITY");
-    EXPECT_DEATH({
-        ::setenv("PIM_SIM_AFFINITY", "2", 1);
-        ParallelDpuEngine engine(2);
-    }, "PIM_SIM_AFFINITY");
-    ::unsetenv("PIM_SIM_AFFINITY");
-}
-
-TEST(ParallelEngine, PinnedPlacementIsDeterministicAndCovers)
-{
-    // Pinned mode switches to static contiguous slices; coverage and
-    // determinism must be unaffected.
-    ::setenv("PIM_SIM_AFFINITY", "1", 1);
-    {
-        ParallelDpuEngine engine(4);
-        EXPECT_TRUE(engine.affinityEnabled());
-        std::vector<std::atomic<unsigned>> hits(130);
-        engine.forEach(130, [&](size_t i) {
-            hits[i].fetch_add(1, std::memory_order_relaxed);
-        });
-        for (size_t i = 0; i < hits.size(); ++i)
-            EXPECT_EQ(hits[i].load(), 1u) << "index " << i;
-
-        const auto r = simulateDpus(64, smallDpuCfg(), referenceProgram,
-                                    0, 4);
-        ::unsetenv("PIM_SIM_AFFINITY");
-        const auto ref = simulateDpus(64, smallDpuCfg(),
-                                      referenceProgram, 0, 4);
-        expectIdentical(r, ref);
-    }
-    ::unsetenv("PIM_SIM_AFFINITY");
-}
-
 TEST(ParallelEngine, QueueMutexThreadCountInvariance)
 {
     // PIM_SIM_MUTEX=queue must preserve the engine's bit-identity
     // guarantee across PIM_SIM_THREADS settings...
     ScopedMutexMode queue(sim::SimMutex::Mode::Queue);
-    const auto r1 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 1);
-    const auto r4 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 4);
-    const auto r7 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 7);
+    const auto r1 = launchAndReduce(130, 1, contendedProgram);
+    const auto r4 = launchAndReduce(130, 4, contendedProgram);
+    const auto r7 = launchAndReduce(130, 7, contendedProgram);
     expectIdentical(r1, r4);
     expectIdentical(r1, r7);
     EXPECT_GT(r1.breakdown.of(sim::CycleKind::BusyWait), 0u);
@@ -436,7 +396,6 @@ TEST(ParallelEngine, QueueMutexThreadCountInvariance)
     // ...and the queue-mode simulation reduces identically to the spin
     // reference (the cross-mode fidelity contract, at system scale).
     ScopedMutexMode spin(sim::SimMutex::Mode::Spin);
-    const auto s4 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 4);
+    const auto s4 = launchAndReduce(130, 4, contendedProgram);
     expectIdentical(r1, s4);
 }

@@ -4,14 +4,18 @@
  * addressing, sample-index spreading (incl. non-divisible tails), async
  * launch + sync() timeline composition, host/PIM overlap accounting,
  * DPU-subset launches, scatter/gather transfers, event dependencies,
- * and thread-count invariance of the resolved timelines.
+ * thread-count invariance of the resolved timelines, and a Fig 5(d)
+ * on-device allocator program driven through the queue.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <memory>
+#include <vector>
 
+#include "core/allocator_factory.hh"
 #include "core/command_queue.hh"
 #include "core/pim_system.hh"
 
@@ -327,6 +331,39 @@ TEST(CommandQueue, ResetTimelineKeepsDpuState)
     EXPECT_DOUBLE_EQ(q.launchWorkSeconds(), 0.0);
     // DPU state (last run) survives the timeline reset.
     EXPECT_EQ(sys.dpu(0).lastElapsedCycles(), 500u * 11u);
+}
+
+TEST(CommandQueue, Fig5dStyleProgramWithAllocator)
+{
+    // The PIM-Metadata/PIM-Executed pseudo-program: one launch runs
+    // initAllocator, a second launch allocates on-device; the only
+    // host<->PIM traffic is the launches themselves.
+    PimSystemConfig cfg;
+    cfg.numDpus = 64;
+    cfg.sampleDpus = 2;
+    PimSystem sys(cfg);
+    CommandQueue q(sys);
+    std::vector<std::unique_ptr<alloc::Allocator>> allocators;
+    for (unsigned i = 0; i < sys.sampleCount(); ++i) {
+        AllocatorOverrides ov;
+        ov.numTasklets = 4;
+        ov.heapBytes = 1u << 20;
+        allocators.push_back(
+            makeAllocator(sys.dpu(i), AllocatorKind::PimMallocSw, ov));
+    }
+    q.launch(sys.all(), 1, [&](sim::Tasklet &t, unsigned g) {
+        allocators[sys.slotOf(g)]->init(t);
+    });
+    q.sync();
+    q.launch(sys.all(), 4, [&](sim::Tasklet &t, unsigned g) {
+        alloc::Allocator &a = *allocators[sys.slotOf(g)];
+        for (int i = 0; i < 16; ++i)
+            ASSERT_NE(a.malloc(t, 64), sim::kNullAddr);
+    });
+    q.sync();
+    EXPECT_EQ(q.transferredBytes(), 0u);
+    for (const auto &a : allocators)
+        EXPECT_EQ(a->stats().mallocCalls, 4u * 16u);
 }
 
 TEST(CommandQueue, UnsampledRanksChargedRepresentativeMakespan)
