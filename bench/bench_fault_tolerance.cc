@@ -29,7 +29,6 @@
  * smoke-runs this as BENCH_fault_tolerance.json.
  */
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -179,57 +178,47 @@ main(int argc, char **argv)
            "MTBF shrinks.\n";
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
-            return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("fault_tolerance");
-        j.key("dpus").value(knobs.dpus);
-        j.key("requests").value(base.numRequests);
-        j.key("arrival_rate_per_sec").value(base.arrivalRatePerSec);
-        j.key("fault_seed").value(knobs.faultSeed);
-        j.key("spare_ranks").value(spare_ranks);
-        auto emit = [&](const char *policy_name, double mtbf,
-                        const ServingResult &r) {
-            j.beginObject();
-            j.key("mtbf_sec").value(
-                mtbf >= kNeverMtbfSec ? 0.0 : mtbf);
-            j.key("policy").value(policy_name);
-            j.key("completed_requests").value(r.completedRequests);
-            j.key("lost_requests").value(r.lostRequests);
-            j.key("lost_steps").value(r.lostSteps);
-            j.key("goodput_tokens_per_sec")
-                .value(r.throughputTokensPerSec);
-            j.key("availability").value(r.availability);
-            j.key("ttft_p99_ms").value(r.ttftP99Ms);
-            j.key("ttft_p99_inflation_pct")
-                .value(inflationPct(ref.ttftP99Ms, r.ttftP99Ms));
-            j.key("tpot_p99_ms").value(r.tpotP99Ms);
-            j.key("tpot_p99_inflation_pct")
-                .value(inflationPct(ref.tpotP99Ms, r.tpotP99Ms));
-            j.key("recovery_bytes").value(r.recoveryBytes);
-            j.key("mttr_mean_sec").value(r.mttrMeanSec);
-            j.key("rank_failures").value(r.rankFailures);
-            j.key("makespan_sec").value(r.makespanSec);
-            j.endObject();
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("dpus").value(knobs.dpus);
+            j.key("requests").value(base.numRequests);
+            j.key("arrival_rate_per_sec").value(base.arrivalRatePerSec);
+            j.key("fault_seed").value(knobs.faultSeed);
+            j.key("spare_ranks").value(spare_ranks);
+            auto emit = [&](const char *policy_name, double mtbf,
+                            const ServingResult &r) {
+                j.beginObject();
+                j.key("mtbf_sec").value(
+                    mtbf >= kNeverMtbfSec ? 0.0 : mtbf);
+                j.key("policy").value(policy_name);
+                j.key("completed_requests").value(r.completedRequests);
+                j.key("lost_requests").value(r.lostRequests);
+                j.key("lost_steps").value(r.lostSteps);
+                j.key("goodput_tokens_per_sec")
+                    .value(r.throughputTokensPerSec);
+                j.key("availability").value(r.availability);
+                j.key("ttft_p99_ms").value(r.ttftP99Ms);
+                j.key("ttft_p99_inflation_pct")
+                    .value(inflationPct(ref.ttftP99Ms, r.ttftP99Ms));
+                j.key("tpot_p99_ms").value(r.tpotP99Ms);
+                j.key("tpot_p99_inflation_pct")
+                    .value(inflationPct(ref.tpotP99Ms, r.tpotP99Ms));
+                j.key("recovery_bytes").value(r.recoveryBytes);
+                j.key("mttr_mean_sec").value(r.mttrMeanSec);
+                j.key("rank_failures").value(r.rankFailures);
+                j.key("makespan_sec").value(r.makespanSec);
+                j.endObject();
+            };
+            j.key("reference");
+            emit("reference", kNeverMtbfSec, ref);
+            j.key("sweep").beginArray();
+            for (const Point &p : points)
+                emit(p.policy == FaultPolicy::Recover ? "Recover" : "Drop",
+                     p.mtbfSec, p.r);
+            j.endArray();
         };
-        j.key("reference");
-        emit("reference", kNeverMtbfSec, ref);
-        j.key("sweep").beginArray();
-        for (const Point &p : points)
-            emit(p.policy == FaultPolicy::Recover ? "Recover" : "Drop",
-                 p.mtbfSec, p.r);
-        j.endArray();
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
-        out << "\n";
-        if (!out) {
-            std::cerr << "write failed: " << knobs.jsonPath << "\n";
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "fault_tolerance", &metrics, fields))
             return 1;
-        }
         std::cout << "\nJSON written to " << knobs.jsonPath << "\n";
     }
 

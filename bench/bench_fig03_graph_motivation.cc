@@ -7,7 +7,6 @@
  * normalized to Static/Small, as in the paper.
  */
 
-#include <fstream>
 #include <iostream>
 
 #include "telemetry/export.hh"
@@ -90,22 +89,16 @@ main(int argc, char **argv)
         return 1;
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("dpus").value(knobs.dpus);
+            j.key("sample").value(knobs.sample);
+            j.key("tasklets").value(knobs.tasklets);
+            j.key("table");
+            table.writeJson(j);
+        };
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "fig03_graph_motivation", &metrics, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("fig03_graph_motivation");
-        j.key("dpus").value(knobs.dpus);
-        j.key("sample").value(knobs.sample);
-        j.key("tasklets").value(knobs.tasklets);
-        j.key("table");
-        table.writeJson(j);
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
-        out << "\n";
     }
     return 0;
 }

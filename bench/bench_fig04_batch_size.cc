@@ -7,9 +7,9 @@
  * simulator's `maxBatchLimit` bound (Fig 18).
  */
 
-#include <fstream>
 #include <iostream>
 
+#include "telemetry/export.hh"
 #include "util/cli.hh"
 #include "util/json.hh"
 #include "util/table.hh"
@@ -51,25 +51,21 @@ main(int argc, char **argv)
               << "x (paper's figure shows ~3-4x)\n";
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("dpus").value(knobs.dpus);
+            j.key("seed").value(seed);
+            j.key("heap_bytes").value(r.heapBytes);
+            j.key("static_max_batch").value(r.staticMaxBatch);
+            j.key("dynamic_max_batch").value(r.dynamicMaxBatch);
+            j.key("static_reserve_bytes_per_request")
+                .value(r.staticReserveBytesPerRequest);
+            j.key("mean_actual_bytes_per_request")
+                .value(r.meanActualBytesPerRequest);
+            j.key("dynamic_static_ratio").value(ratio);
+        };
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "fig04_batch_size", nullptr, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("fig04_batch_size");
-        j.key("dpus").value(knobs.dpus);
-        j.key("seed").value(seed);
-        j.key("heap_bytes").value(r.heapBytes);
-        j.key("static_max_batch").value(r.staticMaxBatch);
-        j.key("dynamic_max_batch").value(r.dynamicMaxBatch);
-        j.key("static_reserve_bytes_per_request")
-            .value(r.staticReserveBytesPerRequest);
-        j.key("mean_actual_bytes_per_request")
-            .value(r.meanActualBytesPerRequest);
-        j.key("dynamic_static_ratio").value(ratio);
-        j.endObject();
         std::cout << "\nJSON written to " << knobs.jsonPath << "\n";
     }
     return 0;

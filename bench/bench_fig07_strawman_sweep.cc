@@ -7,7 +7,6 @@
  * alloc 2 KB), exactly like the paper's heat map.
  */
 
-#include <fstream>
 #include <iostream>
 #include <iterator>
 #include <vector>
@@ -94,20 +93,14 @@ main(int argc, char **argv)
         return 1;
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("tasklets").value(knobs.tasklets);
+            j.key("table");
+            table.writeJson(j);
+        };
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "fig07_strawman_sweep", &metrics, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("fig07_strawman_sweep");
-        j.key("tasklets").value(knobs.tasklets);
-        j.key("table");
-        table.writeJson(j);
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
-        out << "\n";
     }
     return 0;
 }

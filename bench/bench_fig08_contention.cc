@@ -7,7 +7,6 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -149,25 +148,19 @@ main(int argc, char **argv)
         return 1;
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("latencySeries");
+            seq.writeJson(j);
+            j.key("breakdown");
+            bd.writeJson(j);
+            j.key("mutex_mode")
+                .value(sim::SimMutex::modeName(sixteen.mutexMode));
+            j.key("mutexStats");
+            mx.writeJson(j);
+        };
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "fig08_contention", &metrics, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("fig08_contention");
-        j.key("latencySeries");
-        seq.writeJson(j);
-        j.key("breakdown");
-        bd.writeJson(j);
-        j.key("mutex_mode")
-            .value(sim::SimMutex::modeName(sixteen.mutexMode));
-        j.key("mutexStats");
-        mx.writeJson(j);
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
-        out << "\n";
     }
     return 0;
 }

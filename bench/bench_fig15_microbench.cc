@@ -11,7 +11,6 @@
  * artifact, like the other headline figure benches.
  */
 
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -114,32 +113,27 @@ main(int argc, char **argv)
     telemetry::printMetrics(std::cout, metrics, knobs.metrics);
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("allocs_per_tasklet").value(128);
+            j.key("cases").beginArray();
+            for (const Case &c : cases) {
+                j.beginObject();
+                j.key("tasklets").value(c.tasklets);
+                j.key("alloc_size").value(c.size);
+                j.key("straw_man_us").value(c.strawUs);
+                j.key("pim_malloc_sw_us").value(c.swUs);
+                j.key("pim_malloc_hwsw_us").value(c.hwswUs);
+                j.key("sw_speedup").value(c.strawUs / c.swUs);
+                j.key("hwsw_vs_sw").value(c.swUs / c.hwswUs);
+                j.endObject();
+            }
+            j.endArray();
+            j.key("sw_speedup_geomean").value(sw_geomean);
+            j.key("hwsw_vs_sw_geomean").value(hwsw_geomean);
+        };
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "fig15_microbench", &metrics, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("fig15_microbench");
-        j.key("allocs_per_tasklet").value(128);
-        j.key("cases").beginArray();
-        for (const Case &c : cases) {
-            j.beginObject();
-            j.key("tasklets").value(c.tasklets);
-            j.key("alloc_size").value(c.size);
-            j.key("straw_man_us").value(c.strawUs);
-            j.key("pim_malloc_sw_us").value(c.swUs);
-            j.key("pim_malloc_hwsw_us").value(c.hwswUs);
-            j.key("sw_speedup").value(c.strawUs / c.swUs);
-            j.key("hwsw_vs_sw").value(c.swUs / c.hwswUs);
-            j.endObject();
-        }
-        j.endArray();
-        j.key("sw_speedup_geomean").value(sw_geomean);
-        j.key("hwsw_vs_sw_geomean").value(hwsw_geomean);
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
         std::cout << "\nJSON written to " << knobs.jsonPath << "\n";
     }
     return 0;

@@ -5,7 +5,6 @@
  * 256 B (16 tasklets, 4 KB requests — the backend-bound microbenchmark).
  */
 
-#include <fstream>
 #include <iostream>
 
 #include "telemetry/export.hh"
@@ -76,20 +75,14 @@ main(int argc, char **argv)
         return 1;
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("tasklets").value(knobs.tasklets);
+            j.key("table");
+            table.writeJson(j);
+        };
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "fig16_cache_sweep", &metrics, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("fig16_cache_sweep");
-        j.key("tasklets").value(knobs.tasklets);
-        j.key("table");
-        table.writeJson(j);
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
-        out << "\n";
     }
     return 0;
 }

@@ -10,7 +10,6 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <vector>
@@ -189,43 +188,38 @@ main(int argc, char **argv)
                  "(paper Fig 17(d)).\n";
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("dpus").value(knobs.dpus);
+            j.key("sample").value(knobs.sample);
+            j.key("tasklets").value(knobs.tasklets);
+            j.key("configurations").beginArray();
+            for (const auto &r : runs) {
+                const auto &res = r.result;
+                j.beginObject();
+                j.key("name").value(r.name);
+                j.key("medges_per_sec").value(res.millionEdgesPerSec);
+                j.key("update_seconds").value(res.updateSeconds);
+                j.key("update_edges").value(res.updateEdgesTotal);
+                j.key("run_frac")
+                    .value(res.breakdown.fraction(sim::CycleKind::Run));
+                j.key("busy_wait_frac")
+                    .value(res.breakdown.fraction(sim::CycleKind::BusyWait));
+                j.key("idle_mem_frac")
+                    .value(res.breakdown.fraction(
+                        sim::CycleKind::IdleMemory));
+                j.key("malloc_calls").value(res.allocStats.mallocCalls);
+                j.key("avg_alloc_latency_us").value(res.avgAllocLatencyUs);
+                j.key("peak_fragmentation").value(res.fragmentation);
+                j.key("total_traffic_bytes").value(res.traffic.totalBytes());
+                j.key("metadata_traffic_bytes")
+                    .value(res.traffic.metadataBytes());
+                j.endObject();
+            }
+            j.endArray();
+        };
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "fig17_graph_update", &metrics, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("fig17_graph_update");
-        j.key("dpus").value(knobs.dpus);
-        j.key("sample").value(knobs.sample);
-        j.key("tasklets").value(knobs.tasklets);
-        j.key("configurations").beginArray();
-        for (const auto &r : runs) {
-            const auto &res = r.result;
-            j.beginObject();
-            j.key("name").value(r.name);
-            j.key("medges_per_sec").value(res.millionEdgesPerSec);
-            j.key("update_seconds").value(res.updateSeconds);
-            j.key("update_edges").value(res.updateEdgesTotal);
-            j.key("run_frac")
-                .value(res.breakdown.fraction(sim::CycleKind::Run));
-            j.key("busy_wait_frac")
-                .value(res.breakdown.fraction(sim::CycleKind::BusyWait));
-            j.key("idle_mem_frac")
-                .value(res.breakdown.fraction(
-                    sim::CycleKind::IdleMemory));
-            j.key("malloc_calls").value(res.allocStats.mallocCalls);
-            j.key("avg_alloc_latency_us").value(res.avgAllocLatencyUs);
-            j.key("peak_fragmentation").value(res.fragmentation);
-            j.key("total_traffic_bytes").value(res.traffic.totalBytes());
-            j.key("metadata_traffic_bytes")
-                .value(res.traffic.metadataBytes());
-            j.endObject();
-        }
-        j.endArray();
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
         std::cout << "\nJSON written to " << knobs.jsonPath << "\n";
     }
 

@@ -14,7 +14,6 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -140,57 +139,52 @@ runDisaggregatedStudy(const util::BenchKnobs &knobs,
     sweep.print(std::cout);
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("mode").value("disaggregated");
+            j.key("dpus").value(cfg.numDpus);
+            j.key("requests").value(cfg.numRequests);
+            j.key("arrival_rate_per_sec").value(cfg.arrivalRatePerSec);
+            j.key("prefill_rank_fraction").value(prefill_frac);
+            j.key("schemes").beginArray();
+            for (const auto &[name, r] : results) {
+                j.beginObject();
+                j.key("name").value(name);
+                j.key("throughput_tokens_per_sec")
+                    .value(r.throughputTokensPerSec);
+                j.key("tpot_p50_ms").value(r.tpotP50Ms);
+                j.key("tpot_p95_ms").value(r.tpotP95Ms);
+                j.key("tpot_p99_ms").value(r.tpotP99Ms);
+                j.key("makespan_sec").value(r.makespanSec);
+                j.key("max_batch").value(r.maxBatchLimit);
+                j.key("peak_batch").value(r.peakBatchObserved);
+                j.key("alloc_sec_per_block").value(r.allocSecPerBlock);
+                j.key("prefill_ranks").value(r.prefillRanks);
+                j.key("decode_ranks").value(r.decodeRanks);
+                j.key("prefill_waves").value(r.prefillWaves);
+                j.key("kv_shipped_bytes").value(r.kvShippedBytes);
+                j.key("overlap_sec").value(r.overlapSeconds);
+                j.endObject();
+            }
+            j.endArray();
+            j.key("sweep").beginArray();
+            for (const auto &[name, f, r] : sweep_results) {
+                j.beginObject();
+                j.key("name").value(name);
+                j.key("prefill_rank_fraction").value(f);
+                j.key("prefill_ranks").value(r.prefillRanks);
+                j.key("decode_ranks").value(r.decodeRanks);
+                j.key("throughput_tokens_per_sec")
+                    .value(r.throughputTokensPerSec);
+                j.key("tpot_p50_ms").value(r.tpotP50Ms);
+                j.key("tpot_p99_ms").value(r.tpotP99Ms);
+                j.key("overlap_sec").value(r.overlapSeconds);
+                j.endObject();
+            }
+            j.endArray();
+        };
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "fig18_llm_serving", &metrics, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("fig18_llm_serving");
-        j.key("mode").value("disaggregated");
-        j.key("dpus").value(cfg.numDpus);
-        j.key("requests").value(cfg.numRequests);
-        j.key("arrival_rate_per_sec").value(cfg.arrivalRatePerSec);
-        j.key("prefill_rank_fraction").value(prefill_frac);
-        j.key("schemes").beginArray();
-        for (const auto &[name, r] : results) {
-            j.beginObject();
-            j.key("name").value(name);
-            j.key("throughput_tokens_per_sec")
-                .value(r.throughputTokensPerSec);
-            j.key("tpot_p50_ms").value(r.tpotP50Ms);
-            j.key("tpot_p95_ms").value(r.tpotP95Ms);
-            j.key("tpot_p99_ms").value(r.tpotP99Ms);
-            j.key("makespan_sec").value(r.makespanSec);
-            j.key("max_batch").value(r.maxBatchLimit);
-            j.key("peak_batch").value(r.peakBatchObserved);
-            j.key("alloc_sec_per_block").value(r.allocSecPerBlock);
-            j.key("prefill_ranks").value(r.prefillRanks);
-            j.key("decode_ranks").value(r.decodeRanks);
-            j.key("prefill_waves").value(r.prefillWaves);
-            j.key("kv_shipped_bytes").value(r.kvShippedBytes);
-            j.key("overlap_sec").value(r.overlapSeconds);
-            j.endObject();
-        }
-        j.endArray();
-        j.key("sweep").beginArray();
-        for (const auto &[name, f, r] : sweep_results) {
-            j.beginObject();
-            j.key("name").value(name);
-            j.key("prefill_rank_fraction").value(f);
-            j.key("prefill_ranks").value(r.prefillRanks);
-            j.key("decode_ranks").value(r.decodeRanks);
-            j.key("throughput_tokens_per_sec")
-                .value(r.throughputTokensPerSec);
-            j.key("tpot_p50_ms").value(r.tpotP50Ms);
-            j.key("tpot_p99_ms").value(r.tpotP99Ms);
-            j.key("overlap_sec").value(r.overlapSeconds);
-            j.endObject();
-        }
-        j.endArray();
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
         std::cout << "\nJSON written to " << knobs.jsonPath << "\n";
     }
 
@@ -275,35 +269,30 @@ main(int argc, char **argv)
                  "throughput.\n";
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("dpus").value(cfg.numDpus);
+            j.key("requests").value(cfg.numRequests);
+            j.key("arrival_rate_per_sec").value(cfg.arrivalRatePerSec);
+            j.key("schemes").beginArray();
+            for (const auto &[name, r] : results) {
+                j.beginObject();
+                j.key("name").value(name);
+                j.key("throughput_tokens_per_sec")
+                    .value(r.throughputTokensPerSec);
+                j.key("tpot_p50_ms").value(r.tpotP50Ms);
+                j.key("tpot_p95_ms").value(r.tpotP95Ms);
+                j.key("tpot_p99_ms").value(r.tpotP99Ms);
+                j.key("makespan_sec").value(r.makespanSec);
+                j.key("max_batch").value(r.maxBatchLimit);
+                j.key("peak_batch").value(r.peakBatchObserved);
+                j.key("alloc_sec_per_block").value(r.allocSecPerBlock);
+                j.endObject();
+            }
+            j.endArray();
+        };
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "fig18_llm_serving", &metrics, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("fig18_llm_serving");
-        j.key("dpus").value(cfg.numDpus);
-        j.key("requests").value(cfg.numRequests);
-        j.key("arrival_rate_per_sec").value(cfg.arrivalRatePerSec);
-        j.key("schemes").beginArray();
-        for (const auto &[name, r] : results) {
-            j.beginObject();
-            j.key("name").value(name);
-            j.key("throughput_tokens_per_sec")
-                .value(r.throughputTokensPerSec);
-            j.key("tpot_p50_ms").value(r.tpotP50Ms);
-            j.key("tpot_p95_ms").value(r.tpotP95Ms);
-            j.key("tpot_p99_ms").value(r.tpotP99Ms);
-            j.key("makespan_sec").value(r.makespanSec);
-            j.key("max_batch").value(r.maxBatchLimit);
-            j.key("peak_batch").value(r.peakBatchObserved);
-            j.key("alloc_sec_per_block").value(r.allocSecPerBlock);
-            j.endObject();
-        }
-        j.endArray();
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
         std::cout << "\nJSON written to " << knobs.jsonPath << "\n";
     }
 

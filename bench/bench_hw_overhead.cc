@@ -6,10 +6,10 @@
  * capacity sweep matching the Fig 16 design points.
  */
 
-#include <fstream>
 #include <iostream>
 
 #include "sim/area_model.hh"
+#include "telemetry/export.hh"
 #include "util/cli.hh"
 #include "util/json.hh"
 #include "util/table.hh"
@@ -47,18 +47,13 @@ main(int argc, char **argv)
                  "cycle.\n";
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("table");
+            table.writeJson(j);
+        };
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "hw_overhead", nullptr, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("hw_overhead");
-        j.key("table");
-        table.writeJson(j);
-        j.endObject();
-        out << "\n";
     }
     return 0;
 }

@@ -6,7 +6,6 @@
  * the thread caches' bitmap records stay small across the workloads.
  */
 
-#include <fstream>
 #include <iostream>
 
 #include "alloc/pim_malloc.hh"
@@ -88,23 +87,17 @@ main(int argc, char **argv)
         return 1;
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("dpus").value(knobs.dpus);
+            j.key("sample").value(knobs.sample);
+            j.key("fixedMetadata");
+            fixed.writeJson(j);
+            j.key("perWorkload");
+            per_wl.writeJson(j);
+        };
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "metadata_overhead", &metrics, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("metadata_overhead");
-        j.key("dpus").value(knobs.dpus);
-        j.key("sample").value(knobs.sample);
-        j.key("fixedMetadata");
-        fixed.writeJson(j);
-        j.key("perWorkload");
-        per_wl.writeJson(j);
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
-        out << "\n";
     }
     return 0;
 }

@@ -26,7 +26,6 @@
  * CI smoke-runs this as BENCH_multi_tenant.json.
  */
 
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -340,96 +339,86 @@ main(int argc, char **argv)
         return 1;
 
     if (!knobs.jsonPath.empty()) {
-        std::ofstream out(knobs.jsonPath);
-        if (!out) {
-            std::cerr << "cannot open " << knobs.jsonPath << "\n";
-            return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("multi_tenant");
-        j.key("dpus").value(knobs.dpus);
-        j.key("servingRanks").value(s.servingRanks);
-        j.key("requests").value(s.serving.base.numRequests);
-        j.key("updateRounds").value(s.graph.updateRounds);
-        j.key("roundIntervalSec").value(s.graph.roundIntervalSec);
-        j.key("serving").beginObject();
-        j.key("soloTpotP50Ms").value(solo_s.tpotP50Ms);
-        j.key("coTpotP50Ms").value(co.serving.tpotP50Ms);
-        j.key("tpotP50DegradationPct").value(d_tpot50);
-        j.key("soloTpotP99Ms").value(solo_s.tpotP99Ms);
-        j.key("coTpotP99Ms").value(co.serving.tpotP99Ms);
-        j.key("tpotP99DegradationPct").value(d_tpot99);
-        j.key("soloTtftP95Ms").value(solo_s.ttftP95Ms);
-        j.key("coTtftP95Ms").value(co.serving.ttftP95Ms);
-        j.key("ttftP95DegradationPct").value(d_ttft95);
-        j.key("soloMakespanSec").value(solo_s.makespanSec);
-        j.key("coMakespanSec").value(co.serving.makespanSec);
-        j.key("prefillRanks").value(co.serving.prefillRanks);
-        j.key("decodeRanks").value(co.serving.decodeRanks);
-        j.endObject();
-        j.key("graph").beginObject();
-        j.key("soloWallSeconds").value(solo_g.wallSeconds);
-        j.key("coWallSeconds").value(co.graph.wallSeconds);
-        j.key("wallDegradationPct").value(d_wall);
-        j.key("millionEdgesPerSec").value(co.graph.millionEdgesPerSec);
-        j.key("updateEdgesTotal").value(co.graph.updateEdgesTotal);
-        j.endObject();
-        j.key("joinedMakespanSec").value(co.joinedMakespanSec);
-        j.key("slo").beginObject();
-        auto emitSlo = [&](const char *key, const char *solo_name,
-                           const std::string &metric) {
-            const telemetry::Registry *solo_reg =
-                metrics.find(solo_name);
-            if (solo_reg == nullptr || co_reg == nullptr
-                || !solo_reg->slo().tracks(metric)
-                || !co_reg->slo().tracks(metric))
-                return;
-            const telemetry::SloScore &ss = solo_reg->slo().score(metric);
-            const telemetry::SloScore &cs = co_reg->slo().score(metric);
-            j.key(key).beginObject();
-            j.key("targetSec").value(ss.target);
-            j.key("soloAttainmentPct").value(ss.attainmentPct());
-            j.key("coAttainmentPct").value(cs.attainmentPct());
-            j.key("soloViolations").value(ss.violations);
-            j.key("coViolations").value(cs.violations);
-            j.key("coWorstExcursion").value(cs.worstExcursion);
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("dpus").value(knobs.dpus);
+            j.key("servingRanks").value(s.servingRanks);
+            j.key("requests").value(s.serving.base.numRequests);
+            j.key("updateRounds").value(s.graph.updateRounds);
+            j.key("roundIntervalSec").value(s.graph.roundIntervalSec);
+            j.key("serving").beginObject();
+            j.key("soloTpotP50Ms").value(solo_s.tpotP50Ms);
+            j.key("coTpotP50Ms").value(co.serving.tpotP50Ms);
+            j.key("tpotP50DegradationPct").value(d_tpot50);
+            j.key("soloTpotP99Ms").value(solo_s.tpotP99Ms);
+            j.key("coTpotP99Ms").value(co.serving.tpotP99Ms);
+            j.key("tpotP99DegradationPct").value(d_tpot99);
+            j.key("soloTtftP95Ms").value(solo_s.ttftP95Ms);
+            j.key("coTtftP95Ms").value(co.serving.ttftP95Ms);
+            j.key("ttftP95DegradationPct").value(d_ttft95);
+            j.key("soloMakespanSec").value(solo_s.makespanSec);
+            j.key("coMakespanSec").value(co.serving.makespanSec);
+            j.key("prefillRanks").value(co.serving.prefillRanks);
+            j.key("decodeRanks").value(co.serving.decodeRanks);
             j.endObject();
+            j.key("graph").beginObject();
+            j.key("soloWallSeconds").value(solo_g.wallSeconds);
+            j.key("coWallSeconds").value(co.graph.wallSeconds);
+            j.key("wallDegradationPct").value(d_wall);
+            j.key("millionEdgesPerSec").value(co.graph.millionEdgesPerSec);
+            j.key("updateEdgesTotal").value(co.graph.updateEdgesTotal);
+            j.endObject();
+            j.key("joinedMakespanSec").value(co.joinedMakespanSec);
+            j.key("slo").beginObject();
+            auto emitSlo = [&](const char *key, const char *solo_name,
+                               const std::string &metric) {
+                const telemetry::Registry *solo_reg =
+                    metrics.find(solo_name);
+                if (solo_reg == nullptr || co_reg == nullptr
+                    || !solo_reg->slo().tracks(metric)
+                    || !co_reg->slo().tracks(metric))
+                    return;
+                const telemetry::SloScore &ss = solo_reg->slo().score(metric);
+                const telemetry::SloScore &cs = co_reg->slo().score(metric);
+                j.key(key).beginObject();
+                j.key("targetSec").value(ss.target);
+                j.key("soloAttainmentPct").value(ss.attainmentPct());
+                j.key("coAttainmentPct").value(cs.attainmentPct());
+                j.key("soloViolations").value(ss.violations);
+                j.key("coViolations").value(cs.violations);
+                j.key("coWorstExcursion").value(cs.worstExcursion);
+                j.endObject();
+            };
+            emitSlo("servingTtft", "serving solo", "serving.ttft");
+            emitSlo("servingTpot", "serving solo", "serving.tpot");
+            emitSlo("graphRound", "graph solo", "graph.round");
+            j.endObject();
+            if (s.faultSpec.enabled()) {
+                j.key("faults").beginObject();
+                j.key("faultSeed").value(s.faultSeed);
+                j.key("servingRankFailures").value(co.serving.rankFailures);
+                j.key("servingLostRequests").value(co.serving.lostRequests);
+                j.key("servingRecoveryBytes")
+                    .value(co.serving.recoveryBytes);
+                j.key("servingAvailability")
+                    .value(co.serving.availability);
+                j.key("graphRankFailures").value(co.graph.rankFailures);
+                j.key("graphReExecutedRounds")
+                    .value(co.graph.reExecutedRounds);
+                j.key("graphRestoreBytes").value(co.graph.restoreBytes);
+                j.key("graphAvailability").value(co.graph.availability);
+                j.endObject();
+            }
+            if (recorders.enabled()) {
+                // The co-run's occupancy report carries the per-tenant
+                // attribution ("tenants" array) computed from span tags.
+                const auto procs = recorders.processes();
+                j.key("coOccupancy");
+                trace::analyzeOccupancy(*procs.back().recorder).writeJson(j);
+            }
         };
-        emitSlo("servingTtft", "serving solo", "serving.ttft");
-        emitSlo("servingTpot", "serving solo", "serving.tpot");
-        emitSlo("graphRound", "graph solo", "graph.round");
-        j.endObject();
-        if (s.faultSpec.enabled()) {
-            j.key("faults").beginObject();
-            j.key("faultSeed").value(s.faultSeed);
-            j.key("servingRankFailures").value(co.serving.rankFailures);
-            j.key("servingLostRequests").value(co.serving.lostRequests);
-            j.key("servingRecoveryBytes")
-                .value(co.serving.recoveryBytes);
-            j.key("servingAvailability")
-                .value(co.serving.availability);
-            j.key("graphRankFailures").value(co.graph.rankFailures);
-            j.key("graphReExecutedRounds")
-                .value(co.graph.reExecutedRounds);
-            j.key("graphRestoreBytes").value(co.graph.restoreBytes);
-            j.key("graphAvailability").value(co.graph.availability);
-            j.endObject();
-        }
-        if (recorders.enabled()) {
-            // The co-run's occupancy report carries the per-tenant
-            // attribution ("tenants" array) computed from span tags.
-            const auto procs = recorders.processes();
-            j.key("coOccupancy");
-            trace::analyzeOccupancy(*procs.back().recorder).writeJson(j);
-        }
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
-        out << "\n";
-        if (!out) {
-            std::cerr << "write failed: " << knobs.jsonPath << "\n";
+        if (!telemetry::writeBenchJson(
+                knobs.jsonPath, "multi_tenant", &metrics, fields))
             return 1;
-        }
     }
     return 0;
 }

@@ -18,14 +18,13 @@
  * without materializing the spin charges.
  *
  * --trace/--occupancy replay each case once, untimed, with the
- * per-tasklet trace hook attached (PIM_TRACE_SIM builds), so the
- * measured loops stay undisturbed while the capture still shows how
- * the tasklets interleave.
+ * per-tasklet trace hook attached, so the measured loops stay
+ * undisturbed while the capture still shows how the tasklets
+ * interleave.
  */
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -161,7 +160,6 @@ runMutexCase(unsigned tasklets, unsigned iters, unsigned reps)
     return res;
 }
 
-#ifdef PIM_TRACE_SIM
 /** Replay one case, untimed, recording per-tasklet spans into @p rec. */
 void
 tracedCase(unsigned tasklets, unsigned allocs, trace::Recorder &rec)
@@ -174,7 +172,6 @@ tracedCase(unsigned tasklets, unsigned allocs, trace::Recorder &rec)
         core::makeAllocator(dpu, core::AllocatorKind::PimMallocSw, ov);
     dpu.run(1, [&](sim::Tasklet &t) { allocator->init(t); });
     dpu.attachTraceRecorder(&rec);
-    dpu.setTraceOrigin(0.0);
     dpu.run(tasklets, [&](sim::Tasklet &t) {
         for (unsigned i = 0; i < allocs; ++i) {
             const sim::MramAddr addr = allocator->malloc(t, 32);
@@ -184,7 +181,6 @@ tracedCase(unsigned tasklets, unsigned allocs, trace::Recorder &rec)
         }
     });
 }
-#endif
 
 } // namespace
 
@@ -245,52 +241,41 @@ main(int argc, char **argv)
     telemetry::printMetrics(std::cout, metrics, knobs.metrics);
 
     if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::cerr << "cannot open " << json_path << "\n";
+        const auto fields = [&](util::JsonWriter &j) {
+            j.key("fiber_backend").value(sim::Fiber::backendName());
+            j.key("sched").value(sched_name);
+            j.key("mutex_mode").value(mutex_mode);
+            j.key("threads").value(threads);
+            j.key("allocs_per_tasklet").value(allocs);
+            j.key("reps").value(reps);
+            j.key("cases").beginArray();
+            for (const auto &r : results) {
+                j.beginObject();
+                j.key("name").value(r.name);
+                j.key("tasklets").value(r.tasklets);
+                j.key("sim_events").value(r.simEvents);
+                j.key("elided_spin_events").value(r.elidedEvents);
+                j.key("model_events").value(r.modelEvents);
+                j.key("sim_cycles").value(r.simCycles);
+                j.key("wall_seconds").value(r.wallSeconds);
+                j.key("events_per_sec").value(r.eventsPerSec);
+                j.endObject();
+            }
+            j.endArray();
+        };
+        if (!telemetry::writeBenchJson(
+                json_path, "sim_throughput", &metrics, fields))
             return 1;
-        }
-        util::JsonWriter j(out);
-        j.beginObject();
-        j.key("bench").value("sim_throughput");
-        j.key("fiber_backend").value(sim::Fiber::backendName());
-        j.key("sched").value(sched_name);
-        j.key("mutex_mode").value(mutex_mode);
-        j.key("threads").value(threads);
-        j.key("allocs_per_tasklet").value(allocs);
-        j.key("reps").value(reps);
-        j.key("cases").beginArray();
-        for (const auto &r : results) {
-            j.beginObject();
-            j.key("name").value(r.name);
-            j.key("tasklets").value(r.tasklets);
-            j.key("sim_events").value(r.simEvents);
-            j.key("elided_spin_events").value(r.elidedEvents);
-            j.key("model_events").value(r.modelEvents);
-            j.key("sim_cycles").value(r.simCycles);
-            j.key("wall_seconds").value(r.wallSeconds);
-            j.key("events_per_sec").value(r.eventsPerSec);
-            j.endObject();
-        }
-        j.endArray();
-        telemetry::writeMetricsJson(j, metrics);
-        j.endObject();
         std::cout << "\nJSON written to " << json_path << "\n";
     }
 
     if (knobs.wantsTrace()) {
-#ifdef PIM_TRACE_SIM
         trace::RecorderSet recorders(true);
         for (const auto &r : results)
             tracedCase(r.tasklets, allocs, *recorders.add(r.name));
         if (!trace::emitReports(std::cout, recorders, knobs.occupancy,
                                 knobs.tracePath, "Tasklet occupancy: "))
             return 1;
-#else
-        std::cerr << "tasklet tracing was compiled out "
-                     "(rebuild with -DPIM_TRACE_SIM=ON)\n";
-        return 1;
-#endif
     }
     return 0;
 }

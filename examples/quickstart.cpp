@@ -12,8 +12,8 @@
  *                    [--trace=out.json] [--occupancy]
  *
  * --trace captures the run as Chrome/Perfetto trace-event JSON (queue
- * lanes, plus per-tasklet lanes in PIM_TRACE_SIM builds); --occupancy
- * prints the per-lane busy breakdown.
+ * lanes plus per-tasklet lanes); --occupancy prints the per-lane busy
+ * breakdown.
  */
 
 #include <iostream>
@@ -52,9 +52,7 @@ main(int argc, char **argv)
     trace::Recorder recorder;
     if (knobs.wantsTrace()) {
         queue.attachRecorder(&recorder);
-#ifdef PIM_TRACE_SIM
         dpu.attachTraceRecorder(&recorder);
-#endif
     }
 
     core::AllocatorOverrides ov;

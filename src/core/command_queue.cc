@@ -221,8 +221,7 @@ CommandQueue::copyDuration(const DpuSet &set, uint64_t total_bytes) const
 
 CommandQueue::Command
 CommandQueue::makeCopy(const DpuSet &set, uint64_t total_bytes,
-                       bool blocking, const CommandOptions &opts,
-                       CopyDirection dir) const
+                       const CommandOptions &opts, CopyDirection dir) const
 {
     Command cmd;
     cmd.type = Command::Type::Copy;
@@ -233,46 +232,15 @@ CommandQueue::makeCopy(const DpuSet &set, uint64_t total_bytes,
         cmd.label = opts.label;
     cmd.totalBytes = total_bytes;
     cmd.copySeconds = copyDuration(set, total_bytes);
-    cmd.blocking = blocking;
     cmd.part = set.partition();
     return cmd;
-}
-
-double
-CommandQueue::memcpy(const DpuSet &set, uint64_t bytes_per_dpu,
-                     CopyDirection dir, const CommandOptions &opts)
-{
-    Command cmd = makeCopy(set, bytes_per_dpu * set.size(),
-                           /*blocking=*/true, opts, dir);
-    const double sec = cmd.copySeconds;
-    enqueue(std::move(cmd));
-    drain();
-    return sec;
 }
 
 Event
 CommandQueue::memcpyAsync(const DpuSet &set, uint64_t bytes_per_dpu,
                           CopyDirection dir, const CommandOptions &opts)
 {
-    return enqueue(makeCopy(set, bytes_per_dpu * set.size(),
-                            /*blocking=*/false, opts, dir));
-}
-
-double
-CommandQueue::memcpyScatter(const DpuSet &set,
-                            const std::vector<uint64_t> &bytes_per_dpu,
-                            CopyDirection dir, const CommandOptions &opts)
-{
-    PIM_ASSERT(bytes_per_dpu.size() == set.size(),
-               "scatter byte counts must match the set size");
-    uint64_t total = 0;
-    for (const uint64_t b : bytes_per_dpu)
-        total += b;
-    Command cmd = makeCopy(set, total, /*blocking=*/true, opts, dir);
-    const double sec = cmd.copySeconds;
-    enqueue(std::move(cmd));
-    drain();
-    return sec;
+    return enqueue(makeCopy(set, bytes_per_dpu * set.size(), opts, dir));
 }
 
 Event
@@ -287,7 +255,7 @@ CommandQueue::enqueueScatter(const DpuSet &set,
     uint64_t total = 0;
     for (const uint64_t b : bytes_per_dpu)
         total += b;
-    Command cmd = makeCopy(set, total, /*blocking=*/false, opts, dir);
+    Command cmd = makeCopy(set, total, opts, dir);
     cmd.occupyRanks = occupy_ranks;
     return enqueue(std::move(cmd));
 }
@@ -308,8 +276,7 @@ CommandQueue::memcpyBufferedAsync(const DpuSet &set,
                                   CopyDirection dir,
                                   const CommandOptions &opts)
 {
-    Command cmd = makeCopy(set, bytes_per_dpu * set.size(),
-                           /*blocking=*/false, opts, dir);
+    Command cmd = makeCopy(set, bytes_per_dpu * set.size(), opts, dir);
     cmd.occupyRanks = false;
     return enqueue(std::move(cmd));
 }
@@ -417,48 +384,10 @@ CommandQueue::hostIdleUntil(double seconds, const CommandOptions &opts)
 }
 
 void
-CommandQueue::onComplete(Event e,
-                         std::function<void(Event, double)> fn)
-{
-    const Event first_pending =
-        static_cast<Event>(resolvedBase_ + resolved_.size());
-    const Event next =
-        static_cast<Event>(first_pending
-                           + static_cast<Event>(pending_.size()));
-    PIM_ASSERT(e != kNoEvent,
-               "onComplete(kNoEvent): the event was never enqueued");
-    PIM_ASSERT(e >= first_pending && e < next,
-               "onComplete needs a pending event, got ", e,
-               " (pending range [", first_pending, ", ", next,
-               ")): register callbacks right after enqueuing");
-    callbacks_.push_back(Callback{e, /*onErr=*/false, std::move(fn)});
-}
-
-void
-CommandQueue::onError(Event e, std::function<void(Event, double)> fn)
-{
-    const Event first_pending =
-        static_cast<Event>(resolvedBase_ + resolved_.size());
-    const Event next =
-        static_cast<Event>(first_pending
-                           + static_cast<Event>(pending_.size()));
-    PIM_ASSERT(e != kNoEvent,
-               "onError(kNoEvent): the event was never enqueued");
-    PIM_ASSERT(e >= first_pending && e < next,
-               "onError needs a pending event, got ", e,
-               " (pending range [", first_pending, ", ", next,
-               ")): register callbacks right after enqueuing");
-    callbacks_.push_back(Callback{e, /*onErr=*/true, std::move(fn)});
-}
-
-void
 CommandQueue::drain()
 {
     if (pending_.empty())
         return;
-    PIM_ASSERT(!inCallbacks_,
-               "completion callbacks may enqueue commands but must not "
-               "force a drain (no sync/eventSeconds/blocking transfers)");
 
     const Clock::time_point t_start = Clock::now();
     const size_t folded = pending_.size();
@@ -720,7 +649,6 @@ CommandQueue::drain()
             break;
           }
           case Command::Type::Copy: {
-            const double host_t0 = host_t;
             // A double-buffered copy (occupyRanks false) lands in the
             // inactive buffer: it still serializes on the bus and
             // cannot start before the host issued it, but the target
@@ -764,8 +692,6 @@ CommandQueue::drain()
                 for (const unsigned r : cmd.part->ranks)
                     rankT_[r] = end;
             }
-            if (cmd.blocking)
-                host_t = end;
             // A failed transfer moved wire traffic but delivered no
             // payload; retries of a succeeding one deliver it once.
             if (!failed)
@@ -799,9 +725,6 @@ CommandQueue::drain()
                         span(trace::rankLane(r), name, start, end, cmd,
                              id);
                 }
-                if (cmd.blocking && end > host_t0)
-                    span(hostLane(cmd.tenant), name + " (wait)",
-                         host_t0, end, cmd, id, /*idle=*/true);
             }
             break;
           }
@@ -863,39 +786,9 @@ CommandQueue::drain()
             qm_.drainCps->set(static_cast<double>(stats_.commands)
                               / stats_.wallSec);
     }
-    // Clear the commands AND the arenas before dispatching callbacks:
-    // follow-up launches enqueued by a callback must get fresh arena
-    // offsets, not append after this drain's spans.
     pending_.clear();
     slotCyclesArena_.clear();
     slotEventsArena_.clear();
-
-    // Phase 3: dispatch due completion callbacks. Every registered
-    // callback targeted a pending event, and the fold above resolved
-    // all of them — sort by (completion time, event id) so dispatch is
-    // timeline-ordered and independent of registration order. Swap the
-    // list out first: callbacks may enqueue follow-up commands and
-    // register new callbacks, which belong to the next drain.
-    if (!callbacks_.empty()) {
-        std::vector<Callback> due;
-        due.swap(callbacks_);
-        std::stable_sort(due.begin(), due.end(),
-                         [this](const Callback &a, const Callback &b) {
-                             const double ta = eventTime(a.event);
-                             const double tb = eventTime(b.event);
-                             return ta != tb ? ta < tb
-                                             : a.event < b.event;
-                         });
-        inCallbacks_ = true;
-        for (Callback &cb : due) {
-            // An onComplete callback fires only if its event
-            // succeeded, an onError one only if it failed; the
-            // unmatched registration is dropped silently.
-            if (eventFailedInternal(cb.event) == cb.onErr)
-                cb.fn(cb.event, eventTime(cb.event));
-        }
-        inCallbacks_ = false;
-    }
 }
 
 double

@@ -8,8 +8,7 @@
  *
  *   host      — one issue timeline per *tenant* (see below; a single-
  *               tenant queue has exactly one, the classic host thread)
- *               carrying hostCompute, blocking transfers, and
- *               launch-issue overhead;
+ *               carrying hostCompute and launch-issue overhead;
  *   bus       — the shared host<->PIM transfer engine (memcpy commands
  *               serialize here, costed by the transfer model);
  *   per-rank  — each rank executes launches and receives transfers
@@ -27,20 +26,15 @@
  * the fold is identical to the historical single-host queue.
  *
  * Submission API: every command takes a trailing CommandOptions{after,
- * label, tenant}.
- *
- * Completion callbacks: onComplete(event, fn) registers a host-side
- * callback on a pending event; the next drain dispatches due callbacks
- * deterministically in timeline order (completion time, then event id),
- * after the fold. Callbacks may enqueue follow-up commands (they resolve
- * at the next drain) but must not force a drain themselves.
+ * label, tenant}. Drivers observe completion by polling
+ * eventSeconds()/eventFailed().
  *
  * Launch bodies run on the ParallelDpuEngine host pool when the queue
- * drains (sync(), a blocking transfer, or elapsed-time queries force a
- * drain); the timeline fold afterwards is sequential in enqueue order,
- * so every result is bit-identical for any worker-thread count. sync()
- * joins all timelines and returns the makespan — overlapped host and
- * PIM work is costed as max-of-timelines, not sum.
+ * drains (sync() or an event query forces a drain); the timeline fold
+ * afterwards is sequential in enqueue order, so every result is
+ * bit-identical for any worker-thread count. sync() joins all timelines
+ * and returns the makespan — overlapped host and PIM work is costed as
+ * max-of-timelines, not sum.
  *
  * Sampling: launches simulate only the materialized sample slots inside
  * the target set. A touched rank's launch time is the max over its
@@ -60,11 +54,10 @@
  *
  * Fault injection: attachFaultInjector() routes every fold decision
  * through a deterministic fault::FaultInjector. Commands then gain a
- * failure state — eventFailed(e) reports it, onError(e, fn) registers
- * an error callback dispatched in the same (completion time, event id)
- * order as onComplete. Semantics: a launch or transfer touching a rank
- * that is dead at its start time fails immediately without charging
- * that rank (a transfer still holds the bus for the erroring attempt);
+ * failure state, which eventFailed(e) reports. Semantics: a launch or
+ * transfer touching a rank that is dead at its start time fails
+ * immediately without charging that rank (a transfer still holds the
+ * bus for the erroring attempt);
  * a rank dying mid-launch truncates the launch at the death and fails
  * the command; transient transfer faults are retried with capped
  * exponential backoff costed on the bus (permanent failure once the
@@ -202,16 +195,6 @@ class CommandQueue
     }
 
     /**
-     * Blocking bulk transfer of @p bytes_per_dpu to/from every DPU of
-     * @p set in one batched call: drains the queue, then occupies the
-     * issuing tenant's host lane, the bus, and the target ranks.
-     * @return seconds of the copy itself (the modeled duration,
-     * excluding any wait).
-     */
-    double memcpy(const DpuSet &set, uint64_t bytes_per_dpu,
-                  CopyDirection dir, const CommandOptions &opts = {});
-
-    /**
      * Asynchronous bulk transfer: enqueues the copy and returns
      * immediately; the copy occupies the bus and the target ranks but
      * not the host. @return completion event.
@@ -220,17 +203,11 @@ class CommandQueue
                       CopyDirection dir, const CommandOptions &opts = {});
 
     /**
-     * Blocking scatter/gather transfer with one byte count per DPU of
-     * @p set (indexed by position in the set; must match set.size()).
-     * Costed as one batched call moving the summed payload at the
-     * set-wide bandwidth. @return seconds of the copy itself.
+     * Asynchronous scatter/gather transfer with one byte count per DPU
+     * of @p set (indexed by position in the set; must match
+     * set.size()). Costed as one batched call moving the summed payload
+     * at the set-wide bandwidth. @return completion event.
      */
-    double memcpyScatter(const DpuSet &set,
-                         const std::vector<uint64_t> &bytes_per_dpu,
-                         CopyDirection dir,
-                         const CommandOptions &opts = {});
-
-    /** Asynchronous scatter/gather transfer. @return completion event. */
     Event memcpyScatterAsync(const DpuSet &set,
                              std::vector<uint64_t> bytes_per_dpu,
                              CopyDirection dir,
@@ -311,30 +288,6 @@ class CommandQueue
      * no-op if the host is already past it.
      */
     void hostIdleUntil(double seconds, const CommandOptions &opts = {});
-
-    /**
-     * Register a host-side completion callback on pending event @p e:
-     * the drain that resolves @p e invokes fn(e, completion_seconds)
-     * after the timeline fold. Dispatch is deterministic — due
-     * callbacks run in timeline order (completion time, ties by event
-     * id) regardless of registration order or worker-thread count.
-     * Callbacks may enqueue follow-up commands on the queue (resolved
-     * at the next drain) but must not force a drain themselves
-     * (sync()/eventSeconds/blocking transfers are fatal inside one).
-     * Fatal if @p e is not pending (kNoEvent, already resolved, or
-     * never enqueued): register immediately after enqueuing.
-     */
-    void onComplete(Event e, std::function<void(Event, double)> fn);
-
-    /**
-     * Register a host-side *error* callback on pending event @p e:
-     * dispatched exactly like onComplete (same deterministic timeline
-     * order, same restrictions) but only if the event FAILED; an
-     * onComplete callback on a failed event (and an onError callback
-     * on a succeeded one) is dropped. Register both to cover both
-     * outcomes.
-     */
-    void onError(Event e, std::function<void(Event, double)> fn);
 
     /**
      * Failure state of event @p e: true if the command failed (dead
@@ -474,7 +427,6 @@ class CommandQueue
         // Copy
         uint64_t totalBytes = 0;
         double copySeconds = 0.0;
-        bool blocking = false;
         /** False for double-buffered copies: the transfer holds the bus
          *  but leaves the target ranks' compute timeline untouched. */
         bool occupyRanks = true;
@@ -519,11 +471,9 @@ class CommandQueue
                          bool occupy_ranks);
     double copyDuration(const DpuSet &set, uint64_t total_bytes) const;
     Command makeCopy(const DpuSet &set, uint64_t total_bytes,
-                     bool blocking, const CommandOptions &opts,
-                     CopyDirection dir) const;
+                     const CommandOptions &opts, CopyDirection dir) const;
     /** Execute pending launch bodies and fold every pending command
-     *  into the timelines, in enqueue order; then dispatch due
-     *  completion callbacks in timeline order. */
+     *  into the timelines, in enqueue order. */
     void drain();
 
     /** The joined time of all timelines (no drain). */
@@ -572,18 +522,6 @@ class CommandQueue
     double launchWork_ = 0.0;
     double copyWork_ = 0.0;
     double hostWork_ = 0.0;
-    /** One registered completion/error callback on a pending event. */
-    struct Callback
-    {
-        Event event;
-        /** True for onError registrations: fire only on failure. */
-        bool onErr;
-        std::function<void(Event, double)> fn;
-    };
-    /** Registered completion/error callbacks (pending events only). */
-    std::vector<Callback> callbacks_;
-    /** True while completion callbacks run (drain re-entry guard). */
-    bool inCallbacks_ = false;
     /** Metrics cached per tenant while a registry is attached:
      *  suffixed counters (named tenants only; tenant 0 owns the plain
      *  totals) and the tenant's sampler series ids. */

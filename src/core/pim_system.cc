@@ -27,8 +27,8 @@ sampleGlobalIndex(unsigned slot, unsigned sample, unsigned num_dpus)
 }
 
 DpuSet::DpuSet(const PimSystem *sys, Kind kind, unsigned rank,
-               std::vector<unsigned> members)
-    : sys_(sys), kind_(kind), rank_(rank), members_(std::move(members))
+               std::vector<unsigned> rank_ids)
+    : sys_(sys), kind_(kind), rank_(rank)
 {
     switch (kind_) {
       case Kind::All:
@@ -47,31 +47,15 @@ DpuSet::DpuSet(const PimSystem *sys, Kind kind, unsigned rank,
         }
         break;
       case Kind::Ranks:
-        // members_ holds sorted rank ids; DPU membership stays implicit
-        // so a many-rank set costs O(ranks), not O(DPUs).
-        ranks_ = members_;
+        // DPU membership stays implicit so a many-rank set costs
+        // O(ranks), not O(DPUs).
+        ranks_ = std::move(rank_ids);
         for (const unsigned r : ranks_)
             size_ += sys_->rankSize(r);
         for (unsigned s = 0; s < sys_->sampleCount(); ++s) {
             if (std::binary_search(
                     ranks_.begin(), ranks_.end(),
                     sys_->rankOf(sys_->globalIndex(s))))
-                slots_.push_back(s);
-        }
-        break;
-      case Kind::Explicit:
-        size_ = static_cast<unsigned>(members_.size());
-        // members_ is sorted (subset() guarantees it — contains()'s
-        // binary_search depends on that) and rankOf is monotone, so
-        // this builds ranks_ ascending and duplicate-free.
-        for (const unsigned g : members_) {
-            const unsigned r = sys_->rankOf(g);
-            if (ranks_.empty() || ranks_.back() != r)
-                ranks_.push_back(r);
-        }
-        for (unsigned s = 0; s < sys_->sampleCount(); ++s) {
-            if (std::binary_search(members_.begin(), members_.end(),
-                                   sys_->globalIndex(s)))
                 slots_.push_back(s);
         }
         break;
@@ -134,30 +118,6 @@ PimSystem::allPartition() const
     return allPart_;
 }
 
-DpuSet
-DpuSet::complement() const
-{
-    if (kind_ == Kind::Explicit) {
-        std::vector<unsigned> rest;
-        rest.reserve(sys_->numDpus() - members_.size());
-        for (unsigned g = 0; g < sys_->numDpus(); ++g) {
-            if (!std::binary_search(members_.begin(), members_.end(), g))
-                rest.push_back(g);
-        }
-        PIM_ASSERT(!rest.empty(),
-                   "complement of the full system is empty");
-        return DpuSet(sys_, Kind::Explicit, 0, std::move(rest));
-    }
-    // All / Rank / Ranks are rank-granular: complement over rank ids.
-    std::vector<unsigned> rest;
-    for (unsigned r = 0; r < sys_->numRanks(); ++r) {
-        if (std::find(ranks_.begin(), ranks_.end(), r) == ranks_.end())
-            rest.push_back(r);
-    }
-    PIM_ASSERT(!rest.empty(), "complement of the full system is empty");
-    return DpuSet(sys_, Kind::Ranks, 0, std::move(rest));
-}
-
 unsigned
 DpuSet::indexOf(unsigned global) const
 {
@@ -180,10 +140,6 @@ DpuSet::indexOf(unsigned global) const
         }
         return before + (global - r * sys_->config().dpusPerRank);
       }
-      case Kind::Explicit:
-        return static_cast<unsigned>(
-            std::lower_bound(members_.begin(), members_.end(), global)
-            - members_.begin());
     }
     return 0;
 }
@@ -208,8 +164,6 @@ DpuSet::memberAt(unsigned idx) const
         }
         break;
       }
-      case Kind::Explicit:
-        return members_[idx];
     }
     return 0; // unreachable: idx < size_
 }
@@ -217,8 +171,6 @@ DpuSet::memberAt(unsigned idx) const
 std::pair<DpuSet, DpuSet>
 DpuSet::partitionRanks(double fraction) const
 {
-    PIM_ASSERT(kind_ != Kind::Explicit,
-               "partitionRanks needs a rank-granular set");
     const unsigned n = static_cast<unsigned>(ranks_.size());
     PIM_ASSERT(n >= 2, "cannot partition a set of ", n, " rank(s)");
     const auto want = static_cast<long>(
@@ -241,11 +193,8 @@ DpuSet::contains(unsigned global) const
         return global < sys_->numDpus() && sys_->rankOf(global) == rank_;
       case Kind::Ranks:
         return global < sys_->numDpus()
-            && std::binary_search(members_.begin(), members_.end(),
+            && std::binary_search(ranks_.begin(), ranks_.end(),
                                   sys_->rankOf(global));
-      case Kind::Explicit:
-        return std::binary_search(members_.begin(), members_.end(),
-                                  global);
     }
     return false;
 }
@@ -329,31 +278,6 @@ PimSystem::rank(unsigned r) const
 }
 
 DpuSet
-PimSystem::subset(std::vector<unsigned> globals) const
-{
-    std::sort(globals.begin(), globals.end());
-    globals.erase(std::unique(globals.begin(), globals.end()),
-                  globals.end());
-    PIM_ASSERT(!globals.empty(), "empty DPU subset");
-    PIM_ASSERT(globals.back() < cfg_.numDpus,
-               "subset member out of range");
-    return DpuSet(this, DpuSet::Kind::Explicit, 0, std::move(globals));
-}
-
-DpuSet
-PimSystem::rankRange(unsigned first, unsigned count) const
-{
-    PIM_ASSERT(count > 0, "empty rank range");
-    PIM_ASSERT(first < numRanks_ && count <= numRanks_ - first,
-               "rank range [", first, ", ", first + count,
-               ") out of bounds");
-    std::vector<unsigned> ids(count);
-    for (unsigned i = 0; i < count; ++i)
-        ids[i] = first + i;
-    return DpuSet(this, DpuSet::Kind::Ranks, 0, std::move(ids));
-}
-
-DpuSet
 PimSystem::ranks(std::vector<unsigned> rank_ids) const
 {
     std::sort(rank_ids.begin(), rank_ids.end());
@@ -362,20 +286,6 @@ PimSystem::ranks(std::vector<unsigned> rank_ids) const
     PIM_ASSERT(!rank_ids.empty(), "empty rank set");
     PIM_ASSERT(rank_ids.back() < numRanks_, "rank id out of range");
     return DpuSet(this, DpuSet::Kind::Ranks, 0, std::move(rank_ids));
-}
-
-std::pair<DpuSet, DpuSet>
-PimSystem::partitionRanks(double fraction) const
-{
-    PIM_ASSERT(numRanks_ >= 2,
-               "cannot partition a single-rank system");
-    const auto want = static_cast<long>(
-        std::lround(fraction * static_cast<double>(numRanks_)));
-    const unsigned k = static_cast<unsigned>(
-        std::clamp<long>(want, 1, numRanks_ - 1));
-    DpuSet head = rankRange(0, k);
-    DpuSet tail = head.complement();
-    return {std::move(head), std::move(tail)};
 }
 
 } // namespace pim::core

@@ -5,10 +5,9 @@
  * A PimSystem owns the (sampled) sim::Dpu instances of a logical system
  * of `numDpus` DPUs grouped into ranks of `dpusPerRank` (UPMEM: 64 DPUs
  * per DIMM rank). Commands — transfers, launches, host compute — are
- * addressed to a DpuSet: the whole system, one rank, or an explicit
- * subset of global DPU indices. Like real UPMEM hosts, experiments can
- * thus launch work on a subset of ranks while other ranks are busy or
- * being fed data.
+ * addressed to a DpuSet: the whole system, one rank, or a set of
+ * ranks. Like real UPMEM hosts, experiments can thus launch work on a
+ * subset of ranks while other ranks are busy or being fed data.
  *
  * Memory realism vs scale: only `sampleDpus` DPU instances are
  * materialized (bank-level DPUs share no state, and the paper's
@@ -122,13 +121,12 @@ class DpuSet
 
     /**
      * Split this set's ranks into a leading partition of roughly
-     * @p fraction of them and the rest — partitionRanks relative to an
-     * owned rank set instead of the whole system (what a tenant does
-     * with the ranks a RankScheduler granted it). Requires a
-     * rank-granular set (All/Rank/Ranks) with at least two ranks; the
-     * first member holds the k lowest rank ids with
-     * k = round(fraction * ranks) clamped to [1, ranks - 1], so both
-     * halves are always non-empty.
+     * @p fraction of them and the rest — the prefill/decode split of
+     * disaggregated serving, applied to the whole system or to the
+     * ranks a RankScheduler granted a tenant. Requires a set of at
+     * least two ranks; the first member holds the k lowest rank ids
+     * with k = round(fraction * ranks) clamped to [1, ranks - 1], so
+     * both halves are always non-empty.
      */
     std::pair<DpuSet, DpuSet> partitionRanks(double fraction) const;
 
@@ -150,31 +148,18 @@ class DpuSet
     /** Owning system. */
     const PimSystem &system() const { return *sys_; }
 
-    /**
-     * Every DPU of the system that is NOT in this set — the natural way
-     * to split a system between two concurrent workloads (prefill ranks
-     * vs decode ranks) without hand-rolling index lists. Rank-granular
-     * sets complement to rank-granular sets (membership stays implicit,
-     * so the cost is O(ranks), not O(DPUs)); explicit sets complement to
-     * explicit sets. Fatal if the complement is empty (the set covers
-     * the whole system).
-     */
-    DpuSet complement() const;
-
   private:
     friend class PimSystem;
 
-    enum class Kind { All, Rank, Ranks, Explicit };
+    enum class Kind { All, Rank, Ranks };
 
+    /** @p rank_ids: Kind::Ranks only, sorted and deduplicated. */
     DpuSet(const PimSystem *sys, Kind kind, unsigned rank,
-           std::vector<unsigned> members);
+           std::vector<unsigned> rank_ids);
 
     const PimSystem *sys_;
     Kind kind_;
     unsigned rank_ = 0; ///< Kind::Rank only
-    /** Kind::Explicit: sorted global DPU indices.
-     *  Kind::Ranks: sorted rank ids. */
-    std::vector<unsigned> members_;
     unsigned size_ = 0;
     std::vector<unsigned> ranks_;
     std::vector<unsigned> slots_;
@@ -228,24 +213,8 @@ class PimSystem
     /** One rank. */
     DpuSet rank(unsigned r) const;
 
-    /** An explicit set of global DPU indices (deduplicated, sorted). */
-    DpuSet subset(std::vector<unsigned> globals) const;
-
-    /** The DPUs of ranks [@p first, @p first + @p count). */
-    DpuSet rankRange(unsigned first, unsigned count) const;
-
     /** The DPUs of an arbitrary set of ranks (deduplicated, sorted). */
     DpuSet ranks(std::vector<unsigned> rank_ids) const;
-
-    /**
-     * Split the system's ranks into a leading partition of roughly
-     * @p fraction of the ranks and its complement — the standard
-     * prefill/decode split of disaggregated serving. The first member
-     * holds ranks [0, k) with k = round(fraction * numRanks) clamped to
-     * [1, numRanks - 1], so both partitions are always non-empty; fatal
-     * on a single-rank system.
-     */
-    std::pair<DpuSet, DpuSet> partitionRanks(double fraction) const;
 
     /**
      * The cached slot→rank partition of the full system — the one

@@ -52,41 +52,6 @@ RankScheduler::acquireRanks(unsigned n, const std::string &tenant)
     return *std::move(set);
 }
 
-void
-RankScheduler::releaseRanks(const DpuSet &set)
-{
-    // Rank-granular sets cover every DPU of the ranks they touch; a
-    // partial-rank (explicit) set must not release its whole rank.
-    unsigned full = 0;
-    for (const unsigned r : set.ranks())
-        full += sys_.rankSize(r);
-    PIM_ASSERT(set.size() == full,
-               "releaseRanks needs a rank-granular set");
-    for (const unsigned r : set.ranks()) {
-        PIM_ASSERT(!owner_[r].empty(), "rank ", r,
-                   " is already free (double release?)");
-        owner_[r].clear();
-    }
-    if (met_ != nullptr) {
-        met_->counter("ranks.releases").add();
-        met_->gauge("ranks.free").set(freeRankCount());
-    }
-    serveWaiting();
-}
-
-void
-RankScheduler::releaseRanks(const DpuSet &set, const std::string &tenant)
-{
-    PIM_ASSERT(!tenant.empty(), "owner-checked release needs a tenant");
-    for (const unsigned r : set.ranks()) {
-        PIM_ASSERT(owner_[r] == tenant,
-                   "tenant '", tenant, "' tried to release rank ", r,
-                   " owned by '", owner_[r],
-                   "': a tenant may only release its own grant");
-    }
-    releaseRanks(set);
-}
-
 unsigned
 RankScheduler::releaseAll(const std::string &tenant)
 {
@@ -106,19 +71,6 @@ RankScheduler::releaseAll(const std::string &tenant)
         serveWaiting();
     }
     return released;
-}
-
-void
-RankScheduler::removeTenant(const std::string &tenant)
-{
-    releaseAll(tenant);
-    revokeCbs_.erase(tenant);
-    for (auto it = waiting_.begin(); it != waiting_.end();) {
-        if (it->tenant == tenant)
-            it = waiting_.erase(it);
-        else
-            ++it;
-    }
 }
 
 void

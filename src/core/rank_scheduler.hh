@@ -19,10 +19,8 @@
  * tenant's grant (the tenant hears about it via its onRevoke callback)
  * and out of circulation — a quarantined rank is never granted again.
  * When the free pool cannot satisfy a grant, requestRanks() parks the
- * request on a strict-FIFO waiting queue served as releases come in
- * (drive it from CommandQueue::onComplete for completion-driven
- * hand-offs), so contention and replacement-after-failure are
- * non-fatal: the ROADMAP's dynamic multi-tenancy follow-on.
+ * request on a strict-FIFO waiting queue served as releaseAll() frees
+ * ranks, so contention and replacement-after-failure are non-fatal.
  */
 
 #ifndef PIM_CORE_RANK_SCHEDULER_HH
@@ -71,32 +69,12 @@ class RankScheduler
     DpuSet acquireRanks(unsigned n, const std::string &tenant);
 
     /**
-     * Return every rank of @p set to the free pool. Fatal if the set
-     * is not rank-granular or contains a rank that is not currently
-     * owned (double release / never acquired). Served waiting-queue
-     * requests are granted before this returns.
-     */
-    void releaseRanks(const DpuSet &set);
-
-    /**
-     * Owner-checked release: like releaseRanks(set), but additionally
-     * fatal if any rank of @p set is not owned by @p tenant — the
-     * guard against one tenant tearing down another tenant's grant.
-     */
-    void releaseRanks(const DpuSet &set, const std::string &tenant);
-
-    /**
      * Release every rank @p tenant currently owns (idempotent: zero
      * ranks is fine). The task-teardown primitive that cannot leak or
-     * double-release a grant. @return ranks released.
+     * double-release a grant. Served waiting-queue requests are
+     * granted before this returns. @return ranks released.
      */
     unsigned releaseAll(const std::string &tenant);
-
-    /**
-     * Full teardown of @p tenant: releaseAll, drop its onRevoke
-     * callback, and drop its queued rank requests.
-     */
-    void removeTenant(const std::string &tenant);
 
     /**
      * Register @p cb to run whenever one of @p tenant's ranks is

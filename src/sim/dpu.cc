@@ -4,11 +4,8 @@
 #include <string>
 
 #include "sim/scheduler.hh"
-#include "util/logging.hh"
-
-#ifdef PIM_TRACE_SIM
 #include "trace/trace.hh"
-#endif
+#include "util/logging.hh"
 
 namespace pim::sim {
 
@@ -67,7 +64,6 @@ Dpu::runBodies(std::vector<std::function<void(Tasklet &)>> bodies)
                            lastElapsed_ - sched.tasklet(i).clock());
     }
 
-#ifdef PIM_TRACE_SIM
     if (traceRec_ != nullptr) {
         const std::string prefix =
             "dpu" + std::to_string(traceGlobal_) + "/t";
@@ -83,7 +79,6 @@ Dpu::runBodies(std::vector<std::function<void(Tasklet &)>> bodies)
         }
         traceOrigin_ += cfg_.cyclesToSeconds(lastElapsed_);
     }
-#endif
     return lastElapsed_;
 }
 

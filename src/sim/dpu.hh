@@ -23,11 +23,9 @@
 #include "sim/tasklet.hh"
 #include "sim/types.hh"
 
-#ifdef PIM_TRACE_SIM
 namespace pim::trace {
 class Recorder;
 }
-#endif
 
 namespace pim::sim {
 
@@ -101,15 +99,14 @@ class Dpu
     /** Clear traffic counters and buddy-cache statistics. */
     void resetStats();
 
-#ifdef PIM_TRACE_SIM
     /**
-     * Per-tasklet tracing hook (compiled out with -DPIM_TRACE_SIM=OFF):
-     * while a recorder is attached, every run()/runBodies() records one
-     * span per tasklet on the custom lane "dpu<index>/t<k>", covering
-     * that tasklet's virtual clock. Successive runs stack on this DPU's
-     * own local timeline (each run starts where the previous makespan
-     * ended). The work happens once per launch, after the event loop —
-     * the tasklet hot path is untouched.
+     * Per-tasklet tracing hook: while a recorder is attached, every
+     * run()/runBodies() records one span per tasklet on the custom
+     * lane "dpu<index>/t<k>", covering that tasklet's virtual clock.
+     * Successive runs stack on this DPU's own local timeline (each run
+     * starts where the previous makespan ended). The work happens once
+     * per launch, after the event loop — the tasklet hot path is
+     * untouched.
      */
     void
     attachTraceRecorder(trace::Recorder *rec, unsigned global_index = 0)
@@ -117,10 +114,6 @@ class Dpu
         traceRec_ = rec;
         traceGlobal_ = global_index;
     }
-
-    /** Restart the local trace timeline at @p seconds. */
-    void setTraceOrigin(double seconds) { traceOrigin_ = seconds; }
-#endif
 
     /**
      * Return this DPU's touched MRAM/WRAM pages to the OS (contents are
@@ -145,11 +138,9 @@ class Dpu
     uint64_t lastSimEvents_ = 0;
     CycleBreakdown lastBreakdown_{};
     uint32_t wramUsed_ = 0;
-#ifdef PIM_TRACE_SIM
     trace::Recorder *traceRec_ = nullptr;
     unsigned traceGlobal_ = 0;
     double traceOrigin_ = 0.0;
-#endif
 };
 
 } // namespace pim::sim

@@ -1,5 +1,8 @@
 #include "telemetry/export.hh"
 
+#include <fstream>
+#include <iostream>
+
 #include "util/json.hh"
 #include "util/table.hh"
 
@@ -48,17 +51,35 @@ printMetrics(std::ostream &out, const MetricSet &metrics,
     }
 }
 
-void
-writeMetricsJson(util::JsonWriter &j, const MetricSet &metrics)
+bool
+writeBenchJson(const std::string &path, const std::string &bench,
+               const MetricSet *metrics,
+               const std::function<void(util::JsonWriter &)> &fields)
 {
-    if (!metrics.enabled())
-        return;
-    j.key("metrics").beginObject();
-    for (const MetricSet::Entry &e : metrics.entries()) {
-        j.key(e.name);
-        e.registry->writeJson(j);
+    std::ofstream out(path);
+    if (!out) {
+        std::cerr << "cannot open " << path << "\n";
+        return false;
+    }
+    util::JsonWriter j(out);
+    j.beginObject();
+    j.key("bench").value(bench);
+    fields(j);
+    if (metrics != nullptr && metrics->enabled()) {
+        j.key("metrics").beginObject();
+        for (const MetricSet::Entry &e : metrics->entries()) {
+            j.key(e.name);
+            e.registry->writeJson(j);
+        }
+        j.endObject();
     }
     j.endObject();
+    out.flush();
+    if (!out) {
+        std::cerr << "write failed: " << path << "\n";
+        return false;
+    }
+    return true;
 }
 
 } // namespace pim::telemetry

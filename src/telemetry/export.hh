@@ -11,14 +11,15 @@
  *   cfg.metrics = metrics.add(run_name);        // nullptr when off
  *   ...
  *   telemetry::printMetrics(std::cout, metrics, knobs.metrics);
- *   ... inside the bench's JsonWriter object:
- *   telemetry::writeMetricsJson(j, metrics);    // key "metrics"
+ *   telemetry::writeBenchJson(knobs.jsonPath, "name", &metrics,
+ *                             [&](util::JsonWriter &j) { ... });
  */
 
 #ifndef PIM_TELEMETRY_EXPORT_HH
 #define PIM_TELEMETRY_EXPORT_HH
 
 #include <deque>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -69,11 +70,17 @@ void printMetrics(std::ostream &out, const MetricSet &metrics,
                   bool print_tables);
 
 /**
- * Emit key "metrics" + one object per registry (keyed by its add()
- * name) into an open JSON object; no-op when the set is disabled, so
- * metric-free BENCH json stays byte-identical.
+ * Write a bench's --json document to @p path: one object holding
+ * "bench": @p bench, the members @p fields writes, and last — only
+ * when @p metrics is non-null and enabled, so metric-free BENCH json
+ * stays byte-identical — a "metrics" member with one object per
+ * registry, keyed by its add() name. The stream is flushed and
+ * checked; on failure "cannot open <path>" or "write failed: <path>"
+ * goes to stderr. @return true if the whole document was written.
  */
-void writeMetricsJson(util::JsonWriter &j, const MetricSet &metrics);
+bool writeBenchJson(const std::string &path, const std::string &bench,
+                    const MetricSet *metrics,
+                    const std::function<void(util::JsonWriter &)> &fields);
 
 } // namespace pim::telemetry
 

@@ -153,6 +153,11 @@ writeChromeTraceFile(const std::string &path,
         return false;
     }
     writeChromeTrace(out, processes);
+    out.flush();
+    if (!out) {
+        std::cerr << "write failed: " << path << "\n";
+        return false;
+    }
     std::cout << "trace written to " << path << "\n";
     return true;
 }

@@ -83,8 +83,8 @@ void writeChromeTrace(std::ostream &out, const Recorder &rec,
 
 /**
  * Write a capture to @p path. Returns false (with a message on stderr)
- * if the file cannot be opened; prints "trace written to <path>" on
- * success.
+ * if the file cannot be opened or the write fails; prints "trace
+ * written to <path>" on success.
  */
 bool writeChromeTraceFile(const std::string &path,
                           const std::vector<TraceProcess> &processes);

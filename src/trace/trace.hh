@@ -6,8 +6,7 @@
  * *lane* — while an experiment runs. Lanes mirror the resources the
  * CommandQueue resolves commands against (the host thread, the shared
  * transfer bus, each DPU rank) plus arbitrary named custom lanes (the
- * per-tasklet spans the sim layer can emit when the PIM_TRACE_SIM hook
- * is compiled in).
+ * per-tasklet spans sim::Dpu emits while a recorder is attached to it).
  *
  * The recorder itself knows nothing about the queue: it is a passive,
  * thread-safe sink at the very bottom of the dependency graph, so core,

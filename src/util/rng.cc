@@ -130,12 +130,6 @@ Rng::zipf(uint64_t n, double s)
 }
 
 Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xd1b54a32d192ed03ull);
-}
-
-Rng
 Rng::stream(const std::string &name) const
 {
     // FNV-1a 64 over the name, then one splitmix64 expansion per state

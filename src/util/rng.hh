@@ -78,9 +78,6 @@ class Rng
         }
     }
 
-    /** Derive an independent child generator (for per-DPU streams). */
-    Rng fork();
-
     /**
      * Derive the independent named sub-stream @p name without advancing
      * this generator: the child's state is a pure function of this
@@ -89,7 +86,7 @@ class Rng
      * ("fault/rank-fail", "arrivals", "graph/degrees") a stable stream
      * of its own — drawing more or fewer values from one stream, or
      * adding a new stream, never shifts the values another stream
-     * produces, unlike sharing one generator or fork()ing in a
+     * produces, unlike sharing one generator whose draws happen in a
      * knob-dependent order.
      */
     Rng stream(const std::string &name) const;

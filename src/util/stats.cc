@@ -8,58 +8,6 @@
 namespace pim::util {
 
 void
-RunningStat::add(double x)
-{
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other.mean_ - mean_;
-    const uint64_t total = n_ + other.n_;
-    m2_ += other.m2_ + delta * delta
-        * (static_cast<double>(n_) * static_cast<double>(other.n_))
-        / static_cast<double>(total);
-    mean_ += delta * static_cast<double>(other.n_)
-        / static_cast<double>(total);
-    n_ = total;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-double
-RunningStat::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(n_);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
-RunningStat::reset()
-{
-    *this = RunningStat();
-}
-
-void
 Percentile::add(double x)
 {
     samples_.push_back(x);
@@ -101,36 +49,6 @@ Percentile::reset()
 {
     samples_.clear();
     sorted_ = true;
-}
-
-Histogram::Histogram(size_t bins, double lo, double hi)
-    : counts_(bins, 0), lo_(lo), hi_(hi)
-{
-    PIM_ASSERT(bins > 0, "histogram needs at least one bin");
-    PIM_ASSERT(hi > lo, "histogram range must be non-empty");
-}
-
-void
-Histogram::add(double x)
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    double idx = (x - lo_) / width;
-    size_t i;
-    if (idx < 0.0)
-        i = 0;
-    else if (idx >= static_cast<double>(counts_.size()))
-        i = counts_.size() - 1;
-    else
-        i = static_cast<size_t>(idx);
-    ++counts_[i];
-    ++total_;
-}
-
-double
-Histogram::binLow(size_t i) const
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + width * static_cast<double>(i);
 }
 
 double

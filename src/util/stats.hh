@@ -1,64 +1,17 @@
 /**
  * @file
- * Lightweight statistics containers used by the simulator, the allocator
- * instrumentation, and the benchmark harnesses: running moments,
- * percentile estimation from retained samples, and fixed-bin histograms.
+ * Lightweight statistics helpers used by the benchmark harnesses:
+ * exact percentiles from retained samples and the geometric mean.
+ * Streaming distributions live in telemetry/metrics.hh.
  */
 
 #ifndef PIM_UTIL_STATS_HH
 #define PIM_UTIL_STATS_HH
 
 #include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace pim::util {
-
-/**
- * Online mean/variance/min/max accumulator (Welford's algorithm).
- * O(1) memory; suitable for very long event streams.
- */
-class RunningStat
-{
-  public:
-    /** Add one observation. */
-    void add(double x);
-
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStat &other);
-
-    /** Number of observations so far. */
-    uint64_t count() const { return n_; }
-
-    /** Arithmetic mean; 0 if empty. */
-    double mean() const { return n_ ? mean_ : 0.0; }
-
-    /** Population variance; 0 if fewer than two samples. */
-    double variance() const;
-
-    /** Standard deviation. */
-    double stddev() const;
-
-    /** Smallest observation; +inf if empty. */
-    double min() const { return min_; }
-
-    /** Largest observation; -inf if empty. */
-    double max() const { return max_; }
-
-    /** Sum of all observations. */
-    double sum() const { return mean_ * static_cast<double>(n_); }
-
-    /** Reset to the empty state. */
-    void reset();
-
-  private:
-    uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /**
  * Sample reservoir with exact percentile queries.
@@ -95,38 +48,6 @@ class Percentile
   private:
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/**
- * Fixed-width linear histogram over [lo, hi); out-of-range samples clamp
- * into the first/last bin so mass is never silently dropped.
- */
-class Histogram
-{
-  public:
-    /** @param bins number of bins (>0); @param lo/hi range covered. */
-    Histogram(size_t bins, double lo, double hi);
-
-    /** Add one sample. */
-    void add(double x);
-
-    /** Count in bin i. */
-    uint64_t bin(size_t i) const { return counts_.at(i); }
-
-    /** Number of bins. */
-    size_t bins() const { return counts_.size(); }
-
-    /** Lower edge of bin i. */
-    double binLow(size_t i) const;
-
-    /** Total samples. */
-    uint64_t total() const { return total_; }
-
-  private:
-    std::vector<uint64_t> counts_;
-    double lo_;
-    double hi_;
-    uint64_t total_ = 0;
 };
 
 /** Geometric mean of a vector of positive values; 0 if empty. */

@@ -85,23 +85,6 @@ Table::print(std::ostream &os) const
 }
 
 void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                os << ",";
-            os << row[i];
-        }
-        os << "\n";
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &r : rows_)
-        emit(r);
-}
-
-void
 Table::writeJson(JsonWriter &j) const
 {
     j.beginObject();

@@ -1,6 +1,6 @@
 /**
  * @file
- * Console table and CSV emission for benchmark harnesses. Every bench
+ * Console table and JSON emission for benchmark harnesses. Every bench
  * binary prints the rows/series of the corresponding paper figure through
  * this printer so output stays uniform and machine-parseable.
  */
@@ -42,9 +42,6 @@ class Table
 
     /** Render the aligned table to the stream. */
     void print(std::ostream &os) const;
-
-    /** Render the table as CSV (header + rows, no title). */
-    void printCsv(std::ostream &os) const;
 
     /**
      * Emit the table as one JSON value:

@@ -1,9 +1,9 @@
 /**
  * @file
  * Drain contract tests. For any command script — tenants,
- * dependencies, callbacks, scatter copies, timed launches, injected
- * faults — the drain's complete observable outcome is bit-identical
- * for any worker-thread count. The differential below compares full
+ * dependencies, scatter copies, timed launches, injected faults, ranks
+ * with no sampled member — the drain's complete observable outcome is
+ * bit-identical for any worker-thread count. The differential below compares full
  * outcome digests with exact double equality, the same bar the
  * mutex-mode fuzz sets.
  */
@@ -38,9 +38,6 @@ struct Outcome
     double launchWork = 0.0;
     double copyWork = 0.0;
     double hostWork = 0.0;
-    /** Callback dispatch sequence: (event, completion time) pairs in
-     *  invocation order, onError entries with negated time. */
-    std::vector<std::pair<core::Event, double>> callbacks;
     /** Order-insensitive sum folded from every launch-body execution
      *  (the launch bodies really ran, on whatever thread). */
     uint64_t workSum = 0;
@@ -59,26 +56,30 @@ expectEqualOutcome(const Outcome &a, const Outcome &b)
     EXPECT_EQ(a.launchWork, b.launchWork);
     EXPECT_EQ(a.copyWork, b.copyWork);
     EXPECT_EQ(a.hostWork, b.hostWork);
-    EXPECT_EQ(a.callbacks, b.callbacks);
     EXPECT_EQ(a.workSum, b.workSum);
 }
 
 /**
  * A seeded random command storm: three sync rounds of launches (plain,
  * multi-tasklet, timed), async/buffered/scatter copies, host compute,
- * chained dependencies, three tenants, and completion/error callbacks,
- * against full-system, per-rank, rank-range, complement, and explicit
- * subset targets.
+ * chained dependencies, and three tenants, against full-system,
+ * per-rank, and multi-rank targets. A @p sparse system materializes
+ * two DPUs (on ranks 0 and 2), so every launch that touches rank 1 or
+ * 3 charges it the launch-wide slowest sampled member.
  */
 Outcome
-runScript(unsigned threads, uint64_t seed, bool faults)
+runScript(unsigned threads, uint64_t seed, bool faults, bool sparse)
 {
     core::PimSystemConfig cfg;
     cfg.numDpus = 256; // 4 ranks of 64
-    cfg.sampleDpus = 32;
+    cfg.sampleDpus = sparse ? 2 : 32;
     cfg.simThreads = threads;
     core::PimSystem sys(cfg);
     CommandQueue queue(sys);
+    if (sparse) {
+        EXPECT_TRUE(sys.rank(1).slots().empty());
+        EXPECT_TRUE(sys.rank(3).slots().empty());
+    }
 
     std::unique_ptr<fault::FaultInjector> inj;
     if (faults) {
@@ -121,15 +122,16 @@ runScript(unsigned threads, uint64_t seed, bool faults)
                                        queue.addTenant("alpha"),
                                        queue.addTenant("beta")};
 
+    // Every target keeps a sampled member: a launch with none is fatal.
     std::vector<core::DpuSet> sets;
     sets.push_back(sys.all());
-    for (unsigned r = 0; r < sys.numRanks(); ++r)
-        sets.push_back(sys.rank(r));
-    sets.push_back(sys.rankRange(1, 2));
-    sets.push_back(sys.rank(0).complement());
-    sets.push_back(sys.subset({sys.globalIndex(0), sys.globalIndex(3),
-                               sys.globalIndex(9), sys.globalIndex(20),
-                               sys.globalIndex(31)}));
+    for (unsigned r = 0; r < sys.numRanks(); ++r) {
+        if (!sys.rank(r).slots().empty())
+            sets.push_back(sys.rank(r));
+    }
+    sets.push_back(sys.ranks({1, 2}));
+    sets.push_back(sys.ranks({1, 2, 3}));
+    sets.push_back(sys.ranks({0, 3}));
 
     Outcome out;
     std::atomic<uint64_t> work_sum{0};
@@ -201,17 +203,6 @@ runScript(unsigned threads, uint64_t seed, bool faults)
                 break;
             }
             if (e != core::kNoEvent) {
-                if (rng.bernoulli(0.25))
-                    queue.onComplete(e, [&out](core::Event ev,
-                                               double sec) {
-                        out.callbacks.emplace_back(ev, sec);
-                    });
-                if (faults && rng.bernoulli(0.25))
-                    queue.onError(e,
-                                  [&out](core::Event ev, double sec) {
-                                      out.callbacks.emplace_back(ev,
-                                                                 -sec);
-                                  });
                 recent.push_back(e);
                 round_events.push_back(e);
             }
@@ -241,21 +232,21 @@ runScript(unsigned threads, uint64_t seed, bool faults)
 
 /** Seeded random-script differential of the drain across worker
  *  counts, exact. */
-class DrainFuzz : public ::testing::TestWithParam<std::tuple<int, bool>>
+class DrainFuzz
+    : public ::testing::TestWithParam<std::tuple<int, bool, bool>>
 {
 };
 
 TEST_P(DrainFuzz, ThreadCountInvariant)
 {
-    const auto [seed_param, faults] = GetParam();
+    const auto [seed_param, faults, sparse] = GetParam();
     const uint64_t seed = static_cast<uint64_t>(seed_param);
     // threads=1 runs every chain inline on the caller; 4 and 7 shard
-    // the 32 slot chains over the pool (7 unevenly).
-    const Outcome one = runScript(1, seed, faults);
-    expectEqualOutcome(one, runScript(4, seed, faults));
-    expectEqualOutcome(one, runScript(7, seed, faults));
+    // the slot chains (32, or 2 when sparse) over the pool.
+    const Outcome one = runScript(1, seed, faults, sparse);
+    expectEqualOutcome(one, runScript(4, seed, faults, sparse));
+    expectEqualOutcome(one, runScript(7, seed, faults, sparse));
     EXPECT_FALSE(one.eventTimes.empty());
-    EXPECT_FALSE(one.callbacks.empty());
     if (faults) {
         // The fault plan actually fired, so the differential covered
         // the failure paths too.
@@ -267,8 +258,9 @@ TEST_P(DrainFuzz, ThreadCountInvariant)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsAndFaults, DrainFuzz,
+    SeedsFaultsAndSampling, DrainFuzz,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
+                       ::testing::Values(false, true),
                        ::testing::Values(false, true)));
 
 TEST(DrainStats, AccumulateAndResetWithTimeline)

@@ -4,7 +4,8 @@
  * attached (the default), the benches' txt and JSON outputs are fully
  * deterministic and unchanged — and turning metrics on only *appends*
  * (metric tables to stdout, a "metrics" member to the JSON), never
- * perturbs the figure data itself.
+ * perturbs the figure data itself. A JSON write that fails is
+ * reported and fails the run.
  *
  * These tests shell out to the bench binaries next to the test
  * executable (ctest runs with the build directory as cwd) and skip if
@@ -31,13 +32,14 @@ exists(const std::string &path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
-/** Run @p cmd, capture combined stdout+stderr, fail the test on rc!=0. */
+/** Run @p cmd, capture combined stdout+stderr and its exit status. */
 std::string
-run(const std::string &cmd)
+runStatus(const std::string &cmd, int &rc)
 {
     FILE *p = ::popen((cmd + " 2>&1").c_str(), "r");
     if (p == nullptr) {
         ADD_FAILURE() << "popen failed for: " << cmd;
+        rc = -1;
         return {};
     }
     std::string out;
@@ -45,7 +47,16 @@ run(const std::string &cmd)
     size_t n;
     while ((n = ::fread(buf, 1, sizeof buf, p)) > 0)
         out.append(buf, n);
-    const int rc = ::pclose(p);
+    rc = ::pclose(p);
+    return out;
+}
+
+/** Run @p cmd, capture combined stdout+stderr, fail the test on rc!=0. */
+std::string
+run(const std::string &cmd)
+{
+    int rc = 0;
+    std::string out = runStatus(cmd, rc);
     EXPECT_EQ(rc, 0) << cmd << "\n" << out;
     return out;
 }
@@ -62,7 +73,7 @@ slurp(const std::string &path)
 
 /**
  * The JSON body of @p plain_json up to (but excluding) the final
- * closing brace. writeMetricsJson() emits the "metrics" member as the
+ * closing brace. writeBenchJson() emits the "metrics" member as the
  * last key before endObject, so this exact byte string must reappear
  * as a prefix of the metrics-enabled JSON.
  */
@@ -181,4 +192,18 @@ TEST(MetricsIdentity, SimThroughputCountsUnchangedByMetrics)
         EXPECT_EQ(a, numbersFor(metered, key)) << key;
     }
     EXPECT_NE(metered.find("\"metrics\""), std::string::npos);
+}
+
+TEST(MetricsIdentity, JsonWriteFailureFailsTheRun)
+{
+    const std::string bin = "./bench_fig16_cache_sweep";
+    if (!exists(bin))
+        GTEST_SKIP() << bin << " not built (PIM_BUILD_BENCH=OFF?)";
+    if (!exists("/dev/full"))
+        GTEST_SKIP() << "/dev/full is not available";
+    int rc = 0;
+    const std::string out = runStatus(bin + " --json=/dev/full", rc);
+    EXPECT_NE(rc, 0) << out;
+    EXPECT_NE(out.find("write failed: /dev/full"), std::string::npos)
+        << out;
 }

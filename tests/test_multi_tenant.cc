@@ -1,17 +1,15 @@
 /**
  * @file
  * Tests for the multi-tenant scheduler layer of the command-queue
- * runtime: completion callbacks (timeline-order dispatch, thread-count
- * determinism, follow-up enqueues, misuse fatals), eventSeconds
- * fail-fast on never-enqueued handles, RankScheduler acquire/release/
- * contention, per-tenant host lanes, DpuSet partition helpers, and
- * per-tenant occupancy attribution of a co-tenant run.
+ * runtime: eventSeconds fail-fast on never-enqueued handles,
+ * RankScheduler acquire/release/contention, per-tenant host lanes,
+ * DpuSet partition helpers, and per-tenant occupancy attribution and
+ * thread-count determinism of a co-tenant run.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/command_queue.hh"
@@ -47,105 +45,6 @@ smallSystem(unsigned dpus, unsigned per_rank, unsigned sample = 0)
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------
-// Completion callbacks
-// ---------------------------------------------------------------------
-
-TEST(Callbacks, DispatchInTimelineOrderNotRegistrationOrder)
-{
-    PimSystem sys(smallSystem(128, 64));
-    CommandQueue q(sys);
-
-    // The slow launch is enqueued (and its callback registered) first,
-    // but the fast launch on the other rank completes earlier.
-    const Event slow = q.launchTimed(sys.rank(0), 10e-3,
-                                     {.label = "slow"});
-    const Event fast = q.launchTimed(sys.rank(1), 1e-3,
-                                     {.label = "fast"});
-    std::vector<std::pair<Event, double>> fired;
-    q.onComplete(slow, [&](Event e, double t) {
-        fired.emplace_back(e, t);
-    });
-    q.onComplete(fast, [&](Event e, double t) {
-        fired.emplace_back(e, t);
-    });
-
-    // eventSeconds drains (dispatching callbacks) without compacting
-    // the history, so the fired timestamps stay cross-checkable.
-    const double slow_end = q.eventSeconds(slow);
-    const double fast_end = q.eventSeconds(fast);
-
-    ASSERT_EQ(fired.size(), 2u);
-    EXPECT_EQ(fired[0].first, fast);
-    EXPECT_EQ(fired[1].first, slow);
-    EXPECT_DOUBLE_EQ(fired[0].second, fast_end);
-    EXPECT_DOUBLE_EQ(fired[1].second, slow_end);
-    EXPECT_LT(fast_end, slow_end);
-}
-
-TEST(Callbacks, SameEventTiesKeepRegistrationOrder)
-{
-    PimSystem sys(smallSystem(64, 64));
-    CommandQueue q(sys);
-    const Event e = q.launchTimed(sys.rank(0), 1e-3);
-    std::vector<int> order;
-    q.onComplete(e, [&](Event, double) { order.push_back(1); });
-    q.onComplete(e, [&](Event, double) { order.push_back(2); });
-    q.sync();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(Callbacks, MayEnqueueFollowUpCommands)
-{
-    PimSystem sys(smallSystem(128, 64));
-    CommandQueue q(sys);
-
-    const Event first = q.launchTimed(sys.rank(0), 1e-3,
-                                      {.label = "first"});
-    double follow_done = -1.0;
-    q.onComplete(first, [&](Event, double) {
-        const Event f = q.launchTimed(q.system().rank(1), 2e-3,
-                                      {.label = "follow"});
-        q.onComplete(f, [&](Event, double t) { follow_done = t; });
-    });
-
-    // The first sync dispatches the callback; the follow-up it enqueued
-    // belongs to the next drain.
-    const double m1 = q.sync();
-    EXPECT_LT(follow_done, 0.0);
-    EXPECT_EQ(q.pendingCommands(), 1u);
-
-    const double m2 = q.sync();
-    EXPECT_GT(follow_done, 0.0);
-    EXPECT_DOUBLE_EQ(follow_done, m2);
-    EXPECT_GE(m2, m1 + 2e-3);
-}
-
-TEST(CallbacksDeathTest, FatalOnNonPendingEvents)
-{
-    PimSystem sys(smallSystem(64, 64));
-    CommandQueue q(sys);
-    EXPECT_DEATH(q.onComplete(kNoEvent, [](Event, double) {}),
-                 "never enqueued");
-    const Event e = q.launchTimed(sys.rank(0), 1e-3);
-    q.sync();
-    // Already resolved (and compacted): no longer pending.
-    EXPECT_DEATH(q.onComplete(e, [](Event, double) {}),
-                 "register callbacks right after enqueuing");
-}
-
-TEST(CallbacksDeathTest, CallbacksMustNotForceADrain)
-{
-    PimSystem sys(smallSystem(64, 64));
-    CommandQueue q(sys);
-    const Event e = q.launchTimed(sys.rank(0), 1e-3);
-    q.onComplete(e, [&](Event, double) {
-        q.launchTimed(q.system().rank(0), 1e-3);
-        q.sync(); // fatal: drain re-entry from a callback
-    });
-    EXPECT_DEATH(q.sync(), "force a drain");
-}
 
 // ---------------------------------------------------------------------
 // eventSeconds fail-fast
@@ -190,7 +89,7 @@ TEST(RankScheduler, GrantsLowestFreeRanksDeterministically)
 
     // Releasing returns the ranks to the pool; the next grant reuses
     // the lowest-numbered free ranks.
-    sched.releaseRanks(serving);
+    EXPECT_EQ(sched.releaseAll("serving"), 2u);
     EXPECT_EQ(sched.freeRankCount(), 2u);
     EXPECT_EQ(sched.ownerOf(0), "");
     const DpuSet third = sched.acquireRanks(1, "third");
@@ -202,14 +101,8 @@ TEST(RankSchedulerDeathTest, ContentionAndMisuseAreFatal)
 {
     PimSystem sys(smallSystem(256, 64));
     RankScheduler sched(sys);
-    const DpuSet serving = sched.acquireRanks(3, "serving");
+    sched.acquireRanks(3, "serving");
     EXPECT_DEATH(sched.acquireRanks(2, "greedy"), "asked for");
-
-    // A partial-rank set must not release its whole rank.
-    EXPECT_DEATH(sched.releaseRanks(sys.subset({0})), "rank-granular");
-
-    sched.releaseRanks(serving);
-    EXPECT_DEATH(sched.releaseRanks(serving), "double release");
 }
 
 // ---------------------------------------------------------------------
@@ -265,7 +158,7 @@ TEST(DpuSet, IndexOfAndMemberAtRoundTrip)
     EXPECT_EQ(rs.memberAt(64), 192u);
 }
 
-TEST(DpuSet, PartitionRanksMatchesSystemPartition)
+TEST(DpuSet, PartitionRanksSplitsTheSetsOwnRanks)
 {
     PimSystem sys(smallSystem(256, 64));
     const DpuSet all = sys.all();
@@ -277,10 +170,6 @@ TEST(DpuSet, PartitionRanksMatchesSystemPartition)
     // Clamped to [1, n-1]: both partitions always non-empty.
     EXPECT_EQ(all.partitionRanks(0.0).first.ranks().size(), 1u);
     EXPECT_EQ(all.partitionRanks(1.0).second.ranks().size(), 1u);
-
-    const auto sys_part = sys.partitionRanks(0.5);
-    EXPECT_EQ(sys_part.first.ranks(), pre.ranks());
-    EXPECT_EQ(sys_part.second.ranks(), dec.ranks());
 
     // Partitioning a non-contiguous grant splits its own rank list.
     const auto [g1, g2] = sys.ranks({1, 3}).partitionRanks(0.5);
@@ -349,8 +238,7 @@ TEST(Tenants, CoTenantRunIsThreadCountInvariant)
         const DpuSet sset = sched.acquireRanks(2, "serving");
         const DpuSet gset = sched.acquireRanks(2, "graph");
 
-        std::vector<double> out;
-        std::vector<std::pair<Event, double>> fired;
+        std::vector<Event> lasts;
         Event last_s = kNoEvent, last_g = kNoEvent;
         for (int i = 0; i < 3; ++i) {
             last_s = q.launchProgram(
@@ -371,23 +259,16 @@ TEST(Tenants, CoTenantRunIsThreadCountInvariant)
                     dpu.run(8, [](sim::Tasklet &t) { t.execute(40); });
                 },
                 {.after = up, .label = "update", .tenant = graph});
-            q.onComplete(last_s, [&](Event e, double t) {
-                fired.emplace_back(e, t);
-            });
-            q.onComplete(last_g, [&](Event e, double t) {
-                fired.emplace_back(e, t);
-            });
+            lasts.push_back(last_s);
+            lasts.push_back(last_g);
         }
-        out.push_back(q.eventSeconds(last_s));
-        out.push_back(q.eventSeconds(last_g));
+        std::vector<double> out;
+        for (const Event e : lasts)
+            out.push_back(q.eventSeconds(e));
         out.push_back(q.hostSeconds(serving));
         out.push_back(q.hostSeconds(graph));
         out.push_back(q.busReadySeconds());
         out.push_back(q.sync());
-        for (const auto &[e, t] : fired) {
-            out.push_back(static_cast<double>(e));
-            out.push_back(t);
-        }
         return out;
     };
     const auto one = run(1);

@@ -3,7 +3,7 @@
  * Tests for the rank-aware async command-queue runtime: DpuSet
  * addressing, sample-index spreading (incl. non-divisible tails), async
  * launch + sync() timeline composition, host/PIM overlap accounting,
- * DPU-subset launches, scatter/gather transfers, event dependencies,
+ * rank-subset launches, scatter/gather transfers, event dependencies,
  * thread-count invariance of the resolved timelines, and a Fig 5(d)
  * on-device allocator program driven through the queue.
  */
@@ -106,12 +106,11 @@ TEST(PimSystem, DpuSetAddressing)
     EXPECT_FALSE(r1.contains(63));
     EXPECT_TRUE(r1.contains(64));
 
-    const DpuSet sub = sys.subset({5, 70, 70, 5});
-    EXPECT_EQ(sub.size(), 2u); // deduplicated
-    EXPECT_TRUE(sub.contains(5));
-    EXPECT_TRUE(sub.contains(70));
-    EXPECT_FALSE(sub.contains(6));
-    ASSERT_EQ(sub.ranks().size(), 2u);
+    const DpuSet dup = sys.ranks({1, 1});
+    EXPECT_EQ(dup.size(), 64u); // deduplicated
+    EXPECT_TRUE(dup.contains(70));
+    EXPECT_FALSE(dup.contains(5));
+    EXPECT_EQ(dup.ranks(), (std::vector<unsigned>{1}));
 }
 
 TEST(PimSystem, SampledSlotsSpreadAcrossRanks)
@@ -184,14 +183,14 @@ TEST(CommandQueue, SubsetLaunchRunsOnlyMembers)
     PimSystem sys(smallSystem(4, 2));
     CommandQueue q(sys);
     std::array<std::atomic<unsigned>, 4> ran{};
-    q.launch(sys.subset({1, 3}), 1, [&](sim::Tasklet &t, unsigned g) {
+    q.launch(sys.rank(1), 1, [&](sim::Tasklet &t, unsigned g) {
         ran[g].fetch_add(1);
         t.execute(10);
     });
     q.sync();
     EXPECT_EQ(ran[0].load(), 0u);
-    EXPECT_EQ(ran[1].load(), 1u);
-    EXPECT_EQ(ran[2].load(), 0u);
+    EXPECT_EQ(ran[1].load(), 0u);
+    EXPECT_EQ(ran[2].load(), 1u);
     EXPECT_EQ(ran[3].load(), 1u);
 }
 
@@ -199,7 +198,7 @@ TEST(CommandQueue, SubsetLaunchBusiesOnlyItsRanks)
 {
     PimSystem sys(smallSystem(4, 2));
     CommandQueue q(sys);
-    q.launch(sys.subset({0}), 1,
+    q.launch(sys.rank(0), 1,
              [](sim::Tasklet &t, unsigned) { t.execute(50'000); });
     q.launch(sys.rank(1), 1,
              [](sim::Tasklet &t, unsigned) { t.execute(10); });
@@ -226,14 +225,14 @@ TEST(CommandQueue, HeterogeneousLaunchProgram)
     EXPECT_NEAR(makespan, kLaunchOverhead + launchSeconds(4000), 1e-12);
 }
 
-TEST(CommandQueue, BlockingMemcpyOccupiesHostBusAndRanks)
+TEST(CommandQueue, MemcpyOccupiesBusAndRanksNotHost)
 {
     PimSystem sys(smallSystem(4, 2));
     CommandQueue q(sys);
-    const double sec =
-        q.memcpy(sys.all(), 1 << 20, CopyDirection::HostToPim);
+    const double sec = q.eventSeconds(
+        q.memcpyAsync(sys.all(), 1 << 20, CopyDirection::HostToPim));
     EXPECT_GT(sec, 0.0);
-    EXPECT_DOUBLE_EQ(q.elapsedSeconds(), sec);
+    EXPECT_DOUBLE_EQ(q.elapsedSeconds(), 0.0);
     EXPECT_DOUBLE_EQ(q.busReadySeconds(), sec);
     EXPECT_DOUBLE_EQ(q.rankReadySeconds(0), sec);
     EXPECT_EQ(q.transferredBytes(), uint64_t{4} << 20);
@@ -257,14 +256,16 @@ TEST(CommandQueue, ScatterMemcpyMatchesUniformWhenEqual)
 {
     PimSystem sys_a(smallSystem(4, 2));
     CommandQueue qa(sys_a);
-    const double uniform =
-        qa.memcpy(sys_a.all(), 4096, CopyDirection::PimToHost);
+    const double uniform = qa.eventSeconds(
+        qa.memcpyAsync(sys_a.all(), 4096, CopyDirection::PimToHost));
 
     PimSystem sys_b(smallSystem(4, 2));
     CommandQueue qb(sys_b);
-    const double scatter = qb.memcpyScatter(
-        sys_b.all(), {4096, 4096, 4096, 4096}, CopyDirection::PimToHost);
+    const double scatter = qb.eventSeconds(qb.memcpyScatterAsync(
+        sys_b.all(), {4096, 4096, 4096, 4096}, CopyDirection::PimToHost));
     EXPECT_DOUBLE_EQ(uniform, scatter);
+    EXPECT_DOUBLE_EQ(qa.elapsedSeconds(), 0.0);
+    EXPECT_DOUBLE_EQ(qb.elapsedSeconds(), 0.0);
     EXPECT_EQ(qa.transferredBytes(), qb.transferredBytes());
 }
 
@@ -272,10 +273,11 @@ TEST(CommandQueue, ScatterMemcpyCostsSummedPayload)
 {
     PimSystem sys(smallSystem(4, 2));
     CommandQueue q(sys);
-    const double sec = q.memcpyScatter(
-        sys.all(), {1000, 2000, 3000, 4000}, CopyDirection::HostToPim);
+    const double sec = q.eventSeconds(q.memcpyScatterAsync(
+        sys.all(), {1000, 2000, 3000, 4000}, CopyDirection::HostToPim));
     EXPECT_DOUBLE_EQ(
         sec, sys.transferModel().secondsTotal(10'000, 4));
+    EXPECT_DOUBLE_EQ(q.elapsedSeconds(), 0.0);
     EXPECT_EQ(q.transferredBytes(), 10'000u);
 }
 
@@ -304,7 +306,7 @@ TEST(CommandQueue, TimelineIsThreadCountInvariant)
             t.dmaRead(0, 64);
         });
         q.hostCompute(3, 12345);
-        q.memcpy(sys.rank(1), 4096, CopyDirection::PimToHost);
+        q.memcpyAsync(sys.rank(1), 4096, CopyDirection::PimToHost);
         q.launch(sys.rank(2), 2,
                  [](sim::Tasklet &t, unsigned) { t.execute(77); });
         return q.sync();
@@ -322,7 +324,7 @@ TEST(CommandQueue, ResetTimelineKeepsDpuState)
     q.launch(sys.all(), 1, [](sim::Tasklet &t, unsigned) {
         t.execute(500);
     });
-    q.memcpy(sys.all(), 1024, CopyDirection::HostToPim);
+    q.memcpyAsync(sys.all(), 1024, CopyDirection::HostToPim);
     EXPECT_GT(q.sync(), 0.0);
     q.resetTimeline();
     EXPECT_DOUBLE_EQ(q.elapsedSeconds(), 0.0);
@@ -428,10 +430,10 @@ TEST(CommandQueue, HostIdleUntilAdvancesButNeverRewinds)
     EXPECT_DOUBLE_EQ(q.hostWorkSeconds(), 0.0); // idling is not work
 }
 
-TEST(PimSystem, RankRangeAndArbitraryRankSets)
+TEST(PimSystem, ContiguousAndArbitraryRankSets)
 {
     PimSystem sys(smallSystem(512, 64)); // 8 ranks
-    const DpuSet head = sys.rankRange(0, 2);
+    const DpuSet head = sys.ranks({0, 1});
     EXPECT_EQ(head.size(), 128u);
     EXPECT_EQ(head.ranks(), (std::vector<unsigned>{0, 1}));
     EXPECT_TRUE(head.contains(0));
@@ -446,66 +448,46 @@ TEST(PimSystem, RankRangeAndArbitraryRankSets)
     EXPECT_FALSE(odd.contains(128)); // rank 2
 }
 
-TEST(PimSystem, RankRangeCoversRaggedTail)
+TEST(PimSystem, RankSetCoversRaggedTail)
 {
     PimSystem sys(smallSystem(10, 4)); // ranks of 4, 4, 2
-    const DpuSet tail = sys.rankRange(2, 1);
+    const DpuSet tail = sys.ranks({2});
     EXPECT_EQ(tail.size(), 2u);
     EXPECT_TRUE(tail.contains(9));
-    EXPECT_EQ(sys.rankRange(0, 3).size(), 10u);
-}
-
-TEST(PimSystem, ComplementSplitsTheSystem)
-{
-    PimSystem sys(smallSystem(512, 64));
-    const DpuSet head = sys.rankRange(0, 3);
-    const DpuSet rest = head.complement();
-    EXPECT_EQ(rest.ranks(), (std::vector<unsigned>{3, 4, 5, 6, 7}));
-    EXPECT_EQ(head.size() + rest.size(), sys.numDpus());
-    for (unsigned g = 0; g < sys.numDpus(); g += 37)
-        EXPECT_NE(head.contains(g), rest.contains(g)) << g;
-    // Every materialized slot lands in exactly one side.
-    EXPECT_EQ(head.slots().size() + rest.slots().size(),
-              static_cast<size_t>(sys.sampleCount()));
-
-    const DpuSet not3 = sys.rank(3).complement();
-    EXPECT_EQ(not3.ranks().size(), 7u);
-    EXPECT_FALSE(not3.contains(192));
-    EXPECT_TRUE(not3.contains(191));
-}
-
-TEST(PimSystem, ComplementOfExplicitSubsetIsExplicit)
-{
-    PimSystem sys(smallSystem(8, 4));
-    const DpuSet rest = sys.subset({0, 2, 4, 6}).complement();
-    EXPECT_EQ(rest.size(), 4u);
-    EXPECT_TRUE(rest.contains(1));
-    EXPECT_TRUE(rest.contains(7));
-    EXPECT_FALSE(rest.contains(0));
+    EXPECT_EQ(sys.ranks({0, 1, 2}).size(), 10u);
 }
 
 TEST(PimSystem, PartitionRanksRespectsFractionAndClamps)
 {
-    PimSystem sys(smallSystem(512, 64));
-    const auto [pre, dec] = sys.partitionRanks(0.25);
-    EXPECT_EQ(pre.ranks().size(), 2u);
-    EXPECT_EQ(dec.ranks().size(), 6u);
+    PimSystem sys(smallSystem(512, 64, 40));
+    const DpuSet all = sys.all();
+    const auto [pre, dec] = all.partitionRanks(0.25);
+    EXPECT_EQ(pre.ranks(), (std::vector<unsigned>{0, 1}));
+    EXPECT_EQ(dec.ranks(), (std::vector<unsigned>{2, 3, 4, 5, 6, 7}));
+    EXPECT_EQ(pre.size() + dec.size(), sys.numDpus());
+    for (unsigned g = 0; g < sys.numDpus(); g += 37)
+        EXPECT_NE(pre.contains(g), dec.contains(g)) << g;
+    // Every materialized slot lands in exactly one side.
+    EXPECT_EQ(pre.slots().size() + dec.slots().size(),
+              static_cast<size_t>(sys.sampleCount()));
+    for (const unsigned slot : pre.slots())
+        EXPECT_FALSE(dec.contains(sys.globalIndex(slot))) << slot;
     // Both partitions stay non-empty at the extremes.
-    EXPECT_EQ(sys.partitionRanks(0.0).first.ranks().size(), 1u);
-    EXPECT_EQ(sys.partitionRanks(1.0).first.ranks().size(), 7u);
+    EXPECT_EQ(all.partitionRanks(0.0).first.ranks().size(), 1u);
+    EXPECT_EQ(all.partitionRanks(1.0).first.ranks().size(), 7u);
 }
 
 TEST(CommandQueue, LaunchTimedOccupiesExactlyTheTargetRanks)
 {
     PimSystem sys(smallSystem(512, 64));
     CommandQueue q(sys);
-    const Event e = q.launchTimed(sys.rankRange(0, 2), 2e-3);
+    const Event e = q.launchTimed(sys.ranks({0, 1}), 2e-3);
     EXPECT_NEAR(q.eventSeconds(e), kLaunchOverhead + 2e-3, 1e-12);
     EXPECT_NEAR(q.rankReadySeconds(0), kLaunchOverhead + 2e-3, 1e-12);
     EXPECT_NEAR(q.rankReadySeconds(1), kLaunchOverhead + 2e-3, 1e-12);
     EXPECT_DOUBLE_EQ(q.rankReadySeconds(2), 0.0);
     // Back-to-back timed launches on disjoint partitions overlap.
-    q.launchTimed(sys.rankRange(2, 6), 5e-3);
+    q.launchTimed(sys.ranks({2, 3, 4, 5, 6, 7}), 5e-3);
     const double makespan = q.sync();
     EXPECT_NEAR(makespan, 2 * kLaunchOverhead + 5e-3, 1e-12);
 }
@@ -514,7 +496,7 @@ TEST(CommandQueue, BufferedScatterDoesNotStallTargetRanks)
 {
     PimSystem sys(smallSystem(512, 64));
     CommandQueue q(sys);
-    const DpuSet dec = sys.rankRange(4, 4);
+    const DpuSet dec = sys.ranks({4, 5, 6, 7});
     const Event attn = q.launchTimed(dec, 10e-3);
     // A double-buffered append lands while the ranks keep computing...
     const Event ship = q.memcpyScatterBufferedAsync(
@@ -535,8 +517,8 @@ TEST(CommandQueue, EventSecondsOrdersDependentTimedLaunches)
 {
     PimSystem sys(smallSystem(512, 64));
     CommandQueue q(sys);
-    const DpuSet a = sys.rankRange(0, 1);
-    const DpuSet b = sys.rankRange(1, 1);
+    const DpuSet a = sys.ranks({0});
+    const DpuSet b = sys.ranks({1});
     const Event first = q.launchTimed(a, 1e-3);
     // Dependent launch on a different rank starts only after `first`.
     const Event second = q.launchTimed(b, 1e-3, {.after = first});
@@ -572,35 +554,32 @@ expectPartitionMatchesSet(const PimSystem &sys, const DpuSet &set)
 
 } // namespace
 
-TEST(SlotPartitionCache, RunsCoverRaggedTailSubsetAndComplement)
+TEST(SlotPartitionCache, RunsCoverRaggedTailAndRankSets)
 {
     // 130 DPUs over 64-wide ranks: rank 2 is a ragged 2-DPU tail.
     // Sampling (16 of 130) exercises non-contiguous slot→global maps.
     PimSystem sys(smallSystem(130, 64, 16));
     expectPartitionMatchesSet(sys, sys.all());
     expectPartitionMatchesSet(sys, sys.rank(2));
-    expectPartitionMatchesSet(sys, sys.rankRange(1, 2));
-    expectPartitionMatchesSet(sys, sys.rank(1).complement());
+    expectPartitionMatchesSet(sys, sys.ranks({1, 2}));
     expectPartitionMatchesSet(sys, sys.ranks({0, 2}));
-    // Explicit subset straddling all three ranks, incl. the tail.
-    expectPartitionMatchesSet(sys, sys.subset({0, 63, 64, 127, 129}));
     // Unsampled full-population system for comparison.
     PimSystem full(smallSystem(130, 64));
     expectPartitionMatchesSet(full, full.all());
-    expectPartitionMatchesSet(full, full.subset({5, 70, 128}));
+    expectPartitionMatchesSet(full, full.ranks({0, 2}));
 }
 
 TEST(SlotPartitionCache, MemoizedPerSetAndSharedForFullSystem)
 {
     PimSystem sys(smallSystem(256, 64, 32));
-    const DpuSet sub = sys.rankRange(0, 2);
+    const DpuSet sub = sys.ranks({0, 1});
     // Repeated partition() calls on one set return the same instance.
     EXPECT_EQ(sub.partition().get(), sub.partition().get());
     // Every full-system set shares the system-wide cached partition.
     EXPECT_EQ(sys.all().partition().get(), sys.allPartition().get());
     EXPECT_EQ(sys.all().partition().get(), sys.all().partition().get());
     // Distinct subset sets memoize independently but agree on content.
-    const DpuSet twin = sys.rankRange(0, 2);
+    const DpuSet twin = sys.ranks({0, 1});
     EXPECT_NE(sub.partition().get(), twin.partition().get());
     EXPECT_EQ(sub.partition()->slots, twin.partition()->slots);
 }

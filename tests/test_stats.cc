@@ -1,71 +1,13 @@
 /**
  * @file
- * Unit tests for RunningStat, Percentile, Histogram, and geomean.
+ * Unit tests for Percentile and geomean.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "util/stats.hh"
 
 using namespace pim::util;
-
-TEST(RunningStat, EmptyDefaults)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, MeanMinMax)
-{
-    RunningStat s;
-    for (double x : {3.0, 1.0, 4.0, 1.0, 5.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 5u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.8);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
-    EXPECT_NEAR(s.sum(), 14.0, 1e-9);
-}
-
-TEST(RunningStat, Variance)
-{
-    RunningStat s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_NEAR(s.variance(), 4.0, 1e-9); // classic example, sigma^2=4
-    EXPECT_NEAR(s.stddev(), 2.0, 1e-9);
-}
-
-TEST(RunningStat, MergeMatchesSequential)
-{
-    RunningStat a, b, all;
-    for (int i = 0; i < 50; ++i) {
-        const double x = std::sin(i) * 10;
-        (i % 2 ? a : b).add(x);
-        all.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_EQ(a.min(), all.min());
-    EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, MergeWithEmpty)
-{
-    RunningStat a, empty;
-    a.add(1.0);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 1u);
-    empty.merge(a);
-    EXPECT_EQ(empty.count(), 1u);
-    EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
-}
 
 TEST(Percentile, EmptyReturnsZero)
 {
@@ -121,25 +63,6 @@ TEST(Percentile, MeanAndCount)
         p.add(x);
     EXPECT_EQ(p.count(), 3u);
     EXPECT_DOUBLE_EQ(p.mean(), 2.0);
-}
-
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(10, 0.0, 100.0);
-    h.add(5.0);    // bin 0
-    h.add(95.0);   // bin 9
-    h.add(-50.0);  // clamps to bin 0
-    h.add(1000.0); // clamps to bin 9
-    EXPECT_EQ(h.bin(0), 2u);
-    EXPECT_EQ(h.bin(9), 2u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BinLowEdges)
-{
-    Histogram h(4, 0.0, 8.0);
-    EXPECT_DOUBLE_EQ(h.binLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binLow(3), 6.0);
 }
 
 TEST(Geomean, KnownValues)

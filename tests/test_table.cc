@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the table/CSV printer.
+ * Unit tests for the table printer.
  */
 
 #include <gtest/gtest.h>
@@ -23,16 +23,6 @@ TEST(Table, PrintsTitleHeaderAndRows)
     EXPECT_NE(s.find("== demo =="), std::string::npos);
     EXPECT_NE(s.find("a"), std::string::npos);
     EXPECT_NE(s.find("333"), std::string::npos);
-}
-
-TEST(Table, CsvRoundTrip)
-{
-    Table t("csv");
-    t.setHeader({"x", "y"});
-    t.addRow({"1", "2"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "x,y\n1,2\n");
 }
 
 TEST(Table, NumFormatting)

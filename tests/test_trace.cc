@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -308,20 +309,23 @@ TEST(QueueTracing, CommandsEmitSpansOnTheirLanes)
     EXPECT_EQ(rec.spanCount(), before);
 }
 
-TEST(QueueTracing, BlockingCopyEmitsHostWaitSpan)
+TEST(QueueTracing, HostWaitForCopyEmitsIdleSpan)
 {
     core::PimSystem sys(smallSystem());
     core::CommandQueue q(sys);
     Recorder rec;
     q.attachRecorder(&rec);
 
-    q.memcpy(sys.all(), 4096, core::CopyDirection::PimToHost);
+    const core::Event copy =
+        q.memcpyAsync(sys.all(), 4096, core::CopyDirection::PimToHost);
+    q.hostIdleUntil(0.0, {.after = copy});
+    q.sync();
 
     bool saw_wait = false;
     for (const Span &s : rec.spans()) {
         if (s.lane == kHostLane) {
             EXPECT_TRUE(s.idle);
-            EXPECT_EQ(s.name, "memcpy:p2h (wait)");
+            EXPECT_EQ(s.name, "idle-until");
             saw_wait = true;
         }
     }
@@ -799,7 +803,23 @@ TEST(ChromeTrace, MultiProcessCaptureAndEscaping)
     EXPECT_NE(std::count(pids.begin(), pids.end(), 2.0), 0);
 }
 
-#ifdef PIM_TRACE_SIM
+TEST(ChromeTrace, FileWriteFailureReturnsFalse)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "/dev/full is not available";
+    Recorder rec;
+    rec.record(mkSpan(kHostLane, "h", 0.0, 1.0));
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const bool ok = writeChromeTraceFile("/dev/full", {{"pim", &rec}});
+    const std::string out = testing::internal::GetCapturedStdout();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(out.find("trace written"), std::string::npos) << out;
+    EXPECT_NE(err.find("write failed: /dev/full"), std::string::npos)
+        << err;
+}
+
 TEST(SimTracing, DpuRecordsPerTaskletSpans)
 {
     core::PimSystem sys(core::singleDpuConfig());
@@ -838,4 +858,3 @@ TEST(SimTracing, DpuRecordsPerTaskletSpans)
     dpu.run(1, [](sim::Tasklet &t) { t.execute(10); });
     EXPECT_EQ(rec.spanCount(), 6u);
 }
-#endif
