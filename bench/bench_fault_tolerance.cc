@@ -108,10 +108,10 @@ main(int argc, char **argv)
     base.numDpus = knobs.dpus;
     base.allocTasklets = knobs.tasklets;
     base.numRequests =
-        static_cast<unsigned>(cli.getInt("requests", 30));
+        static_cast<unsigned>(cli.getCount("requests", 30, 1));
     base.arrivalRatePerSec = cli.getDouble("rate", base.arrivalRatePerSec);
     const unsigned spare_ranks =
-        static_cast<unsigned>(cli.getInt("spare-ranks", 4));
+        static_cast<unsigned>(cli.getCount("spare-ranks", 4, 0));
 
     // Extra fault classes (--fault-spec) ride along at every swept
     // point; --mtbf in the spec itself would fight the sweep, so the

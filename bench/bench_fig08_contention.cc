@@ -10,7 +10,6 @@
 #include <iostream>
 #include <vector>
 
-#include "sim/mutex.hh"
 #include "telemetry/export.hh"
 #include "trace/chrome_trace.hh"
 #include "util/cli.hh"
@@ -124,11 +123,9 @@ main(int argc, char **argv)
                  "busy-waiting on the allocator mutex (paper Fig 8(b)).\n\n";
 
     // Allocator-mutex contention counters: what the busy-waiting above
-    // is made of, and — under PIM_SIM_MUTEX=queue — how many spin
-    // re-checks the parked-waiter mode elided while reproducing the
-    // identical timing.
-    util::Table mx(std::string("Allocator mutex statistics (mode: ")
-                   + sim::SimMutex::modeName(sixteen.mutexMode) + ")");
+    // is made of, and how many spin re-checks the parked-waiter mutex
+    // elided while reproducing the identical timing.
+    util::Table mx("Allocator mutex statistics");
     mx.setHeader({"Threads", "Acquisitions", "Contended", "Parked",
                   "Woken", "Elided spin events"});
     for (const auto &[name, r] :
@@ -153,8 +150,6 @@ main(int argc, char **argv)
             seq.writeJson(j);
             j.key("breakdown");
             bd.writeJson(j);
-            j.key("mutex_mode")
-                .value(sim::SimMutex::modeName(sixteen.mutexMode));
             j.key("mutexStats");
             mx.writeJson(j);
         };

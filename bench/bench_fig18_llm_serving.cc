@@ -215,8 +215,8 @@ main(int argc, char **argv)
     ServingConfig cfg;
     cfg.numDpus = knobs.dpus;
     cfg.allocTasklets = knobs.tasklets;
-    cfg.numRequests =
-        static_cast<unsigned>(cli.getInt("requests", cfg.numRequests));
+    cfg.numRequests = static_cast<unsigned>(
+        cli.getCount("requests", cfg.numRequests, 1));
     cfg.arrivalRatePerSec =
         cli.getDouble("rate", cfg.arrivalRatePerSec);
 

@@ -202,12 +202,12 @@ main(int argc, char **argv)
     s.dpus = knobs.dpus;
     s.threads = knobs.threads;
     s.servingRanks = static_cast<unsigned>(
-        cli.getInt("serving-ranks", 4));
+        cli.getCount("serving-ranks", 4, 1));
 
     s.scheme.allocator = core::AllocatorKind::PimMallocSw;
     s.serving.mode = workloads::llm::ServingMode::Disaggregated;
     s.serving.base.numRequests = static_cast<unsigned>(
-        cli.getInt("requests", 60));
+        cli.getCount("requests", 60, 1));
     s.serving.base.allocTasklets = knobs.tasklets;
     s.serving.simThreads = knobs.threads;
     // Per-tenant SLO targets, scored identically in the solos and the
@@ -225,13 +225,13 @@ main(int argc, char **argv)
     // Streaming ingest: many small rounds interleave with serving steps
     // and ship their edges over the shared bus.
     s.graph.updateRounds = static_cast<unsigned>(
-        cli.getInt("rounds", 16));
+        cli.getCount("rounds", 16, 1));
     s.graph.shipUpdates = true;
     s.graph.roundIntervalSec = cli.getDouble("round-interval", 0.25);
     s.graph.gen.numNodes = 50000;
     s.graph.gen.numEdges = 250000;
     s.graph.maxUpdateEdges = static_cast<uint64_t>(
-        cli.getInt("update-edges", 0));
+        cli.getCount("update-edges", 0, 0));
     s.graph.sloRoundSec = cli.getDouble("slo-round-sec", 0.5);
 
     // Fault injection: the same plan is replayed in the solos and the

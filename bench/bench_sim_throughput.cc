@@ -8,14 +8,14 @@
  * Cases: 1-tasklet (uncontended) and 16-tasklet (mutex-contended)
  * alloc/free loops on PIM-malloc-SW, the paper's default design point,
  * plus a 16-tasklet pure lock/unlock pounding loop that isolates mutex
- * contention (the case PIM_SIM_MUTEX=queue accelerates).
+ * contention (the case the parked-waiter mutex accelerates).
  *
  * Throughput is reported in *model* events: real cycle charges plus the
- * spin re-checks the queue mutex mode elides analytically. Both mutex
- * modes simulate the identical event stream (same clocks, same
- * breakdowns), so model events/s is the honest cross-mode metric —
- * queue mode does the same simulation work per wall second, just
- * without materializing the spin charges.
+ * spin re-checks the parked-waiter mutex elides analytically. The spin
+ * oracle simulates the identical event stream (same clocks, same
+ * breakdowns) with every re-check charged, so model events equal its
+ * event count and model events/s stays comparable with spin-model
+ * numbers.
  *
  * --trace/--occupancy replay each case once, untimed, with the
  * per-tasklet trace hook attached, so the measured loops stay
@@ -24,7 +24,6 @@
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -35,7 +34,6 @@
 #include "sim/dpu.hh"
 #include "sim/fiber.hh"
 #include "sim/mutex.hh"
-#include "sim/scheduler.hh"
 #include "telemetry/export.hh"
 #include "trace/chrome_trace.hh"
 #include "util/cli.hh"
@@ -52,7 +50,7 @@ struct CaseResult
     std::string name;
     unsigned tasklets = 0;
     uint64_t simEvents = 0;
-    /** Spin re-checks elided by the queue mutex mode (0 under spin). */
+    /** Spin re-checks the parked-waiter mutex elided. */
     uint64_t elidedEvents = 0;
     /** simEvents + elidedEvents == the spin model's event count. */
     uint64_t modelEvents = 0;
@@ -120,8 +118,8 @@ runCase(unsigned tasklets, unsigned allocs, unsigned reps)
  * critical section long enough that every blocked tasklet re-checks
  * many times per hold (the backoff batch caps at 256 instructions), the
  * pathological case for the spin model — nearly all charges are
- * busy-wait re-checks. This is the scenario the parked-waiter queue
- * mode targets: it elides those charges while reproducing their timing
+ * busy-wait re-checks. This is the scenario the parked-waiter mutex
+ * targets: it elides those charges while reproducing their timing
  * analytically, so the identical simulation costs a fraction of the
  * host work.
  */
@@ -135,7 +133,7 @@ runMutexCase(unsigned tasklets, unsigned iters, unsigned reps)
     double best = -1.0;
     for (unsigned rep = 0; rep < reps; ++rep) {
         sim::Dpu dpu;
-        sim::SimMutex mutex; // default mode: PIM_SIM_MUTEX
+        sim::SimMutex mutex;
 
         const auto start = std::chrono::steady_clock::now();
         dpu.run(tasklets, [&](sim::Tasklet &t) {
@@ -190,18 +188,9 @@ main(int argc, char **argv)
     util::Cli cli(argc, argv, "allocs,reps,json,trace,occupancy,metrics");
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli);
     const unsigned allocs =
-        static_cast<unsigned>(cli.getInt("allocs", 2048));
-    const unsigned reps = static_cast<unsigned>(cli.getInt("reps", 3));
+        static_cast<unsigned>(cli.getCount("allocs", 2048, 1));
+    const unsigned reps = static_cast<unsigned>(cli.getCount("reps", 3, 1));
     const std::string &json_path = knobs.jsonPath;
-
-    // Run configuration, recorded alongside every result so BENCH_*
-    // trajectories from different knob settings are distinguishable.
-    const char *sched_name =
-        sim::TaskletScheduler::policyFromEnv(std::getenv("PIM_SIM_SCHED"))
-                == sim::TaskletScheduler::Policy::Horizon
-            ? "horizon" : "naive";
-    const char *mutex_mode =
-        sim::SimMutex::modeName(sim::SimMutex::defaultMode());
     const unsigned threads = core::resolveSimThreads(knobs.threads);
 
     std::vector<CaseResult> results;
@@ -210,9 +199,8 @@ main(int argc, char **argv)
     results.push_back(runMutexCase(16, allocs / 4, reps));
 
     util::Table table(std::string("Simulator throughput (fiber backend: ")
-                      + sim::Fiber::backendName() + ", sched: "
-                      + sched_name + ", mutex: " + mutex_mode
-                      + ", best of " + std::to_string(reps) + ")");
+                      + sim::Fiber::backendName() + ", best of "
+                      + std::to_string(reps) + ")");
     table.setHeader({"Case", "Charged", "Elided", "Model events",
                      "Sim cycles", "Wall (ms)", "Events/sec"});
     for (const auto &r : results) {
@@ -243,8 +231,6 @@ main(int argc, char **argv)
     if (!json_path.empty()) {
         const auto fields = [&](util::JsonWriter &j) {
             j.key("fiber_backend").value(sim::Fiber::backendName());
-            j.key("sched").value(sched_name);
-            j.key("mutex_mode").value(mutex_mode);
             j.key("threads").value(threads);
             j.key("allocs_per_tasklet").value(allocs);
             j.key("reps").value(reps);

@@ -38,8 +38,8 @@ main(int argc, char **argv)
 
     DesignSpaceParams p;
     p.numDpus = knobs.dpus;
-    p.allocsPerDpu = static_cast<unsigned>(cli.getInt("allocs", 128));
-    p.allocSize = static_cast<uint32_t>(cli.getInt("size", 32));
+    p.allocsPerDpu = static_cast<unsigned>(cli.getCount("allocs", 128, 1));
+    p.allocSize = static_cast<uint32_t>(cli.getCount("size", 32, 1));
 
     util::Table out("Design space at " + std::to_string(p.numDpus)
                     + " PIM cores, " + std::to_string(p.allocsPerDpu)

@@ -39,12 +39,13 @@ main(int argc, char **argv)
         cfg.structure = StructureKind::LinkedList;
     cfg.allocator =
         core::allocatorKindFromName(cli.get("allocator", "sw"));
-    cfg.numDpus = static_cast<unsigned>(cli.getInt("dpus", 64));
-    cfg.sampleDpus = static_cast<unsigned>(cli.getInt("sample", 2));
-    cfg.simThreads = static_cast<unsigned>(cli.getInt("threads", 0));
-    cfg.gen.numNodes = static_cast<uint32_t>(cli.getInt("nodes", 24000));
+    cfg.numDpus = static_cast<unsigned>(cli.getCount("dpus", 64, 1));
+    cfg.sampleDpus = static_cast<unsigned>(cli.getCount("sample", 2, 0));
+    cfg.simThreads = static_cast<unsigned>(cli.getCount("threads", 0, 0));
+    cfg.gen.numNodes =
+        static_cast<uint32_t>(cli.getCount("nodes", 24000, 2));
     cfg.gen.numEdges =
-        static_cast<uint64_t>(cli.getInt("edges", 120000));
+        static_cast<uint64_t>(cli.getCount("edges", 120000, 1));
 
     const auto r = runGraphUpdate(cfg);
 

@@ -43,7 +43,7 @@ main(int argc, char **argv)
 
     ServingEngineConfig ecfg;
     ecfg.base.numRequests =
-        static_cast<unsigned>(cli.getInt("requests", 100));
+        static_cast<unsigned>(cli.getCount("requests", 100, 1));
     ecfg.base.arrivalRatePerSec = cli.getDouble("rate", 10.0);
     const bool disagg = cli.getBool("disaggregate", false);
     ecfg.mode = disagg ? ServingMode::Disaggregated

@@ -37,8 +37,9 @@ main(int argc, char **argv)
     // BenchKnobs so the trace knobs behave exactly like the benches'.
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli);
     const unsigned tasklets = knobs.tasklets;
-    const unsigned allocs = static_cast<unsigned>(cli.getInt("allocs", 64));
-    const uint32_t size = static_cast<uint32_t>(cli.getInt("size", 256));
+    const unsigned allocs =
+        static_cast<unsigned>(cli.getCount("allocs", 64, 1));
+    const uint32_t size = static_cast<uint32_t>(cli.getCount("size", 256, 1));
     const auto kind =
         core::allocatorKindFromName(cli.get("allocator", "sw"));
 

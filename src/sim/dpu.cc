@@ -1,6 +1,5 @@
 #include "sim/dpu.hh"
 
-#include <cstdlib>
 #include <string>
 
 #include "sim/scheduler.hh"
@@ -8,24 +7,6 @@
 #include "util/logging.hh"
 
 namespace pim::sim {
-
-namespace {
-
-/**
- * Scheduling policy for all DPU launches. PIM_SIM_SCHED=naive selects
- * the reference event loop, so any experiment can be re-run against it
- * to check bit-identical output (the determinism suite automates this
- * for a contended workload).
- */
-TaskletScheduler::Policy
-schedulerPolicy()
-{
-    static const TaskletScheduler::Policy policy =
-        TaskletScheduler::policyFromEnv(std::getenv("PIM_SIM_SCHED"));
-    return policy;
-}
-
-} // namespace
 
 Dpu::Dpu(const DpuConfig &cfg)
     : cfg_(cfg),
@@ -46,7 +27,7 @@ uint64_t
 Dpu::runBodies(std::vector<std::function<void(Tasklet &)>> bodies)
 {
     PIM_ASSERT(!bodies.empty(), "DPU launch needs at least one tasklet");
-    TaskletScheduler sched(*this, schedulerPolicy());
+    TaskletScheduler sched(*this);
     for (auto &b : bodies)
         sched.spawn(std::move(b));
     sched.runToCompletion();

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "sim/scheduler.hh"
 #include "util/logging.hh"
@@ -12,9 +10,9 @@ namespace pim::sim {
 
 namespace {
 
-/** -1 = unset; otherwise a latched SimMutex::Mode. Atomic because
- *  allocators construct mutexes inside parallel multi-DPU launches. */
-std::atomic<int> g_default_mode{-1};
+/** Atomic because allocators construct mutexes inside parallel
+ *  multi-DPU launches. */
+std::atomic<SimMutex::Mode> g_default_mode{SimMutex::Mode::Queue};
 
 /** Election key of @p t's current position (clock in the high bits). */
 uint64_t
@@ -26,46 +24,15 @@ electionKeyOf(const Tasklet &t)
 } // namespace
 
 SimMutex::Mode
-SimMutex::modeFromEnv(const char *value)
-{
-    if (value == nullptr || *value == '\0'
-        || std::strcmp(value, "spin") == 0)
-        return Mode::Spin;
-    if (std::strcmp(value, "queue") == 0)
-        return Mode::Queue;
-    PIM_FATAL("unrecognized PIM_SIM_MUTEX value \"", value,
-              "\" (expected \"spin\" or \"queue\")");
-}
-
-SimMutex::Mode
 SimMutex::defaultMode()
 {
-    int m = g_default_mode.load(std::memory_order_relaxed);
-    if (m < 0) {
-        // Benign race: concurrent first calls parse the same value.
-        m = static_cast<int>(modeFromEnv(std::getenv("PIM_SIM_MUTEX")));
-        g_default_mode.store(m, std::memory_order_relaxed);
-    }
-    return static_cast<Mode>(m);
+    return g_default_mode.load(std::memory_order_relaxed);
 }
 
 void
 SimMutex::setDefaultMode(Mode mode)
 {
-    g_default_mode.store(static_cast<int>(mode),
-                         std::memory_order_relaxed);
-}
-
-void
-SimMutex::resetDefaultModeForTesting()
-{
-    g_default_mode.store(-1, std::memory_order_relaxed);
-}
-
-const char *
-SimMutex::modeName(Mode mode)
-{
-    return mode == Mode::Spin ? "spin" : "queue";
+    g_default_mode.store(mode, std::memory_order_relaxed);
 }
 
 void

@@ -8,12 +8,13 @@
  *
  * Two execution modes produce bit-identical simulations:
  *
- *  - Spin (default): blocked tasklets literally re-check the lock with
- *    bounded exponential backoff; every re-check is one simulation
- *    event (cycle charge), and under heavy contention those events —
- *    and their context switches — dominate host wall time.
+ *  - Spin (the test oracle): blocked tasklets literally re-check the
+ *    lock with bounded exponential backoff; every re-check is one
+ *    simulation event (cycle charge), and under heavy contention those
+ *    events — and their context switches — dominate host wall time.
+ *    Tests select it explicitly or through setDefaultMode().
  *
- *  - Queue (PIM_SIM_MUTEX=queue): blocked tasklets park on a per-mutex
+ *  - Queue (default): blocked tasklets park on a per-mutex
  *    FIFO wait list and deschedule entirely (they hold no election key
  *    in the scheduler heap). The spin model's re-check times are a
  *    pure function of the arrival clock, the deterministic backoff
@@ -70,7 +71,7 @@ class SimMutex
   public:
     /** How blocked tasklets wait; see the file header. */
     enum class Mode : uint8_t {
-        Spin,  ///< simulate every backoff re-check (cycle-exact reference)
+        Spin,  ///< simulate every backoff re-check (the test oracle)
         Queue, ///< park waiters, replay the spin schedule analytically
     };
 
@@ -81,27 +82,19 @@ class SimMutex
     /** Backoff cap: largest instruction batch between re-checks. */
     static constexpr uint64_t kMaxSpinInstrs = 256;
 
-    /** @param mode waiting strategy; defaults to PIM_SIM_MUTEX. */
+    /** @param mode waiting strategy; defaults to defaultMode(). */
     explicit SimMutex(Mode mode = defaultMode()) : mode_(mode) {}
 
-    /**
-     * Parse a PIM_SIM_MUTEX value: "spin" or unset -> Spin, "queue" ->
-     * Queue; anything else is a fatal config error (a typo must not
-     * silently select the default, mirroring PIM_SIM_SCHED).
-     */
-    static Mode modeFromEnv(const char *value);
-
-    /** Process-wide default mode, latched from PIM_SIM_MUTEX once. */
+    /** Process-wide default mode: Queue unless setDefaultMode() says
+     *  otherwise. */
     static Mode defaultMode();
 
-    /** Override the process-wide default (tests and differential runs). */
+    /**
+     * Override the process-wide default. Differential tests use this to
+     * build allocators, whose mutexes they cannot reach, on the Spin
+     * oracle.
+     */
     static void setDefaultMode(Mode mode);
-
-    /** Re-read PIM_SIM_MUTEX on the next defaultMode() call (tests). */
-    static void resetDefaultModeForTesting();
-
-    /** Short mode name for bench metadata ("spin" / "queue"). */
-    static const char *modeName(Mode mode);
 
     /**
      * Acquire the lock. In Spin mode a blocked tasklet busy-waits

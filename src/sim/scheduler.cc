@@ -1,8 +1,6 @@
 #include "sim/scheduler.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "sim/dpu.hh"
 #include "util/logging.hh"
@@ -12,17 +10,6 @@ namespace pim::sim {
 TaskletScheduler::TaskletScheduler(Dpu &dpu, Policy policy)
     : dpu_(dpu), policy_(policy)
 {
-}
-
-TaskletScheduler::Policy
-TaskletScheduler::policyFromEnv(const char *value)
-{
-    if (value == nullptr || std::strcmp(value, "horizon") == 0)
-        return Policy::Horizon;
-    if (std::strcmp(value, "naive") == 0)
-        return Policy::NaiveReference;
-    PIM_FATAL("unrecognized PIM_SIM_SCHED value \"", value,
-              "\" (expected \"horizon\" or \"naive\")");
 }
 
 void

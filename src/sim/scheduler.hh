@@ -25,8 +25,9 @@
  *
  *  - NaiveReference: the original event loop — yield back to the
  *    scheduler after *every* cycle charge and rescan all tasklets with
- *    an O(T) loop. Kept as the executable specification; the
- *    determinism test suite asserts Horizon matches it exactly.
+ *    an O(T) loop. Kept only as the test oracle: Dpu launches always
+ *    use Horizon, and the determinism and scheduler suites construct
+ *    NaiveReference directly and assert Horizon matches it exactly.
  *
  * Parked tasklets: SimMutex's queue mode deschedules blocked tasklets
  * through parkCurrent()/wake(). A parked tasklet holds no election key
@@ -61,7 +62,7 @@ class TaskletScheduler
     /** Event-loop implementation; both produce identical simulations. */
     enum class Policy : uint8_t {
         Horizon,        ///< run-ahead horizon scheduling (default)
-        NaiveReference, ///< yield-per-charge + O(T) scan (reference)
+        NaiveReference, ///< yield-per-charge + O(T) scan (test oracle)
     };
 
     explicit TaskletScheduler(Dpu &dpu, Policy policy = Policy::Horizon);
@@ -71,13 +72,6 @@ class TaskletScheduler
 
     /** Run all spawned tasklets to completion (single host thread). */
     void runToCompletion();
-
-    /**
-     * Parse a PIM_SIM_SCHED value: "naive" -> NaiveReference,
-     * "horizon" or unset -> Horizon; anything else is a fatal config
-     * error (a typo must not silently select the default).
-     */
-    static Policy policyFromEnv(const char *value);
 
     /** Number of tasklets spawned. */
     size_t numTasklets() const { return tasklets_.size(); }

@@ -1,6 +1,7 @@
 #include "util/cli.hh"
 
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <set>
 #include <sstream>
@@ -71,6 +72,17 @@ Cli::getInt(const std::string &name, int64_t def) const
     return v;
 }
 
+int64_t
+Cli::getCount(const std::string &name, int64_t def, int64_t min,
+              int64_t max) const
+{
+    const int64_t v = getInt(name, def);
+    if (v < min || v > max)
+        PIM_FATAL("flag --", name, " must be >= ", min, " and <= ", max,
+                  ", got ", v);
+    return v;
+}
+
 double
 Cli::getDouble(const std::string &name, double def) const
 {
@@ -82,6 +94,9 @@ Cli::getDouble(const std::string &name, double def) const
     if (end == it->second.c_str() || *end != '\0')
         PIM_FATAL("flag --", name, " expects a number, got '",
                   it->second, "'");
+    if (!std::isfinite(v))
+        PIM_FATAL("flag --", name, " must be finite, got '", it->second,
+                  "'");
     return v;
 }
 
@@ -91,7 +106,13 @@ Cli::getBool(const std::string &name, bool def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
-    return it->second != "false" && it->second != "0";
+    // A bare --name is stored as "true" by the constructor.
+    if (it->second == "true" || it->second == "1")
+        return true;
+    if (it->second == "false" || it->second == "0")
+        return false;
+    PIM_FATAL("flag --", name, " expects true, false, 1 or 0, got '",
+              it->second, "'");
 }
 
 std::string
@@ -106,33 +127,15 @@ benchKnobNames(const std::string &extra)
     return names;
 }
 
-namespace {
-
-/** Read an integer knob, enforcing @p min <= value <= @p max. The
- *  default bound is the largest value an unsigned knob can hold, so a
- *  huge count is rejected instead of wrapping to a small one. */
-int64_t
-knobInt(const Cli &cli, const char *name, int64_t def, int64_t min,
-        int64_t max = UINT_MAX)
-{
-    const int64_t v = cli.getInt(name, def);
-    if (v < min || v > max)
-        PIM_FATAL("flag --", name, " must be >= ", min, " and <= ", max,
-                  ", got ", v);
-    return v;
-}
-
-} // namespace
-
 BenchKnobs
 parseBenchKnobs(const Cli &cli, const BenchKnobs &defaults)
 {
     BenchKnobs k = defaults;
-    k.dpus = static_cast<unsigned>(knobInt(cli, "dpus", k.dpus, 1));
+    k.dpus = static_cast<unsigned>(cli.getCount("dpus", k.dpus, 1));
     k.sample =
-        static_cast<unsigned>(knobInt(cli, "sample", k.sample, 0));
+        static_cast<unsigned>(cli.getCount("sample", k.sample, 0));
     k.tasklets =
-        static_cast<unsigned>(knobInt(cli, "tasklets", k.tasklets, 1));
+        static_cast<unsigned>(cli.getCount("tasklets", k.tasklets, 1));
     // 0 means "auto" internally, but an *explicit* --threads=0 (or a
     // negative count, or one too large to hold) is a config error, not
     // a request for the default.
@@ -149,8 +152,8 @@ parseBenchKnobs(const Cli &cli, const BenchKnobs &defaults)
     k.occupancy = cli.getBool("occupancy", k.occupancy);
     k.metrics = cli.getBool("metrics", k.metrics);
     k.faultSeed = static_cast<uint64_t>(
-        knobInt(cli, "fault-seed", static_cast<int64_t>(k.faultSeed), 0,
-                INT64_MAX));
+        cli.getCount("fault-seed", static_cast<int64_t>(k.faultSeed), 0,
+                     INT64_MAX));
     k.mtbf = cli.getDouble("mtbf", k.mtbf);
     if (k.mtbf < 0)
         PIM_FATAL("flag --mtbf must be >= 0, got ", k.mtbf);

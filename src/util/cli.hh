@@ -8,6 +8,7 @@
 #ifndef PIM_UTIL_CLI_HH
 #define PIM_UTIL_CLI_HH
 
+#include <climits>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -33,10 +34,21 @@ class Cli
     /** Integer flag with default; a non-integer value is fatal. */
     int64_t getInt(const std::string &name, int64_t def) const;
 
-    /** Floating-point flag with default; a non-numeric value is fatal. */
+    /**
+     * Integer flag with default, enforcing @p min <= value <= @p max;
+     * a violation is fatal. The default bound is the largest value an
+     * unsigned count can hold, so a huge or negative count is rejected
+     * instead of wrapping.
+     */
+    int64_t getCount(const std::string &name, int64_t def, int64_t min,
+                     int64_t max = UINT_MAX) const;
+
+    /** Floating-point flag with default; a non-numeric or non-finite
+     *  value is fatal. */
     double getDouble(const std::string &name, double def) const;
 
-    /** Boolean flag: present without value, or =true/=false. */
+    /** Boolean flag: bare --name, or =true/=false/=1/=0; any other
+     *  value is fatal. */
     bool getBool(const std::string &name, bool def) const;
 
   private:

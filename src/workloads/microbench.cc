@@ -67,10 +67,8 @@ runMicrobench(const MicrobenchConfig &cfg)
     res.traffic = dpu.traffic();
     res.cacheStats = dpu.buddyCache().stats();
     res.metadataBytes = allocator->metadataBytes();
-    if (const sim::SimMutex *m = allocator->contentionMutex()) {
+    if (const sim::SimMutex *m = allocator->contentionMutex())
         res.mutexStats = m->statsSnapshot();
-        res.mutexMode = m->mode();
-    }
     if (cfg.metrics != nullptr) {
         telemetry::Registry &met = *cfg.metrics;
         met.counter("sim.cycles").add(res.elapsedCycles);

@@ -79,8 +79,6 @@ struct MicrobenchResult
     uint64_t metadataBytes = 0;
     /** Central-lock statistics (zeroed for lock-free design points). */
     sim::SimMutexStats mutexStats{};
-    /** The lock's execution mode during the run. */
-    sim::SimMutex::Mode mutexMode = sim::SimMutex::Mode::Spin;
 };
 
 /** Run the microbenchmark on one DPU. */

@@ -38,8 +38,10 @@ TEST(Cli, SpaceForm)
 
 TEST(Cli, BooleanFlag)
 {
-    auto c = parse({"--verbose"});
+    auto c = parse({"--verbose", "--on=true", "--one=1"});
     EXPECT_TRUE(c.getBool("verbose", false));
+    EXPECT_TRUE(c.getBool("on", false));
+    EXPECT_TRUE(c.getBool("one", false));
     EXPECT_FALSE(c.getBool("quiet", false));
 }
 
@@ -138,6 +140,36 @@ TEST(CliDeath, GarbageDoubleIsFatal)
 {
     auto c = parse({"--rate=fast"});
     EXPECT_DEATH(c.getDouble("rate", 0.0), "expects a number");
+}
+
+TEST(CliDeath, BooleanTypoIsFatal)
+{
+    // "no" must not read as true (the old rule: anything but false/0).
+    auto c = parse({"--metrics=no"}, pim::util::benchKnobNames());
+    EXPECT_DEATH(pim::util::parseBenchKnobs(c),
+                 "--metrics expects true, false, 1 or 0, got 'no'");
+}
+
+TEST(CliDeath, NanDoubleIsFatal)
+{
+    // NaN fails every comparison, so --mtbf=nan used to pass the >= 0
+    // check and then silently disable fault injection.
+    auto c = parse({"--mtbf=nan"}, pim::util::benchKnobNames());
+    EXPECT_DEATH(pim::util::parseBenchKnobs(c), "--mtbf must be finite");
+}
+
+TEST(CliDeath, NegativeCountIsFatal)
+{
+    auto c = parse({"--requests=-1"});
+    EXPECT_DEATH(c.getCount("requests", 30, 1),
+                 "--requests must be >= 1 and <= 4294967295, got -1");
+}
+
+TEST(CliDeath, CountAboveUintMaxIsFatal)
+{
+    auto c = parse({"--reps=4294967296"});
+    EXPECT_DEATH(c.getCount("reps", 3, 1),
+                 "--reps must be >= 1 and <= 4294967295");
 }
 
 TEST(CliDeath, ExplicitZeroThreadsIsFatal)

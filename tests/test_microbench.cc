@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for the microbenchmark driver: result plumbing, determinism,
- * trace recording, and free-each-alloc mode.
+ * trace recording, free-each-alloc mode, and the spin-oracle
+ * differential.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "workloads/microbench.hh"
 
@@ -97,4 +100,74 @@ TEST(Microbench, MoreTaskletsMoreContention)
     EXPECT_GT(t16.avgLatencyUs, t1.avgLatencyUs);
     EXPECT_GT(t16.breakdown.of(sim::CycleKind::BusyWait),
               t1.breakdown.of(sim::CycleKind::BusyWait));
+}
+
+/**
+ * Figure-level differential: the Fig 7/8/15 shapes (16 tasklets, small
+ * and page-sized requests, blocks kept live or freed at once) on the
+ * production parked-waiter mutex must print exactly what the spin
+ * oracle prints.
+ */
+TEST(Microbench, ParkedMutexMatchesSpinOracle)
+{
+    const sim::SimMutex::Mode prod = sim::SimMutex::defaultMode();
+    uint64_t elided = 0;
+    for (const auto kind :
+         {core::AllocatorKind::StrawMan, core::AllocatorKind::PimMallocSw,
+          core::AllocatorKind::PimMallocHwSw}) {
+        for (const uint32_t size : {32u, 4096u}) {
+            for (const bool free_each : {false, true}) {
+                SCOPED_TRACE(std::string(core::allocatorKindName(kind))
+                             + " " + std::to_string(size) + " B"
+                             + (free_each ? " free-each" : " keep-live"));
+                MicrobenchConfig cfg;
+                cfg.allocator = kind;
+                cfg.tasklets = 16;
+                cfg.allocSize = size;
+                cfg.freeEachAlloc = free_each;
+                sim::SimMutex::setDefaultMode(sim::SimMutex::Mode::Spin);
+                const auto spin = runMicrobench(cfg);
+                sim::SimMutex::setDefaultMode(prod);
+                const auto queue = runMicrobench(cfg);
+
+                EXPECT_EQ(queue.elapsedCycles, spin.elapsedCycles);
+                for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
+                    EXPECT_EQ(queue.breakdown.cycles[k],
+                              spin.breakdown.cycles[k]);
+                for (size_t l = 0; l < 3; ++l) {
+                    EXPECT_EQ(queue.allocStats.serviced[l],
+                              spin.allocStats.serviced[l]);
+                    EXPECT_EQ(queue.allocStats.cyclesByLevel[l],
+                              spin.allocStats.cyclesByLevel[l]);
+                }
+                EXPECT_EQ(queue.allocStats.latency.samples(),
+                          spin.allocStats.latency.samples());
+                EXPECT_EQ(queue.traffic.dataReadBytes,
+                          spin.traffic.dataReadBytes);
+                EXPECT_EQ(queue.traffic.dataWriteBytes,
+                          spin.traffic.dataWriteBytes);
+                EXPECT_EQ(queue.traffic.metadataReadBytes,
+                          spin.traffic.metadataReadBytes);
+                EXPECT_EQ(queue.traffic.metadataWriteBytes,
+                          spin.traffic.metadataWriteBytes);
+                EXPECT_EQ(queue.traffic.dmaTransfers,
+                          spin.traffic.dmaTransfers);
+                EXPECT_EQ(queue.cacheStats.lookups, spin.cacheStats.lookups);
+                EXPECT_EQ(queue.cacheStats.hits, spin.cacheStats.hits);
+                EXPECT_EQ(queue.cacheStats.misses, spin.cacheStats.misses);
+                EXPECT_EQ(queue.cacheStats.evictions,
+                          spin.cacheStats.evictions);
+                EXPECT_EQ(queue.cacheStats.dirtyEvictions,
+                          spin.cacheStats.dirtyEvictions);
+                EXPECT_EQ(queue.mutexStats.acquisitions,
+                          spin.mutexStats.acquisitions);
+                EXPECT_EQ(queue.mutexStats.contended,
+                          spin.mutexStats.contended);
+                EXPECT_EQ(spin.mutexStats.elidedSpinEvents, 0u);
+                elided += queue.mutexStats.elidedSpinEvents;
+            }
+        }
+    }
+    // The sweep must actually park waiters, or it proves nothing.
+    EXPECT_GT(elided, 0u);
 }

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the simulated spin lock: exclusion, busy-wait accounting,
- * contention statistics, and tryLock semantics.
+ * Tests for the simulated lock: exclusion, busy-wait accounting,
+ * contention statistics, and tryLock semantics, in both the Spin oracle
+ * and the parked-waiter Queue mode.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +12,16 @@
 
 using namespace pim::sim;
 
-TEST(Mutex, UncontendedLockUnlock)
+/** The Spin oracle and the production Queue mode must both satisfy
+ *  the basic lock contract. */
+class Mutex : public ::testing::TestWithParam<SimMutex::Mode>
+{
+};
+
+TEST_P(Mutex, UncontendedLockUnlock)
 {
     Dpu dpu;
-    SimMutex m;
+    SimMutex m(GetParam());
     dpu.run(1, [&](Tasklet &t) {
         m.lock(t);
         EXPECT_TRUE(m.held());
@@ -25,10 +32,10 @@ TEST(Mutex, UncontendedLockUnlock)
     EXPECT_EQ(m.contendedAcquisitions(), 0u);
 }
 
-TEST(Mutex, MutualExclusion)
+TEST_P(Mutex, MutualExclusion)
 {
     Dpu dpu;
-    SimMutex m;
+    SimMutex m(GetParam());
     int inside = 0;
     int max_inside = 0;
     dpu.run(8, [&](Tasklet &t) {
@@ -46,10 +53,10 @@ TEST(Mutex, MutualExclusion)
     EXPECT_EQ(m.acquisitions(), 40u);
 }
 
-TEST(Mutex, ContentionProducesBusyWait)
+TEST_P(Mutex, ContentionProducesBusyWait)
 {
     Dpu dpu;
-    SimMutex m;
+    SimMutex m(GetParam());
     dpu.run(8, [&](Tasklet &t) {
         m.lock(t);
         t.execute(200); // long critical section forces spinning
@@ -59,10 +66,10 @@ TEST(Mutex, ContentionProducesBusyWait)
     EXPECT_GT(dpu.lastBreakdown().of(CycleKind::BusyWait), 0u);
 }
 
-TEST(Mutex, NoContentionNoBusyWait)
+TEST_P(Mutex, NoContentionNoBusyWait)
 {
     Dpu dpu;
-    SimMutex m;
+    SimMutex m(GetParam());
     dpu.run(1, [&](Tasklet &t) {
         for (int i = 0; i < 10; ++i) {
             m.lock(t);
@@ -73,10 +80,10 @@ TEST(Mutex, NoContentionNoBusyWait)
     EXPECT_EQ(dpu.lastBreakdown().of(CycleKind::BusyWait), 0u);
 }
 
-TEST(Mutex, TryLock)
+TEST_P(Mutex, TryLock)
 {
     Dpu dpu;
-    SimMutex m;
+    SimMutex m(GetParam());
     dpu.run(1, [&](Tasklet &t) {
         EXPECT_TRUE(m.tryLock(t));
         EXPECT_FALSE(m.tryLock(t)); // already held
@@ -86,11 +93,11 @@ TEST(Mutex, TryLock)
     });
 }
 
-TEST(Mutex, BusyWaitGrowsWithThreads)
+TEST_P(Mutex, BusyWaitGrowsWithThreads)
 {
-    auto busy_wait = [](unsigned tasklets) {
+    auto busy_wait = [mode = GetParam()](unsigned tasklets) {
         Dpu dpu;
-        SimMutex m;
+        SimMutex m(mode);
         dpu.run(tasklets, [&](Tasklet &t) {
             for (int i = 0; i < 4; ++i) {
                 m.lock(t);
@@ -103,6 +110,13 @@ TEST(Mutex, BusyWaitGrowsWithThreads)
     EXPECT_GT(busy_wait(16), busy_wait(4));
     EXPECT_GT(busy_wait(4), busy_wait(1));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, Mutex,
+    ::testing::Values(SimMutex::Mode::Spin, SimMutex::Mode::Queue),
+    [](const ::testing::TestParamInfo<SimMutex::Mode> &info) {
+        return info.param == SimMutex::Mode::Spin ? "Spin" : "Queue";
+    });
 
 TEST(MutexDeath, UnlockFreePanics)
 {

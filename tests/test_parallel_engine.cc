@@ -317,7 +317,7 @@ struct ScopedMutexMode
 void
 contendedProgram(sim::Dpu &dpu, unsigned idx)
 {
-    sim::SimMutex mutex; // default mode: the latched process-wide one
+    sim::SimMutex mutex; // the process-wide default (ScopedMutexMode)
     dpu.run(8, [&mutex, idx](sim::Tasklet &t) {
         for (unsigned i = 0; i < 6; ++i) {
             mutex.lock(t);
@@ -383,7 +383,7 @@ TEST(ParallelEngine, NestedForEachRunsInline)
 
 TEST(ParallelEngine, QueueMutexThreadCountInvariance)
 {
-    // PIM_SIM_MUTEX=queue must preserve the engine's bit-identity
+    // The parked-waiter mutex must preserve the engine's bit-identity
     // guarantee across PIM_SIM_THREADS settings...
     ScopedMutexMode queue(sim::SimMutex::Mode::Queue);
     const auto r1 = launchAndReduce(130, 1, contendedProgram);

@@ -74,12 +74,49 @@ struct RunResult
 constexpr unsigned kTasklets = 16;
 constexpr unsigned kIters = 24;
 
+constexpr MramAddr kCounterAddr = 64;
+
 /**
- * A deliberately nasty interleaving workload: every tasklet loops over
- * (spin-lock, read-modify-write a shared MRAM counter, unlock, then an
- * id-skewed compute block and an id-skewed DMA), so lock hand-off order,
- * spin batching, and DMA visibility all feed the result.
+ * One tasklet of a deliberately nasty interleaving workload: every
+ * tasklet loops over (spin-lock, read-modify-write a shared MRAM
+ * counter, unlock, then an id-skewed compute block and an id-skewed
+ * DMA), so lock hand-off order, spin batching, and DMA visibility all
+ * feed the result.
  */
+void
+workloadTasklet(Tasklet &t, SimMutex &mutex, TraceHash &trace)
+{
+    for (unsigned it = 0; it < kIters; ++it) {
+        mutex.lock(t);
+        const auto v = t.mramRead<uint64_t>(kCounterAddr);
+        t.execute(3 + t.id() % 5);
+        t.mramWrite<uint64_t>(kCounterAddr, v + 1 + t.id());
+        mutex.unlock(t);
+        trace.add((static_cast<uint64_t>(t.id()) << 32) | it);
+        trace.add(t.clock());
+        t.execute(7 + 3 * t.id());
+        t.dmaRead(128 + 8 * t.id(), 16 + 8 * (t.id() % 3));
+        t.stall(5 + t.id(), CycleKind::IdleEtc);
+    }
+}
+
+/** Fill in the DPU-, mutex- and trace-level fields of @p r. */
+void
+harvest(RunResult &r, const Dpu &dpu, const SimMutex &mutex,
+        const TraceHash &trace)
+{
+    r.mutexAcquisitions = mutex.acquisitions();
+    r.mutexContended = mutex.contendedAcquisitions();
+    r.mutexParked = mutex.parkedCount();
+    r.mutexWoken = mutex.wokenCount();
+    r.mutexElided = mutex.elidedSpinEvents();
+    r.trafficBytes = dpu.traffic().totalBytes();
+    r.dmaTransfers = dpu.traffic().dmaTransfers;
+    r.sharedCounter = dpu.mram().read<uint64_t>(kCounterAddr);
+    r.traceHash = trace.h;
+}
+
+/** The workload on an explicitly built scheduler and mutex. */
 RunResult
 runWorkload(TaskletScheduler::Policy policy,
             SimMutex::Mode mutex_mode = SimMutex::Mode::Spin)
@@ -87,26 +124,11 @@ runWorkload(TaskletScheduler::Policy policy,
     Dpu dpu;
     TaskletScheduler sched(dpu, policy);
     SimMutex mutex(mutex_mode);
-    const MramAddr counter_addr = 64;
-    dpu.mram().write<uint64_t>(counter_addr, 0);
+    dpu.mram().write<uint64_t>(kCounterAddr, 0);
 
     TraceHash trace;
-    for (unsigned i = 0; i < kTasklets; ++i) {
-        sched.spawn([&](Tasklet &t) {
-            for (unsigned it = 0; it < kIters; ++it) {
-                mutex.lock(t);
-                const auto v = t.mramRead<uint64_t>(counter_addr);
-                t.execute(3 + t.id() % 5);
-                t.mramWrite<uint64_t>(counter_addr, v + 1 + t.id());
-                mutex.unlock(t);
-                trace.add((static_cast<uint64_t>(t.id()) << 32) | it);
-                trace.add(t.clock());
-                t.execute(7 + 3 * t.id());
-                t.dmaRead(128 + 8 * t.id(), 16 + 8 * (t.id() % 3));
-                t.stall(5 + t.id(), CycleKind::IdleEtc);
-            }
-        });
-    }
+    for (unsigned i = 0; i < kTasklets; ++i)
+        sched.spawn([&](Tasklet &t) { workloadTasklet(t, mutex, trace); });
     sched.runToCompletion();
 
     RunResult r;
@@ -116,15 +138,34 @@ runWorkload(TaskletScheduler::Policy policy,
         r.breakdowns.push_back(sched.tasklet(i).breakdown());
     }
     r.elapsed = sched.elapsedCycles();
-    r.mutexAcquisitions = mutex.acquisitions();
-    r.mutexContended = mutex.contendedAcquisitions();
-    r.mutexParked = mutex.parkedCount();
-    r.mutexWoken = mutex.wokenCount();
-    r.mutexElided = mutex.elidedSpinEvents();
-    r.trafficBytes = dpu.traffic().totalBytes();
-    r.dmaTransfers = dpu.traffic().dmaTransfers;
-    r.sharedCounter = dpu.mram().read<uint64_t>(counter_addr);
-    r.traceHash = trace.h;
+    harvest(r, dpu, mutex, trace);
+    return r;
+}
+
+/**
+ * The workload on the path every bench and driver takes: Dpu::run and
+ * a default-constructed SimMutex. Dpu::run keeps its scheduler to
+ * itself, so each tasklet reports its own totals as it finishes.
+ */
+RunResult
+runProductionWorkload()
+{
+    Dpu dpu;
+    SimMutex mutex;
+    dpu.mram().write<uint64_t>(kCounterAddr, 0);
+
+    TraceHash trace;
+    RunResult r;
+    r.clocks.resize(kTasklets);
+    r.events.resize(kTasklets);
+    r.breakdowns.resize(kTasklets);
+    r.elapsed = dpu.run(kTasklets, [&](Tasklet &t) {
+        workloadTasklet(t, mutex, trace);
+        r.clocks[t.id()] = t.clock();
+        r.events[t.id()] = t.simEvents();
+        r.breakdowns[t.id()] = t.breakdown();
+    });
+    harvest(r, dpu, mutex, trace);
     return r;
 }
 
@@ -184,13 +225,12 @@ TEST(SimDeterminism, GoldenTraceHash)
 }
 
 /**
- * The heart of the queue-mode fidelity contract (PIM_SIM_MUTEX=queue):
- * parked waiters with analytically replayed spin schedules must produce
- * *exactly* the simulation the spin model produces — same per-tasklet
- * clocks, same cycle breakdowns (BusyWait included), same interleaving
- * hash, same allocation-visible memory state. Only the real event
- * counts differ, and those differ by precisely the number of elided
- * spin re-checks.
+ * The heart of the queue-mode fidelity contract: parked waiters with
+ * analytically replayed spin schedules must produce *exactly* the
+ * simulation the spin model produces — same per-tasklet clocks, same
+ * cycle breakdowns (BusyWait included), same interleaving hash, same
+ * allocation-visible memory state. Only the real event counts differ,
+ * and those differ by precisely the number of elided spin re-checks.
  */
 TEST(SimDeterminism, QueueMutexMatchesSpinExactly)
 {
@@ -254,22 +294,34 @@ TEST(SimDeterminism, QueueMutexGoldenTraceHash)
            "Actual hash: 0x" << std::hex << r.traceHash;
 }
 
-TEST(SimDeterminism, MutexModeFromEnvParsing)
+/**
+ * What every production run executes — Dpu::run, hence the horizon
+ * scheduler, on a default-constructed (queue) mutex — checked against
+ * both oracles at once: the naive scheduler with the spin mutex. Every
+ * simulated observable matches; only the charged/elided split of the
+ * event count differs.
+ */
+TEST(SimDeterminism, ProductionPathMatchesOracles)
 {
-    EXPECT_EQ(SimMutex::modeFromEnv(nullptr), SimMutex::Mode::Spin);
-    EXPECT_EQ(SimMutex::modeFromEnv(""), SimMutex::Mode::Spin);
-    EXPECT_EQ(SimMutex::modeFromEnv("spin"), SimMutex::Mode::Spin);
-    EXPECT_EQ(SimMutex::modeFromEnv("queue"), SimMutex::Mode::Queue);
-}
+    EXPECT_EQ(SimMutex().mode(), SimMutex::Mode::Queue);
+    const RunResult prod = runProductionWorkload();
+    const RunResult oracle =
+        runWorkload(TaskletScheduler::Policy::NaiveReference,
+                    SimMutex::Mode::Spin);
 
-TEST(SimDeterminismDeath, UnknownMutexModeEnvValueIsFatal)
-{
-    // Same contract as PIM_SIM_SCHED: a typo must not silently pick a
-    // mode (it would invalidate spin-vs-queue differential runs).
-    EXPECT_EXIT(SimMutex::modeFromEnv("Queue"),
-                testing::ExitedWithCode(1), "PIM_SIM_MUTEX");
-    EXPECT_EXIT(SimMutex::modeFromEnv("garbage"),
-                testing::ExitedWithCode(1), "PIM_SIM_MUTEX");
+    EXPECT_EQ(prod.traceHash, kGoldenTraceHash);
+    EXPECT_GT(prod.mutexElided, 0u);
+    EXPECT_EQ(prod.elapsed, oracle.elapsed);
+    EXPECT_EQ(prod.clocks, oracle.clocks);
+    ASSERT_EQ(prod.breakdowns.size(), oracle.breakdowns.size());
+    for (size_t i = 0; i < prod.breakdowns.size(); ++i)
+        for (size_t k = 0; k < kNumCycleKinds; ++k)
+            EXPECT_EQ(prod.breakdowns[i].cycles[k],
+                      oracle.breakdowns[i].cycles[k])
+                << "tasklet " << i << " kind " << k;
+    EXPECT_EQ(prod.mutexAcquisitions, oracle.mutexAcquisitions);
+    EXPECT_EQ(prod.mutexContended, oracle.mutexContended);
+    EXPECT_EQ(prod.totalEvents() + prod.mutexElided, oracle.totalEvents());
 }
 
 TEST(SimDeterminism, RepeatedRunsAreIdentical)
@@ -278,26 +330,6 @@ TEST(SimDeterminism, RepeatedRunsAreIdentical)
     const RunResult b = runWorkload(TaskletScheduler::Policy::Horizon);
     EXPECT_EQ(a.traceHash, b.traceHash);
     EXPECT_EQ(a.clocks, b.clocks);
-}
-
-TEST(SimDeterminism, PolicyFromEnvParsing)
-{
-    // Dpu::runBodies latches policyFromEnv(getenv("PIM_SIM_SCHED"))
-    // once per process; the parse itself is checked directly.
-    EXPECT_EQ(TaskletScheduler::policyFromEnv(nullptr),
-              TaskletScheduler::Policy::Horizon);
-    EXPECT_EQ(TaskletScheduler::policyFromEnv("horizon"),
-              TaskletScheduler::Policy::Horizon);
-    EXPECT_EQ(TaskletScheduler::policyFromEnv("naive"),
-              TaskletScheduler::Policy::NaiveReference);
-}
-
-TEST(SimDeterminismDeath, UnknownPolicyEnvValueIsFatal)
-{
-    // A typo must not silently fall back to the default scheduler (it
-    // would make naive-vs-horizon differential runs vacuous).
-    EXPECT_EXIT(TaskletScheduler::policyFromEnv("Naive"),
-                testing::ExitedWithCode(1), "PIM_SIM_SCHED");
 }
 
 TEST(SimDeterminism, ExplicitPolicyConstruction)
