@@ -12,12 +12,17 @@
 
 #include <atomic>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/command_queue.hh"
 #include "core/pim_system.hh"
 #include "fault/injector.hh"
 #include "sim/dpu.hh"
+#include "telemetry/registry.hh"
+#include "trace/chrome_trace.hh"
+#include "trace/trace.hh"
 #include "util/rng.hh"
 
 using namespace pim;
@@ -289,4 +294,166 @@ TEST(DrainStats, AccumulateAndResetWithTimeline)
     EXPECT_EQ(queue.drainStats().drains, 0u);
     EXPECT_EQ(queue.drainStats().commands, 0u);
     EXPECT_EQ(queue.drainStats().wallSec, 0.0);
+}
+
+namespace {
+
+/** FNV-1a over the bytes of @p s; stable across platforms. */
+uint64_t
+fnv1a(const std::string &s)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+struct ObservedRun
+{
+    std::string trace;
+    std::string snapshot;
+    std::vector<char> failed;
+};
+
+/**
+ * A fixed script through every path of the fold, with a Recorder and
+ * a Registry attached to one queue: two tenants; a full-system program
+ * on a sparse sample (ranks 1 and 3 take the representative charge); a
+ * per-rank launch and a timed one; copies in both directions, scatter
+ * and double-buffered; host work, an idle-until that advances and one
+ * that does not; an `after` dependency; a timeline reset. After the
+ * reset an explicit fault plan retries a transient transfer, times out
+ * a launch, kills a rank mid-launch, poisons a dependent program,
+ * fails a copy to the dead rank, and hangs a full-system launch that
+ * also finds the rank dead at its start.
+ */
+ObservedRun
+runObservedScript(unsigned threads)
+{
+    core::PimSystemConfig cfg;
+    cfg.numDpus = 256; // 4 ranks of 64, sampled members on ranks 0, 2
+    cfg.sampleDpus = 2;
+    cfg.simThreads = threads;
+    core::PimSystem sys(cfg);
+    CommandQueue queue(sys);
+    trace::Recorder rec;
+    telemetry::Registry met(/*sampler_cadence_sec=*/1e-4);
+    queue.attachRecorder(&rec);
+    queue.attachMetrics(&met);
+    const core::TenantId alpha = queue.addTenant("alpha");
+    const core::TenantId beta = queue.addTenant("beta");
+    const auto program = [](sim::Dpu &dpu, unsigned global) {
+        dpu.run(2, [global](sim::Tasklet &t) {
+            t.execute(100 + global % 7);
+        });
+    };
+
+    const core::Event build = queue.launchProgram(
+        sys.all(), program, {.label = "build", .tenant = alpha});
+    queue.launch(sys.rank(0), 1,
+                 [](sim::Tasklet &t, unsigned) { t.execute(40); },
+                 {.tenant = beta});
+    queue.launchTimed(sys.ranks({1, 2}), 2e-4,
+                      {.after = build, .label = "attn"});
+    queue.memcpyAsync(sys.all(), 4096, core::CopyDirection::HostToPim,
+                      {.tenant = alpha});
+    queue.memcpyAsync(sys.rank(2), 1024, core::CopyDirection::PimToHost,
+                      {.label = "gather"});
+    const core::DpuSet scatter_set = sys.ranks({0, 3});
+    std::vector<uint64_t> per_dpu(scatter_set.size());
+    for (size_t i = 0; i < per_dpu.size(); ++i)
+        per_dpu[i] = 16 + 8 * (i % 5);
+    queue.memcpyScatterAsync(scatter_set, per_dpu,
+                             core::CopyDirection::HostToPim,
+                             {.tenant = beta});
+    queue.memcpyBufferedAsync(sys.rank(1), 512,
+                              core::CopyDirection::HostToPim);
+    queue.hostBusy(5e-5, {.label = "bookkeeping", .tenant = alpha});
+    queue.hostCompute(8, 400);
+    queue.hostIdleUntil(2e-3, {.label = "wait:arrival", .tenant = beta});
+    queue.hostIdleUntil(0.0);
+    queue.sync();
+    queue.resetTimeline();
+
+    fault::FaultSpec fs;
+    fs.launchTimeoutSec = 1e-3;
+    std::vector<fault::FaultEvent> evs;
+    fault::FaultEvent xfer;
+    xfer.kind = fault::FaultKind::TransientTransfer;
+    xfer.atSec = 0.0;
+    xfer.attempts = 1;
+    evs.push_back(xfer);
+    fault::FaultEvent hang;
+    hang.kind = fault::FaultKind::LaunchHang;
+    hang.atSec = 0.0;
+    hang.rank = 2;
+    evs.push_back(hang);
+    fault::FaultEvent dead;
+    dead.kind = fault::FaultKind::RankFail;
+    dead.atSec = 4e-4;
+    dead.rank = 1;
+    evs.push_back(dead);
+    fault::FaultInjector inj(
+        fault::FaultPlan(fs, std::move(evs), sys.numRanks()));
+    queue.attachFaultInjector(&inj);
+
+    ObservedRun out;
+    std::vector<core::Event> events;
+    events.push_back(queue.memcpyAsync(sys.all(), 2048,
+                                       core::CopyDirection::HostToPim,
+                                       {.tenant = alpha}));
+    events.push_back(queue.launchTimed(sys.rank(3), 5e-3,
+                                       {.label = "slow", .tenant = beta}));
+    const core::Event cut = queue.launchTimed(sys.rank(1), 5e-4);
+    events.push_back(cut);
+    events.push_back(
+        queue.launchProgram(sys.rank(0), program, {.after = cut}));
+    events.push_back(queue.memcpyAsync(sys.rank(1), 256,
+                                       core::CopyDirection::HostToPim,
+                                       {.after = cut}));
+    queue.hostIdleUntil(1e-3);
+    events.push_back(queue.memcpyAsync(sys.rank(1), 256,
+                                       core::CopyDirection::HostToPim));
+    events.push_back(queue.launchProgram(sys.all(), program,
+                                         {.tenant = alpha}));
+    for (const core::Event e : events)
+        out.failed.push_back(queue.eventFailed(e) ? 1 : 0);
+    queue.sync();
+    queue.attachFaultInjector(nullptr);
+
+    std::ostringstream os;
+    trace::writeChromeTrace(os, rec);
+    out.trace = os.str();
+    out.snapshot = met.snapshotString();
+    return out;
+}
+
+/**
+ * Golden hashes of what the observers saw for the script above. If an
+ * intended change moves a span or a metric, the test prints the new
+ * values to paste here.
+ */
+constexpr uint64_t kGoldenObservedTraceHash = 0xbc0da980bf5c1743ull;
+constexpr uint64_t kGoldenObservedSnapshotHash = 0x7542af6deae5e4e2ull;
+
+} // namespace
+
+TEST(DrainObservers, GoldenTraceAndMetrics)
+{
+    const ObservedRun one = runObservedScript(1);
+    // copy ok, timeout, rank death, poisoned, poisoned copy, copy to
+    // the dead rank, hung launch on a partly dead system.
+    EXPECT_EQ(one.failed,
+              (std::vector<char>{0, 1, 1, 1, 1, 1, 1}));
+    EXPECT_EQ(fnv1a(one.trace), kGoldenObservedTraceHash)
+        << "trace capture changed: new hash 0x" << std::hex
+        << fnv1a(one.trace);
+    EXPECT_EQ(fnv1a(one.snapshot), kGoldenObservedSnapshotHash)
+        << "metrics snapshot changed: new hash 0x" << std::hex
+        << fnv1a(one.snapshot);
+    const ObservedRun four = runObservedScript(4);
+    EXPECT_EQ(four.trace, one.trace);
+    EXPECT_EQ(four.snapshot, one.snapshot);
 }
