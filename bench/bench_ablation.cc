@@ -16,7 +16,7 @@
 #include "alloc/pim_malloc.hh"
 #include "core/pim_system.hh"
 #include "sim/dpu.hh"
-#include "telemetry/export.hh"
+#include "trace/chrome_trace.hh"
 #include "util/cli.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
@@ -102,7 +102,7 @@ main(int argc, char **argv)
     // the registry covers the straw-man sweep's microbench runs).
     util::Cli cli(argc, argv, "metrics");
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli);
-    telemetry::MetricSet metrics(knobs.metrics);
+    trace::ObserverSet obs(/*trace=*/false, knobs.metrics);
 
     util::Table buf("Ablation 1: straw-man SW metadata buffer size "
                     "(16 tasklets, 32 B allocs)");
@@ -111,9 +111,10 @@ main(int argc, char **argv)
         buf.addRow({std::to_string(bytes) + " B",
                     util::Table::num(
                         strawLatency(bytes,
-                                     metrics.add("buffer "
-                                                 + std::to_string(bytes)
-                                                 + " B")),
+                                     obs.add("buffer "
+                                             + std::to_string(bytes)
+                                             + " B")
+                                         .metrics),
                         1)});
     buf.print(std::cout);
     std::cout << "\n";
@@ -138,6 +139,7 @@ main(int argc, char **argv)
                     util::Table::num(classCountLatency(n), 2)});
     cls.print(std::cout);
 
-    telemetry::printMetrics(std::cout, metrics, knobs.metrics);
+    trace::emitReports(std::cout, obs, /*print_occupancy=*/false,
+                       knobs.metrics, /*trace_path=*/"");
     return 0;
 }

@@ -96,7 +96,8 @@ int
 main(int argc, char **argv)
 {
     util::Cli cli(argc, argv,
-                  util::benchKnobNames("requests,rate,spare-ranks"));
+                  "dpus,tasklets,threads,json,trace,occupancy,metrics,"
+                  "fault-seed,mtbf,fault-spec,requests,rate,spare-ranks");
     // Default seed chosen so the default sweep's deaths land on busy
     // decode ranks (KV re-ship, request shedding) instead of already-
     // drained prefill ranks; --fault-seed overrides.
@@ -124,11 +125,13 @@ main(int argc, char **argv)
     if (knobs.mtbf > 0.0)
         sweep = {knobs.mtbf};
 
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
+    // No span recorders here; a --trace capture carries the per-point
+    // counter tracks alone.
+    trace::ObserverSet obs(/*trace=*/false, knobs.wantsMetrics());
 
     const ServingResult ref = runPoint(base, knobs, extra, kNeverMtbfSec,
                                        FaultPolicy::Recover, spare_ranks,
-                                       metrics.add("reference"));
+                                       obs.add("reference").metrics);
 
     std::vector<Point> points;
     for (const double mtbf : sweep) {
@@ -139,7 +142,7 @@ main(int argc, char **argv)
             points.push_back({mtbf, policy,
                               runPoint(base, knobs, extra, mtbf, policy,
                                        spare_ranks,
-                                       metrics.add(name))});
+                                       obs.add(name).metrics)});
         }
     }
 
@@ -217,17 +220,13 @@ main(int argc, char **argv)
             j.endArray();
         };
         if (!telemetry::writeBenchJson(
-                knobs.jsonPath, "fault_tolerance", &metrics, fields))
+                knobs.jsonPath, "fault_tolerance", &obs, fields))
             return 1;
         std::cout << "\nJSON written to " << knobs.jsonPath << "\n";
     }
 
-    // No span recorders here; a --trace capture carries the per-point
-    // counter tracks alone.
-    const trace::RecorderSet no_recorders(false);
-    if (!trace::emitReports(std::cout, no_recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath))
         return 1;
     return 0;
 }

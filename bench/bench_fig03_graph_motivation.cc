@@ -23,8 +23,7 @@ namespace {
 
 double
 updateSeconds(StructureKind structure, unsigned scale,
-              const util::BenchKnobs &knobs, trace::Recorder *rec,
-              telemetry::Registry *met)
+              const util::BenchKnobs &knobs, const trace::TraceProcess &run)
 {
     GraphUpdateConfig cfg;
     cfg.structure = structure;
@@ -37,8 +36,8 @@ updateSeconds(StructureKind structure, unsigned scale,
     cfg.gen.seed = 42;
     cfg.maxUpdateEdges = 2000; // fixed #new edges across sizes
     cfg.simThreads = knobs.threads;
-    cfg.recorder = rec;
-    cfg.metrics = met;
+    cfg.recorder = run.recorder;
+    cfg.metrics = run.metrics;
     return runGraphUpdate(cfg).updateSeconds;
 }
 
@@ -47,34 +46,32 @@ updateSeconds(StructureKind structure, unsigned scale,
 int
 main(int argc, char **argv)
 {
-    util::Cli cli(argc, argv, util::benchKnobNames());
+    util::Cli cli(argc, argv,
+                  "dpus,sample,tasklets,threads,json,trace,occupancy,"
+                  "metrics");
     util::BenchKnobs defs;
     defs.dpus = 32;
     defs.sample = 32;
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli, defs);
 
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
     const std::pair<const char *, unsigned> sizes[] = {
         {"Small", 1}, {"Medium", 2}, {"Large", 4}};
 
     const double base = updateSeconds(StructureKind::StaticCsr, 1, knobs,
-                                      recorders.add("Static/Small base"),
-                                      metrics.add("Static/Small base"));
+                                      obs.add("Static/Small base"));
 
     util::Table table("Fig 3(c): update slowdown vs pre-update graph size "
                       "(normalized to Static/Small)");
     table.setHeader({"Pre-update size", "Static (CSR)",
                      "Dynamic (linked list)"});
     for (const auto &[name, scale] : sizes) {
-        const double stat = updateSeconds(
-            StructureKind::StaticCsr, scale, knobs,
-            recorders.add(std::string("Static/") + name),
-            metrics.add(std::string("Static/") + name));
-        const double dyn = updateSeconds(
-            StructureKind::LinkedList, scale, knobs,
-            recorders.add(std::string("Dynamic/") + name),
-            metrics.add(std::string("Dynamic/") + name));
+        const double stat =
+            updateSeconds(StructureKind::StaticCsr, scale, knobs,
+                          obs.add(std::string("Static/") + name));
+        const double dyn =
+            updateSeconds(StructureKind::LinkedList, scale, knobs,
+                          obs.add(std::string("Dynamic/") + name));
         table.addRow({name, util::Table::num(stat / base, 2),
                       util::Table::num(dyn / base, 2)});
     }
@@ -83,9 +80,8 @@ main(int argc, char **argv)
                  "graph; Dynamic stays flat (paper: static reaches ~2-3x "
                  "while dynamic is size-independent).\n";
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath))
         return 1;
 
     if (!knobs.jsonPath.empty()) {
@@ -97,7 +93,7 @@ main(int argc, char **argv)
             table.writeJson(j);
         };
         if (!telemetry::writeBenchJson(
-                knobs.jsonPath, "fig03_graph_motivation", &metrics, fields))
+                knobs.jsonPath, "fig03_graph_motivation", &obs, fields))
             return 1;
     }
     return 0;

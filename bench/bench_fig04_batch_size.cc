@@ -24,9 +24,9 @@ main(int argc, char **argv)
 {
     // The capacity probe runs one simulated DPU; of the shared knobs
     // only --dpus (KV shard width) and --json apply (unknown flags
-    // stay fatal). --metrics is accepted for knob uniformity but the
-    // probe never touches a CommandQueue, so there is nothing to meter.
-    util::Cli cli(argc, argv, "dpus,json,seed,metrics");
+    // stay fatal). It never touches a CommandQueue, so there is
+    // nothing to meter or trace.
+    util::Cli cli(argc, argv, "dpus,json,seed");
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli);
     const auto seed = static_cast<uint64_t>(cli.getInt("seed", 3));
 

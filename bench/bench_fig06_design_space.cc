@@ -67,8 +67,7 @@ main(int argc, char **argv)
     // Beyond the paper: the same four pseudo-programs replayed on the
     // async command-queue runtime at rank granularity, so host compute
     // and bus transfers overlap other ranks' execution.
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
     util::Table overlap("Rank-pipelined (async command queue) vs serial "
                         "at 512 PIM cores");
     overlap.setHeader({"Design strategy", "Serial (s)", "Overlapped (s)",
@@ -76,8 +75,9 @@ main(int argc, char **argv)
     for (const auto s : kAllStrategies) {
         const auto serial = evalStrategy(s, p512);
         DesignSpaceParams p = p512;
-        p.recorder = recorders.add(designStrategyName(s));
-        p.metrics = metrics.add(designStrategyName(s));
+        const trace::TraceProcess run = obs.add(designStrategyName(s));
+        p.recorder = run.recorder;
+        p.metrics = run.metrics;
         const auto async = evalStrategy(s, p, ExecutionMode::Overlapped);
         overlap.addRow(
             {designStrategyName(s),
@@ -94,9 +94,9 @@ main(int argc, char **argv)
                  "transfer-dominated (paper Fig 6), and rank-pipelining "
                  "only partially hides their transfers.\n";
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath, "Overlapped occupancy: "))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath,
+                            "Overlapped occupancy: "))
         return 1;
     return 0;
 }

@@ -25,7 +25,7 @@ namespace {
 
 double
 avgLatencyUs(uint32_t heap_bytes, uint32_t alloc_size, unsigned tasklets,
-             trace::Recorder *rec, telemetry::Registry *met)
+             const trace::TraceProcess &run)
 {
     MicrobenchConfig cfg;
     cfg.allocator = core::AllocatorKind::StrawMan;
@@ -34,8 +34,8 @@ avgLatencyUs(uint32_t heap_bytes, uint32_t alloc_size, unsigned tasklets,
     cfg.allocSize = alloc_size;
     cfg.freeEachAlloc = true;
     cfg.overrides.heapBytes = heap_bytes;
-    cfg.recorder = rec;
-    cfg.metrics = met;
+    cfg.recorder = run.recorder;
+    cfg.metrics = run.metrics;
     return runMicrobench(cfg).avgLatencyUs;
 }
 
@@ -44,10 +44,8 @@ avgLatencyUs(uint32_t heap_bytes, uint32_t alloc_size, unsigned tasklets,
 int
 main(int argc, char **argv)
 {
-    util::Cli cli(argc, argv, util::benchKnobNames());
+    util::Cli cli(argc, argv, "tasklets,json,trace,occupancy,metrics");
     util::BenchKnobs defs;
-    defs.dpus = 1;
-    defs.sample = 1;
     defs.tasklets = 1; // the paper's single-tasklet sweep
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli, defs);
 
@@ -55,12 +53,9 @@ main(int argc, char **argv)
                               2u << 20, 8u << 20, 32u << 20};
     const uint32_t sizes[] = {32, 128, 512, 1024, 2048};
 
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
-    const double base =
-        avgLatencyUs(32u << 10, 2048, knobs.tasklets,
-                     recorders.add("heap 32KB / alloc 2KB base"),
-                     metrics.add("heap 32KB / alloc 2KB base"));
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
+    const double base = avgLatencyUs(32u << 10, 2048, knobs.tasklets,
+                                     obs.add("heap 32KB / alloc 2KB base"));
 
     util::Table table("Fig 7: straw-man slowdown vs heap size x "
                       "(de)allocation size (normalized to 32KB/2KB)");
@@ -74,8 +69,7 @@ main(int argc, char **argv)
                 "heap " + std::to_string(heap >> 10) + "KB / alloc "
                 + std::to_string(size) + "B";
             row.push_back(util::Table::num(
-                avgLatencyUs(heap, size, knobs.tasklets,
-                             recorders.add(name), metrics.add(name))
+                avgLatencyUs(heap, size, knobs.tasklets, obs.add(name))
                     / base,
                 1));
         }
@@ -87,9 +81,8 @@ main(int argc, char **argv)
                  "larger heap, smaller blocks); the paper reports up to "
                  "12x at 32B/32MB.\n";
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath))
         return 1;
 
     if (!knobs.jsonPath.empty()) {
@@ -99,7 +92,7 @@ main(int argc, char **argv)
             table.writeJson(j);
         };
         if (!telemetry::writeBenchJson(
-                knobs.jsonPath, "fig07_strawman_sweep", &metrics, fields))
+                knobs.jsonPath, "fig07_strawman_sweep", &obs, fields))
             return 1;
     }
     return 0;

@@ -23,7 +23,7 @@ using namespace pim::workloads;
 namespace {
 
 MicrobenchResult
-run(unsigned tasklets, trace::Recorder *rec, telemetry::Registry *met)
+run(unsigned tasklets, const trace::TraceProcess &observers)
 {
     MicrobenchConfig cfg;
     cfg.allocator = core::AllocatorKind::StrawMan;
@@ -31,8 +31,8 @@ run(unsigned tasklets, trace::Recorder *rec, telemetry::Registry *met)
     cfg.allocsPerTasklet = tasklets == 1 ? 320 : 20; // ~320 events total
     cfg.allocSize = 32;
     cfg.traceEvents = true;
-    cfg.recorder = rec;
-    cfg.metrics = met;
+    cfg.recorder = observers.recorder;
+    cfg.metrics = observers.metrics;
     return runMicrobench(cfg);
 }
 
@@ -41,20 +41,14 @@ run(unsigned tasklets, trace::Recorder *rec, telemetry::Registry *met)
 int
 main(int argc, char **argv)
 {
-    // The 1-vs-16 tasklet contrast IS the figure, so --tasklets is
-    // accepted (uniform knob set) but not applied to the two runs.
-    util::Cli cli(argc, argv, util::benchKnobNames());
-    util::BenchKnobs defs;
-    defs.dpus = 1;
-    defs.sample = 1;
-    const util::BenchKnobs knobs = util::parseBenchKnobs(cli, defs);
+    // The 1-vs-16 tasklet contrast IS the figure, so there is no
+    // --tasklets (nor any system-size knob).
+    util::Cli cli(argc, argv, "json,trace,occupancy,metrics");
+    const util::BenchKnobs knobs = util::parseBenchKnobs(cli);
 
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
-    const auto one =
-        run(1, recorders.add("1 tasklet"), metrics.add("1 tasklet"));
-    const auto sixteen = run(16, recorders.add("16 tasklets"),
-                             metrics.add("16 tasklets"));
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
+    const auto one = run(1, obs.add("1 tasklet"));
+    const auto sixteen = run(16, obs.add("16 tasklets"));
 
     // (a) Latency over the allocation sequence, ordered by start time.
     auto series = [](const MicrobenchResult &r) {
@@ -139,9 +133,8 @@ main(int argc, char **argv)
     }
     mx.print(std::cout);
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath))
         return 1;
 
     if (!knobs.jsonPath.empty()) {
@@ -154,7 +147,7 @@ main(int argc, char **argv)
             mx.writeJson(j);
         };
         if (!telemetry::writeBenchJson(
-                knobs.jsonPath, "fig08_contention", &metrics, fields))
+                knobs.jsonPath, "fig08_contention", &obs, fields))
             return 1;
     }
     return 0;

@@ -50,8 +50,7 @@ fromStats(std::string name, const alloc::AllocStats &st)
 
 Row
 graphRow(graph::StructureKind structure, const char *name,
-         const pim::util::BenchKnobs &knobs, trace::Recorder *rec,
-         telemetry::Registry *met)
+         const pim::util::BenchKnobs &knobs, const trace::TraceProcess &run)
 {
     graph::GraphUpdateConfig cfg;
     cfg.structure = structure;
@@ -61,8 +60,8 @@ graphRow(graph::StructureKind structure, const char *name,
     cfg.gen.numNodes = 24000;
     cfg.gen.numEdges = 120000;
     cfg.simThreads = knobs.threads;
-    cfg.recorder = rec;
-    cfg.metrics = met;
+    cfg.recorder = run.recorder;
+    cfg.metrics = run.metrics;
     const auto res = graph::runGraphUpdate(cfg);
     return fromStats(name, res.allocStats);
 }
@@ -105,15 +104,12 @@ main(int argc, char **argv)
     defaults.sample = 2;
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli, defaults);
 
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
     const Row rows[] = {
         graphRow(graph::StructureKind::LinkedList, "Array of linked list",
-                 knobs, recorders.add("Array of linked list"),
-                 metrics.add("Array of linked list")),
+                 knobs, obs.add("Array of linked list")),
         graphRow(graph::StructureKind::VarArray, "Variable sized array",
-                 knobs, recorders.add("Variable sized array"),
-                 metrics.add("Variable sized array")),
+                 knobs, obs.add("Variable sized array")),
         attentionRow(),
     };
 
@@ -142,9 +138,8 @@ main(int argc, char **argv)
                  "(paper: 93% average) while the backend dominates "
                  "aggregate latency (paper: 68%).\n";
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath))
         return 1;
     return 0;
 }

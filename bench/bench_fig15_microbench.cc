@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "telemetry/export.hh"
+#include "trace/chrome_trace.hh"
 #include "util/cli.hh"
 #include "util/json.hh"
 #include "util/stats.hh"
@@ -58,7 +59,7 @@ main(int argc, char **argv)
 
     const uint32_t sizes[] = {32, 256, 4096};
     const unsigned thread_counts[] = {1, 16};
-    telemetry::MetricSet metrics(knobs.metrics);
+    trace::ObserverSet obs(/*trace=*/false, knobs.metrics);
 
     std::vector<Case> cases;
     std::vector<double> sw_speedups;   // straw-man / SW
@@ -76,13 +77,13 @@ main(int argc, char **argv)
                 + std::to_string(size) + "B ";
             const double straw =
                 avgLatency(core::AllocatorKind::StrawMan, tasklets, size,
-                           metrics.add(tag + "straw-man"));
+                           obs.add(tag + "straw-man").metrics);
             const double sw =
                 avgLatency(core::AllocatorKind::PimMallocSw, tasklets,
-                           size, metrics.add(tag + "SW"));
+                           size, obs.add(tag + "SW").metrics);
             const double hwsw = avgLatency(
                 core::AllocatorKind::PimMallocHwSw, tasklets, size,
-                metrics.add(tag + "HW/SW"));
+                obs.add(tag + "HW/SW").metrics);
             cases.push_back({tasklets, size, straw, sw, hwsw});
             sw_speedups.push_back(straw / sw);
             hwsw_speedups.push_back(sw / hwsw);
@@ -110,7 +111,8 @@ main(int argc, char **argv)
     headline.addRow({"PIM-malloc-HW/SW vs SW (geomean)", hwsw_gain});
     headline.print(std::cout);
 
-    telemetry::printMetrics(std::cout, metrics, knobs.metrics);
+    trace::emitReports(std::cout, obs, /*print_occupancy=*/false,
+                       knobs.metrics, /*trace_path=*/"");
 
     if (!knobs.jsonPath.empty()) {
         const auto fields = [&](util::JsonWriter &j) {
@@ -132,7 +134,7 @@ main(int argc, char **argv)
             j.key("hwsw_vs_sw_geomean").value(hwsw_geomean);
         };
         if (!telemetry::writeBenchJson(
-                knobs.jsonPath, "fig15_microbench", &metrics, fields))
+                knobs.jsonPath, "fig15_microbench", &obs, fields))
             return 1;
         std::cout << "\nJSON written to " << knobs.jsonPath << "\n";
     }

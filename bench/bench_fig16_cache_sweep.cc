@@ -21,7 +21,7 @@ namespace {
 
 MicrobenchResult
 run(core::AllocatorKind kind, unsigned cache_entries, unsigned tasklets,
-    trace::Recorder *rec, telemetry::Registry *met)
+    const trace::TraceProcess &observers)
 {
     MicrobenchConfig cfg;
     cfg.allocator = kind;
@@ -29,8 +29,8 @@ run(core::AllocatorKind kind, unsigned cache_entries, unsigned tasklets,
     cfg.allocsPerTasklet = 128;
     cfg.allocSize = 4096;
     cfg.dpuCfg.buddyCache.entries = cache_entries;
-    cfg.recorder = rec;
-    cfg.metrics = met;
+    cfg.recorder = observers.recorder;
+    cfg.metrics = observers.metrics;
     return runMicrobench(cfg);
 }
 
@@ -39,17 +39,12 @@ run(core::AllocatorKind kind, unsigned cache_entries, unsigned tasklets,
 int
 main(int argc, char **argv)
 {
-    util::Cli cli(argc, argv, util::benchKnobNames());
-    util::BenchKnobs defs;
-    defs.dpus = 1;
-    defs.sample = 1;
-    const util::BenchKnobs knobs = util::parseBenchKnobs(cli, defs);
+    util::Cli cli(argc, argv, "tasklets,json,trace,occupancy,metrics");
+    const util::BenchKnobs knobs = util::parseBenchKnobs(cli);
 
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
     const double sw = run(core::AllocatorKind::PimMallocSw, 16,
-                          knobs.tasklets, recorders.add("SW baseline"),
-                          metrics.add("SW baseline"))
+                          knobs.tasklets, obs.add("SW baseline"))
                           .avgLatencyUs;
 
     util::Table table("Fig 16: HW/SW speedup over SW and buddy-cache hit "
@@ -58,8 +53,7 @@ main(int argc, char **argv)
     for (unsigned bytes : {16u, 32u, 64u, 128u, 256u}) {
         const std::string name = "HW/SW " + std::to_string(bytes) + " B";
         const auto r = run(core::AllocatorKind::PimMallocHwSw, bytes / 4,
-                           knobs.tasklets, recorders.add(name),
-                           metrics.add(name));
+                           knobs.tasklets, obs.add(name));
         table.addRow({std::to_string(bytes) + " B",
                       util::Table::num(sw / r.avgLatencyUs, 2) + "x",
                       util::Table::num(r.cacheStats.hitRate() * 100, 1)});
@@ -69,9 +63,8 @@ main(int argc, char **argv)
                  "64 B — enough to hold the metadata of the frequently "
                  "traversed tree path (paper Fig 16; 99% hit rate).\n";
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath))
         return 1;
 
     if (!knobs.jsonPath.empty()) {
@@ -81,7 +74,7 @@ main(int argc, char **argv)
             table.writeJson(j);
         };
         if (!telemetry::writeBenchJson(
-                knobs.jsonPath, "fig16_cache_sweep", &metrics, fields))
+                knobs.jsonPath, "fig16_cache_sweep", &obs, fields))
             return 1;
     }
     return 0;

@@ -58,17 +58,19 @@ struct NamedRun
 int
 main(int argc, char **argv)
 {
-    util::Cli cli(argc, argv, util::benchKnobNames());
+    util::Cli cli(argc, argv,
+                  "dpus,sample,tasklets,threads,json,trace,occupancy,"
+                  "metrics,fault-seed,mtbf,fault-spec");
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli);
 
     // One recorder + one metrics registry per configuration.
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
     auto tracedConfig = [&](StructureKind s, core::AllocatorKind a,
                             const std::string &name) {
         GraphUpdateConfig cfg = baseConfig(s, a, knobs);
-        cfg.recorder = recorders.add(name);
-        cfg.metrics = metrics.add(name);
+        const trace::TraceProcess run = obs.add(name);
+        cfg.recorder = run.recorder;
+        cfg.metrics = run.metrics;
         return cfg;
     };
 
@@ -218,14 +220,13 @@ main(int argc, char **argv)
             j.endArray();
         };
         if (!telemetry::writeBenchJson(
-                knobs.jsonPath, "fig17_graph_update", &metrics, fields))
+                knobs.jsonPath, "fig17_graph_update", &obs, fields))
             return 1;
         std::cout << "\nJSON written to " << knobs.jsonPath << "\n";
     }
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath))
         return 1;
     return 0;
 }

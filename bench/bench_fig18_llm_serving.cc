@@ -39,13 +39,12 @@ namespace {
 ServingResult
 runDisaggregated(const ServingScheme &scheme, const ServingConfig &base,
                  double prefill_frac, const util::BenchKnobs &knobs,
-                 trace::Recorder *recorder,
-                 telemetry::Registry *metrics)
+                 const trace::TraceProcess &observers)
 {
     ServingEngineConfig ecfg;
     ecfg.base = base;
-    ecfg.base.recorder = recorder;
-    ecfg.base.metrics = metrics;
+    ecfg.base.recorder = observers.recorder;
+    ecfg.base.metrics = observers.metrics;
     ecfg.mode = ServingMode::Disaggregated;
     ecfg.prefillRankFraction = prefill_frac;
     ecfg.simThreads = knobs.threads;
@@ -65,8 +64,7 @@ runDisaggregatedStudy(const util::BenchKnobs &knobs,
         {core::AllocatorKind::PimMallocSw},
         {core::AllocatorKind::PimMallocHwSw},
     };
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
 
     util::Table table(
         "Fig 18 disaggregated: rank-partitioned prefill/decode pipeline "
@@ -79,8 +77,7 @@ runDisaggregatedStudy(const util::BenchKnobs &knobs,
     for (const auto &scheme : schemes) {
         const auto r =
             runDisaggregated(scheme, cfg, prefill_frac, knobs,
-                             recorders.add(scheme.name()),
-                             metrics.add(scheme.name()));
+                             obs.add(scheme.name()));
         results.emplace_back(scheme.name(), r);
         table.addRow({scheme.name(),
                       util::Table::num(r.throughputTokensPerSec, 0),
@@ -122,8 +119,7 @@ runDisaggregatedStudy(const util::BenchKnobs &knobs,
                 [&](const auto &p) { return p.first == scheme.name(); });
             const ServingResult r = f == prefill_frac
                 ? cached->second
-                : runDisaggregated(scheme, cfg, f, knobs, nullptr,
-                                   nullptr);
+                : runDisaggregated(scheme, cfg, f, knobs, {});
             sweep_results.emplace_back(scheme.name(), f, r);
             sweep.addRow(
                 {scheme.name(), util::Table::num(f, 3),
@@ -183,14 +179,14 @@ runDisaggregatedStudy(const util::BenchKnobs &knobs,
             j.endArray();
         };
         if (!telemetry::writeBenchJson(
-                knobs.jsonPath, "fig18_llm_serving", &metrics, fields))
+                knobs.jsonPath, "fig18_llm_serving", &obs, fields))
             return 1;
         std::cout << "\nJSON written to " << knobs.jsonPath << "\n";
     }
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath, "Serving occupancy: "))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath,
+                            "Serving occupancy: "))
         return 1;
     return 0;
 }
@@ -231,8 +227,7 @@ main(int argc, char **argv)
         {core::AllocatorKind::PimMallocSw},
         {core::AllocatorKind::PimMallocHwSw},
     };
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
 
     util::Table table("Fig 18: LLM serving throughput and TPOT across "
                       "allocation schemes");
@@ -244,8 +239,9 @@ main(int argc, char **argv)
     std::vector<std::pair<std::string, ServingResult>> results;
     for (const auto &scheme : schemes) {
         ServingConfig run_cfg = cfg;
-        run_cfg.recorder = recorders.add(scheme.name());
-        run_cfg.metrics = metrics.add(scheme.name());
+        const trace::TraceProcess run = obs.add(scheme.name());
+        run_cfg.recorder = run.recorder;
+        run_cfg.metrics = run.metrics;
         const auto r = runServing(scheme, run_cfg);
         results.emplace_back(scheme.name(), r);
         if (!scheme.allocator)
@@ -291,14 +287,14 @@ main(int argc, char **argv)
             j.endArray();
         };
         if (!telemetry::writeBenchJson(
-                knobs.jsonPath, "fig18_llm_serving", &metrics, fields))
+                knobs.jsonPath, "fig18_llm_serving", &obs, fields))
             return 1;
         std::cout << "\nJSON written to " << knobs.jsonPath << "\n";
     }
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath, "Serving occupancy: "))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath,
+                            "Serving occupancy: "))
         return 1;
     return 0;
 }

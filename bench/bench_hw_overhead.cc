@@ -20,9 +20,8 @@ using namespace pim::sim;
 int
 main(int argc, char **argv)
 {
-    // Analytic model: no system knobs apply, but the shared flag set is
-    // accepted so scripted sweeps can drive every bench identically.
-    util::Cli cli(argc, argv, util::benchKnobNames());
+    // Analytic model: no system or observer knob applies.
+    util::Cli cli(argc, argv, "json");
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli);
 
     AreaModel model;

@@ -24,7 +24,8 @@ using namespace pim::workloads;
 int
 main(int argc, char **argv)
 {
-    util::Cli cli(argc, argv, util::benchKnobNames());
+    util::Cli cli(argc, argv,
+                  "dpus,sample,threads,json,trace,occupancy,metrics");
     util::BenchKnobs defs;
     defs.sample = 1;
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli, defs);
@@ -48,8 +49,7 @@ main(int argc, char **argv)
     fixed.print(std::cout);
     std::cout << "\n";
 
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
     util::Table per_wl("Section VI-E: PIM-malloc metadata per DPU under "
                        "the paper's workloads");
     per_wl.setHeader({"Workload", "Backend (KB)", "Thread-cache records "
@@ -68,8 +68,9 @@ main(int argc, char **argv)
         cfg.gen.numNodes = 196591;
         cfg.gen.numEdges = 950327;
         cfg.simThreads = knobs.threads;
-        cfg.recorder = recorders.add(name);
-        cfg.metrics = metrics.add(name);
+        const trace::TraceProcess run = obs.add(name);
+        cfg.recorder = run.recorder;
+        cfg.metrics = run.metrics;
         const auto r = graph::runGraphUpdate(cfg);
         const double total_kb =
             static_cast<double>(r.metadataBytes) / 1024.0;
@@ -81,9 +82,8 @@ main(int argc, char **argv)
     std::cout << "\nPaper: 4 KB of buddy metadata per bank; ~5.1 KB / "
                  "5 KB / 5.2 KB total for the three workloads.\n";
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath))
         return 1;
 
     if (!knobs.jsonPath.empty()) {
@@ -96,7 +96,7 @@ main(int argc, char **argv)
             per_wl.writeJson(j);
         };
         if (!telemetry::writeBenchJson(
-                knobs.jsonPath, "metadata_overhead", &metrics, fields))
+                knobs.jsonPath, "metadata_overhead", &obs, fields))
             return 1;
     }
     return 0;

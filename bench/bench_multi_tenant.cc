@@ -74,19 +74,22 @@ systemConfig(const TenantSetup &s)
     return scfg;
 }
 
+/** @p queue with @p obs attached (before any session reads them). */
+core::CommandQueue &
+observed(core::CommandQueue &queue, const trace::TraceProcess &obs)
+{
+    queue.attachRecorder(obs.recorder);
+    queue.attachMetrics(obs.metrics);
+    return queue;
+}
+
 /** One run's system, queue and session, with its observers attached. */
 struct Run
 {
-    Run(const TenantSetup &s, trace::Recorder *rec,
-        telemetry::Registry *met)
+    Run(const TenantSetup &s, const trace::TraceProcess &obs)
         : sys(systemConfig(s)), queue(sys),
-          session(queue, s.faultSpec, s.faultSeed, met)
+          session(observed(queue, obs), s.faultSpec, s.faultSeed)
     {
-        if (rec != nullptr)
-            queue.attachRecorder(rec);
-        if (met != nullptr)
-            queue.attachMetrics(met);
-        session.scheduler().attachMetrics(met);
     }
 
     core::PimSystem sys;
@@ -96,14 +99,11 @@ struct Run
 
 /** Serving solo baseline: same ranks, otherwise idle system. */
 workloads::llm::ServingResult
-runServingSolo(const TenantSetup &s, trace::Recorder *rec,
-               telemetry::Registry *met)
+runServingSolo(const TenantSetup &s, const trace::TraceProcess &obs)
 {
-    Run run(s, rec, met);
-    workloads::llm::ServingEngineConfig ecfg = s.serving;
-    ecfg.base.metrics = met;
+    Run run(s, obs);
     workloads::llm::DisaggServingTask task(
-        s.scheme, ecfg, run.queue,
+        s.scheme, s.serving, run.queue,
         run.session.scheduler().acquireRanks(s.servingRanks, "serving"));
     run.session.add("serving", task);
     run.session.run();
@@ -113,18 +113,15 @@ runServingSolo(const TenantSetup &s, trace::Recorder *rec,
 /** Graph solo baseline: same ranks (the serving grant is a
  *  placeholder so the graph tenant lands on identical rank ids). */
 workloads::graph::GraphUpdateResult
-runGraphSolo(const TenantSetup &s, trace::Recorder *rec,
-             telemetry::Registry *met)
+runGraphSolo(const TenantSetup &s, const trace::TraceProcess &obs)
 {
-    Run run(s, rec, met);
+    Run run(s, obs);
     core::RankScheduler &sched = run.session.scheduler();
     sched.acquireRanks(s.servingRanks, "reserved");
     // Hold one rank back as a spare when ranks can die, so a
     // replacement grant exists (matches the co-run's partitioning).
-    workloads::graph::GraphUpdateConfig gcfg = s.graph;
-    gcfg.metrics = met;
     workloads::graph::GraphUpdateTask task(
-        gcfg, run.queue, run.session.acquireRest("graph", 1, 1));
+        s.graph, run.queue, run.session.acquireRest("graph", 1, 1));
     run.session.add("graph", task);
     run.session.run();
     sched.releaseAll("reserved");
@@ -143,10 +140,9 @@ struct CoRunOutcome
  *  the serving histograms/SLOs and the graph ones under their own
  *  metric names. */
 CoRunOutcome
-runCoTenant(const TenantSetup &s, trace::Recorder *rec,
-            telemetry::Registry *met)
+runCoTenant(const TenantSetup &s, const trace::TraceProcess &obs)
 {
-    Run run(s, rec, met);
+    Run run(s, obs);
     core::RankScheduler &sched = run.session.scheduler();
     const core::TenantId t_serving = run.queue.addTenant("serving");
     const core::TenantId t_graph = run.queue.addTenant("graph");
@@ -156,13 +152,9 @@ runCoTenant(const TenantSetup &s, trace::Recorder *rec,
     // revocation's replacement grant is satisfiable.
     const core::DpuSet graph_part = run.session.acquireRest("graph", 1, 1);
 
-    workloads::llm::ServingEngineConfig ecfg = s.serving;
-    ecfg.base.metrics = met;
-    workloads::graph::GraphUpdateConfig gcfg = s.graph;
-    gcfg.metrics = met;
     workloads::llm::DisaggServingTask serving(
-        s.scheme, ecfg, run.queue, serving_part, t_serving);
-    workloads::graph::GraphUpdateTask graph(gcfg, run.queue, graph_part,
+        s.scheme, s.serving, run.queue, serving_part, t_serving);
+    workloads::graph::GraphUpdateTask graph(s.graph, run.queue, graph_part,
                                             t_graph);
     // Serving is added first, so it wins clock ties.
     run.session.add("serving", serving);
@@ -191,9 +183,10 @@ int
 main(int argc, char **argv)
 {
     util::Cli cli(argc, argv,
-                  util::benchKnobNames(
-                      "serving-ranks,requests,rounds,round-interval,"
-                      "update-edges,slo-ttft-ms,slo-tpot-ms,slo-round-sec"));
+                  "dpus,tasklets,threads,json,trace,occupancy,metrics,"
+                  "fault-seed,mtbf,fault-spec,serving-ranks,requests,"
+                  "rounds,round-interval,update-edges,slo-ttft-ms,"
+                  "slo-tpot-ms,slo-round-sec");
     util::BenchKnobs defs;
     defs.dpus = 512;
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli, defs);
@@ -241,18 +234,19 @@ main(int argc, char **argv)
                                               knobs.mtbf);
     s.faultSeed = knobs.faultSeed;
 
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    // Always on: the SLO attainment comparison is part of this bench's
-    // headline output, not an optional extra. --metrics additionally
-    // prints the full summary tables.
-    telemetry::MetricSet metrics(true);
+    // Metrics are always on: the SLO attainment comparison is part of
+    // this bench's headline output, not an optional extra. --metrics
+    // additionally prints the full summary tables.
+    trace::ObserverSet obs(knobs.wantsTrace(), /*metrics=*/true);
+    const trace::TraceProcess solo_s_obs = obs.add("serving solo");
+    const trace::TraceProcess solo_g_obs = obs.add("graph solo");
+    const trace::TraceProcess co_obs = obs.add("co-tenant");
 
-    const workloads::llm::ServingResult solo_s = runServingSolo(
-        s, recorders.add("serving solo"), metrics.add("serving solo"));
-    const workloads::graph::GraphUpdateResult solo_g = runGraphSolo(
-        s, recorders.add("graph solo"), metrics.add("graph solo"));
-    const CoRunOutcome co = runCoTenant(
-        s, recorders.add("co-tenant"), metrics.add("co-tenant"));
+    const workloads::llm::ServingResult solo_s =
+        runServingSolo(s, solo_s_obs);
+    const workloads::graph::GraphUpdateResult solo_g =
+        runGraphSolo(s, solo_g_obs);
+    const CoRunOutcome co = runCoTenant(s, co_obs);
 
     const double d_tpot50 =
         degradationPct(solo_s.tpotP50Ms, co.serving.tpotP50Ms);
@@ -295,12 +289,11 @@ main(int argc, char **argv)
     // Per-tenant SLO attainment (percent of samples within target) in
     // the solo baseline vs the co-run; the delta is in percentage
     // points, negative = the co-run misses more deadlines.
-    const telemetry::Registry *co_reg = metrics.find("co-tenant");
-    auto addSloRow = [&](const char *label, const char *solo_name,
+    const telemetry::Registry *co_reg = co_obs.metrics;
+    auto addSloRow = [&](const char *label,
+                         const telemetry::Registry *solo_reg,
                          const std::string &metric) {
-        const telemetry::Registry *solo_reg = metrics.find(solo_name);
-        if (solo_reg == nullptr || co_reg == nullptr
-            || !solo_reg->slo().tracks(metric)
+        if (!solo_reg->slo().tracks(metric)
             || !co_reg->slo().tracks(metric))
             return;
         const double solo_att =
@@ -310,11 +303,11 @@ main(int argc, char **argv)
                     util::Table::num(co_att, 2),
                     util::Table::num(co_att - solo_att, 2)});
     };
-    addSloRow("SLO attainment: serving TTFT (%)", "serving solo",
+    addSloRow("SLO attainment: serving TTFT (%)", solo_s_obs.metrics,
               "serving.ttft");
-    addSloRow("SLO attainment: serving TPOT (%)", "serving solo",
+    addSloRow("SLO attainment: serving TPOT (%)", solo_s_obs.metrics,
               "serving.tpot");
-    addSloRow("SLO attainment: graph round (%)", "graph solo",
+    addSloRow("SLO attainment: graph round (%)", solo_g_obs.metrics,
               "graph.round");
     tbl.print(std::cout);
     const unsigned total_ranks = (s.dpus + 63) / 64;
@@ -333,9 +326,8 @@ main(int argc, char **argv)
                  "queue-timeline metrics degrade only through bus "
                  "sharing.\n";
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath))
         return 1;
 
     if (!knobs.jsonPath.empty()) {
@@ -369,12 +361,10 @@ main(int argc, char **argv)
             j.endObject();
             j.key("joinedMakespanSec").value(co.joinedMakespanSec);
             j.key("slo").beginObject();
-            auto emitSlo = [&](const char *key, const char *solo_name,
+            auto emitSlo = [&](const char *key,
+                               const telemetry::Registry *solo_reg,
                                const std::string &metric) {
-                const telemetry::Registry *solo_reg =
-                    metrics.find(solo_name);
-                if (solo_reg == nullptr || co_reg == nullptr
-                    || !solo_reg->slo().tracks(metric)
+                if (!solo_reg->slo().tracks(metric)
                     || !co_reg->slo().tracks(metric))
                     return;
                 const telemetry::SloScore &ss = solo_reg->slo().score(metric);
@@ -388,9 +378,9 @@ main(int argc, char **argv)
                 j.key("coWorstExcursion").value(cs.worstExcursion);
                 j.endObject();
             };
-            emitSlo("servingTtft", "serving solo", "serving.ttft");
-            emitSlo("servingTpot", "serving solo", "serving.tpot");
-            emitSlo("graphRound", "graph solo", "graph.round");
+            emitSlo("servingTtft", solo_s_obs.metrics, "serving.ttft");
+            emitSlo("servingTpot", solo_s_obs.metrics, "serving.tpot");
+            emitSlo("graphRound", solo_g_obs.metrics, "graph.round");
             j.endObject();
             if (s.faultSpec.enabled()) {
                 j.key("faults").beginObject();
@@ -408,16 +398,15 @@ main(int argc, char **argv)
                 j.key("graphAvailability").value(co.graph.availability);
                 j.endObject();
             }
-            if (recorders.enabled()) {
+            if (co_obs.recorder != nullptr) {
                 // The co-run's occupancy report carries the per-tenant
                 // attribution ("tenants" array) computed from span tags.
-                const auto procs = recorders.processes();
                 j.key("coOccupancy");
-                trace::analyzeOccupancy(*procs.back().recorder).writeJson(j);
+                trace::analyzeOccupancy(*co_obs.recorder).writeJson(j);
             }
         };
         if (!telemetry::writeBenchJson(
-                knobs.jsonPath, "multi_tenant", &metrics, fields))
+                knobs.jsonPath, "multi_tenant", &obs, fields))
             return 1;
     }
     return 0;

@@ -214,19 +214,24 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     // The measured loops run on bare DPUs (no CommandQueue), so the
-    // registries are filled from the best-rep results afterwards: the
-    // timed region stays untouched whether metrics are on or off.
-    telemetry::MetricSet metrics(knobs.metrics);
+    // registries are filled from the best-rep results afterwards, and
+    // the spans come from one extra untimed run per case: the timed
+    // region stays untouched whether observers are on or off.
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.metrics);
     for (const auto &r : results) {
-        telemetry::Registry *met = metrics.add(r.name);
-        if (met == nullptr)
+        const trace::TraceProcess run = obs.add(r.name);
+        if (run.recorder != nullptr)
+            tracedCase(r.tasklets, allocs, *run.recorder);
+        if (run.metrics == nullptr)
             continue;
-        met->counter("sim.events").add(r.simEvents);
-        met->counter("sim.elided_spin_events").add(r.elidedEvents);
-        met->counter("sim.model_events").add(r.modelEvents);
-        met->counter("sim.cycles").add(r.simCycles);
+        telemetry::Registry &met = *run.metrics;
+        met.counter("sim.events").add(r.simEvents);
+        met.counter("sim.elided_spin_events").add(r.elidedEvents);
+        met.counter("sim.model_events").add(r.modelEvents);
+        met.counter("sim.cycles").add(r.simCycles);
     }
-    telemetry::printMetrics(std::cout, metrics, knobs.metrics);
+    trace::emitReports(std::cout, obs, /*print_occupancy=*/false,
+                       knobs.metrics, /*trace_path=*/"");
 
     if (!json_path.empty()) {
         const auto fields = [&](util::JsonWriter &j) {
@@ -250,18 +255,15 @@ main(int argc, char **argv)
             j.endArray();
         };
         if (!telemetry::writeBenchJson(
-                json_path, "sim_throughput", &metrics, fields))
+                json_path, "sim_throughput", &obs, fields))
             return 1;
         std::cout << "\nJSON written to " << json_path << "\n";
     }
 
-    if (knobs.wantsTrace()) {
-        trace::RecorderSet recorders(true);
-        for (const auto &r : results)
-            tracedCase(r.tasklets, allocs, *recorders.add(r.name));
-        if (!trace::emitReports(std::cout, recorders, knobs.occupancy,
-                                knobs.tracePath, "Tasklet occupancy: "))
-            return 1;
-    }
+    // Occupancy and the capture come after the JSON summary.
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            /*print_metrics=*/false, knobs.tracePath,
+                            "Tasklet occupancy: "))
+        return 1;
     return 0;
 }

@@ -27,8 +27,7 @@ namespace {
 
 double
 graphFragmentation(graph::StructureKind structure, core::AllocatorKind kind,
-                   unsigned threads, trace::Recorder *rec,
-                   telemetry::Registry *met)
+                   unsigned threads, const trace::TraceProcess &run)
 {
     graph::GraphUpdateConfig cfg;
     cfg.structure = structure;
@@ -38,8 +37,8 @@ graphFragmentation(graph::StructureKind structure, core::AllocatorKind kind,
     cfg.gen.numNodes = 196591;
     cfg.gen.numEdges = 950327;
     cfg.simThreads = threads;
-    cfg.recorder = rec;
-    cfg.metrics = met;
+    cfg.recorder = run.recorder;
+    cfg.metrics = run.metrics;
     return graph::runGraphUpdate(cfg).fragmentation;
 }
 
@@ -76,8 +75,7 @@ main(int argc, char **argv)
     const util::BenchKnobs knobs = util::parseBenchKnobs(cli);
     const unsigned threads = knobs.threads;
 
-    trace::RecorderSet recorders(knobs.wantsTrace());
-    telemetry::MetricSet metrics(knobs.wantsMetrics());
+    trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
 
     util::Table table("Table III: memory fragmentation (A/U), PIM-malloc "
                       "as-is vs PIM-malloc-lazy");
@@ -88,30 +86,26 @@ main(int argc, char **argv)
                       graphFragmentation(graph::StructureKind::LinkedList,
                                          core::AllocatorKind::PimMallocSw,
                                          threads,
-                                         recorders.add("LinkedList as-is"),
-                                         metrics.add("LinkedList as-is")),
+                                         obs.add("LinkedList as-is")),
                       2),
                   util::Table::num(
                       graphFragmentation(
                           graph::StructureKind::LinkedList,
                           core::AllocatorKind::PimMallocSwLazy, threads,
-                          recorders.add("LinkedList lazy"),
-                          metrics.add("LinkedList lazy")),
+                          obs.add("LinkedList lazy")),
                       2)});
     table.addRow({"Dynamic graph update (variable sized array)",
                   util::Table::num(
                       graphFragmentation(graph::StructureKind::VarArray,
                                          core::AllocatorKind::PimMallocSw,
                                          threads,
-                                         recorders.add("VarArray as-is"),
-                                         metrics.add("VarArray as-is")),
+                                         obs.add("VarArray as-is")),
                       2),
                   util::Table::num(
                       graphFragmentation(
                           graph::StructureKind::VarArray,
                           core::AllocatorKind::PimMallocSwLazy, threads,
-                          recorders.add("VarArray lazy"),
-                          metrics.add("VarArray lazy")),
+                          obs.add("VarArray lazy")),
                       2)});
     table.addRow({"LLM attention",
                   util::Table::num(attentionFragmentation(false), 2),
@@ -121,9 +115,8 @@ main(int argc, char **argv)
                  "lazy allocation reduces fragmentation everywhere, most "
                  "for single-size-class workloads.\n";
 
-    if (!trace::emitReports(std::cout, recorders, metrics,
-                            knobs.occupancy, knobs.metrics,
-                            knobs.tracePath))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            knobs.metrics, knobs.tracePath))
         return 1;
     return 0;
 }

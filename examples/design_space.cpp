@@ -67,14 +67,14 @@ main(int argc, char **argv)
                  "foundation of PIM-malloc)\n";
 
     if (cli.getBool("overlap", false) || knobs.wantsTrace()) {
-        trace::RecorderSet recorders(knobs.wantsTrace());
+        trace::ObserverSet obs(knobs.wantsTrace(), /*metrics=*/false);
         util::Table ov("Async command queue: rank-pipelined overlap");
         ov.setHeader({"Strategy", "Serial (s)", "Overlapped (s)",
                       "Hidden (s)"});
         for (const auto s : kAllStrategies) {
             const auto serial = evalStrategy(s, p);
             DesignSpaceParams po = p;
-            po.recorder = recorders.add(designStrategyName(s));
+            po.recorder = obs.add(designStrategyName(s)).recorder;
             const auto async =
                 evalStrategy(s, po, ExecutionMode::Overlapped);
             ov.addRow({designStrategyName(s),
@@ -84,8 +84,8 @@ main(int argc, char **argv)
         }
         ov.print(std::cout);
 
-        if (!trace::emitReports(std::cout, recorders, knobs.occupancy,
-                                knobs.tracePath,
+        if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                                /*print_metrics=*/false, knobs.tracePath,
                                 "Overlapped occupancy: "))
             return 1;
     }

@@ -50,10 +50,11 @@ main(int argc, char **argv)
     core::CommandQueue queue(sys);
     sim::Dpu &dpu = sys.dpu(0);
 
-    trace::Recorder recorder;
-    if (knobs.wantsTrace()) {
-        queue.attachRecorder(&recorder);
-        dpu.attachTraceRecorder(&recorder);
+    trace::ObserverSet obs(knobs.wantsTrace(), /*metrics=*/false);
+    trace::Recorder *recorder = obs.add("quickstart").recorder;
+    if (recorder != nullptr) {
+        queue.attachRecorder(recorder);
+        dpu.attachTraceRecorder(recorder);
     }
 
     core::AllocatorOverrides ov;
@@ -107,9 +108,8 @@ main(int argc, char **argv)
                     dpu.lastElapsedCycles()), 1)});
     out.print(std::cout);
 
-    if (knobs.wantsTrace()
-        && !trace::emitReports(std::cout, {{"quickstart", &recorder}},
-                               knobs.occupancy, knobs.tracePath))
+    if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+                            /*print_metrics=*/false, knobs.tracePath))
         return 1;
     return 0;
 }

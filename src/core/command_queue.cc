@@ -21,6 +21,16 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/** Add @p n to a queue-wide counter and to the tenant's own copy
+ *  (null for tenant 0, which owns the plain totals). */
+void
+countBoth(telemetry::Counter *total, telemetry::Counter *own, uint64_t n)
+{
+    total->add(n);
+    if (own != nullptr)
+        own->add(n);
+}
+
 } // namespace
 
 CommandQueue::CommandQueue(PimSystem &sys)
@@ -146,6 +156,109 @@ CommandQueue::hostLane(TenantId t) const
     return rec_->resourceLane("host:" + tenantNames_[t]);
 }
 
+void
+CommandQueue::recordInterval(const Command &cmd, Event id, int where,
+                             double t0, double t1, bool fault,
+                             uint64_t cycles)
+{
+    const bool idle =
+        cmd.type == Command::Type::HostCompute && cmd.hostUntil >= 0.0;
+    // Sampler and trace times are epoch-absolute, so both stay
+    // monotonic across resetTimeline.
+    t0 += traceEpoch_;
+    t1 += traceEpoch_;
+    if (rec_ != nullptr) {
+        trace::Span s;
+        s.lane = where == kOnHost ? hostLane(cmd.tenant)
+            : where == kOnBus     ? trace::kBusLane
+                                  : trace::rankLane(where);
+        if (!cmd.label.empty()) {
+            s.name = cmd.label;
+        } else {
+            switch (cmd.type) {
+              case Command::Type::Launch:
+                s.name = "launch";
+                break;
+              case Command::Type::Copy:
+                s.name = cmd.dir == CopyDirection::HostToPim
+                    ? "memcpy:h2p" : "memcpy:p2h";
+                break;
+              case Command::Type::HostCompute:
+                s.name = idle ? "idle-until" : "host";
+                break;
+            }
+        }
+        if (cmd.type == Command::Type::Launch && where == kOnHost)
+            s.name += " (issue)";
+        if (fault)
+            s.name += " !fault";
+        s.tenant = tenantTag(cmd.tenant);
+        s.t0 = t0;
+        s.t1 = t1;
+        s.bytes = cmd.type == Command::Type::Copy && where == kOnBus
+            ? cmd.totalBytes : 0;
+        s.cycles = cycles;
+        s.event = id;
+        s.after = cmd.after;
+        s.idle = idle;
+        rec_->record(std::move(s));
+    }
+    if (met_ == nullptr || idle)
+        return;
+    telemetry::TimelineSampler &smp = met_->sampler();
+    if (where == kOnHost) {
+        smp.accumulate(tenantMet_[cmd.tenant].hostSid, t0, t1);
+    } else if (where == kOnBus) {
+        smp.accumulate(busSid_, t0, t1);
+    } else {
+        smp.accumulate(rankSid_[where], t0, t1);
+        smp.accumulate(ranksBusySid_, t0, t1);
+        smp.accumulate(tenantMet_[cmd.tenant].ranksBusySid, t0, t1);
+    }
+}
+
+void
+CommandQueue::observeResolved(const Command &cmd, double start,
+                              bool failed, bool poisoned,
+                              unsigned retries)
+{
+    if (met_ == nullptr)
+        return;
+    const TenantMetrics &tm = tenantMet_[cmd.tenant];
+    countBoth(qm_.resolved, tm.resolved, 1);
+    if (failed)
+        countBoth(qm_.failed, tm.failed, 1);
+    if (poisoned) {
+        // Charged nothing: no sim events, no in-flight window.
+        countBoth(qm_.poisoned, tm.poisoned, 1);
+        return;
+    }
+    if (retries > 0)
+        countBoth(qm_.retries, tm.retries, retries);
+    switch (cmd.type) {
+      case Command::Type::Launch: {
+        uint64_t ev = 0;
+        if (cmd.eventsOff != kNoArena) {
+            for (size_t j = 0; j < cmd.part->slots.size(); ++j)
+                ev += slotEventsArena_[cmd.eventsOff + j];
+        }
+        qm_.simEvents->add(ev);
+        break;
+      }
+      case Command::Type::Copy:
+        if (!failed)
+            countBoth(qm_.busBytes, tm.busBytes, cmd.totalBytes);
+        break;
+      case Command::Type::HostCompute:
+        if (cmd.hostUntil >= 0.0)
+            return; // an idle wait is not in flight
+        break;
+    }
+    telemetry::TimelineSampler &smp = met_->sampler();
+    smp.eventDelta(depthSid_, traceEpoch_ + start, +1);
+    smp.eventDelta(depthSid_, traceEpoch_ + cmd.end, -1);
+}
+
 double
 CommandQueue::hostSeconds(TenantId t) const
 {
@@ -161,8 +274,12 @@ CommandQueue::rankReadySeconds(unsigned r) const
 }
 
 Event
-CommandQueue::enqueue(Command cmd)
+CommandQueue::enqueue(Command cmd, const CommandOptions &opts)
 {
+    cmd.after = opts.after;
+    cmd.tenant = opts.tenant;
+    if (rec_ != nullptr)
+        cmd.label = opts.label;
     const Event id = static_cast<Event>(
         resolvedBase_ + resolved_.size() + pending_.size());
     if (cmd.after != kNoEvent) {
@@ -221,15 +338,11 @@ CommandQueue::copyDuration(const DpuSet &set, uint64_t total_bytes) const
 
 CommandQueue::Command
 CommandQueue::makeCopy(const DpuSet &set, uint64_t total_bytes,
-                       const CommandOptions &opts, CopyDirection dir) const
+                       CopyDirection dir) const
 {
     Command cmd;
     cmd.type = Command::Type::Copy;
-    cmd.after = opts.after;
-    cmd.tenant = opts.tenant;
     cmd.dir = dir;
-    if (rec_ != nullptr)
-        cmd.label = opts.label;
     cmd.totalBytes = total_bytes;
     cmd.copySeconds = copyDuration(set, total_bytes);
     cmd.part = set.partition();
@@ -240,7 +353,7 @@ Event
 CommandQueue::memcpyAsync(const DpuSet &set, uint64_t bytes_per_dpu,
                           CopyDirection dir, const CommandOptions &opts)
 {
-    return enqueue(makeCopy(set, bytes_per_dpu * set.size(), opts, dir));
+    return enqueue(makeCopy(set, bytes_per_dpu * set.size(), dir), opts);
 }
 
 Event
@@ -255,9 +368,9 @@ CommandQueue::enqueueScatter(const DpuSet &set,
     uint64_t total = 0;
     for (const uint64_t b : bytes_per_dpu)
         total += b;
-    Command cmd = makeCopy(set, total, opts, dir);
+    Command cmd = makeCopy(set, total, dir);
     cmd.occupyRanks = occupy_ranks;
-    return enqueue(std::move(cmd));
+    return enqueue(std::move(cmd), opts);
 }
 
 Event
@@ -276,9 +389,9 @@ CommandQueue::memcpyBufferedAsync(const DpuSet &set,
                                   CopyDirection dir,
                                   const CommandOptions &opts)
 {
-    Command cmd = makeCopy(set, bytes_per_dpu * set.size(), opts, dir);
+    Command cmd = makeCopy(set, bytes_per_dpu * set.size(), dir);
     cmd.occupyRanks = false;
-    return enqueue(std::move(cmd));
+    return enqueue(std::move(cmd), opts);
 }
 
 Event
@@ -316,10 +429,6 @@ CommandQueue::launchProgram(const DpuSet &set, LaunchFn program,
                "launch target contains no materialized DPU");
     Command cmd;
     cmd.type = Command::Type::Launch;
-    cmd.after = opts.after;
-    cmd.tenant = opts.tenant;
-    if (rec_ != nullptr)
-        cmd.label = opts.label;
     cmd.program = std::move(program);
     cmd.part = set.partition();
     const size_t nslots = cmd.part->slots.size();
@@ -329,7 +438,7 @@ CommandQueue::launchProgram(const DpuSet &set, LaunchFn program,
         cmd.eventsOff = slotEventsArena_.size();
         slotEventsArena_.resize(cmd.eventsOff + nslots, 0);
     }
-    return enqueue(std::move(cmd));
+    return enqueue(std::move(cmd), opts);
 }
 
 Event
@@ -339,13 +448,9 @@ CommandQueue::launchTimed(const DpuSet &set, double seconds,
     PIM_ASSERT(seconds >= 0.0, "negative launch duration");
     Command cmd;
     cmd.type = Command::Type::Launch;
-    cmd.after = opts.after;
-    cmd.tenant = opts.tenant;
-    if (rec_ != nullptr)
-        cmd.label = opts.label;
     cmd.launchSeconds = seconds;
     cmd.part = set.partition();
-    return enqueue(std::move(cmd));
+    return enqueue(std::move(cmd), opts);
 }
 
 double
@@ -361,12 +466,8 @@ CommandQueue::hostBusy(double seconds, const CommandOptions &opts)
 {
     Command cmd;
     cmd.type = Command::Type::HostCompute;
-    cmd.after = opts.after;
-    cmd.tenant = opts.tenant;
-    if (rec_ != nullptr)
-        cmd.label = opts.label;
     cmd.hostSeconds = seconds;
-    enqueue(std::move(cmd));
+    enqueue(std::move(cmd), opts);
     return seconds;
 }
 
@@ -375,12 +476,8 @@ CommandQueue::hostIdleUntil(double seconds, const CommandOptions &opts)
 {
     Command cmd;
     cmd.type = Command::Type::HostCompute;
-    cmd.after = opts.after;
-    cmd.tenant = opts.tenant;
-    if (rec_ != nullptr)
-        cmd.label = opts.label;
     cmd.hostUntil = seconds;
-    enqueue(std::move(cmd));
+    enqueue(std::move(cmd), opts);
 }
 
 void
@@ -438,48 +535,13 @@ CommandQueue::drain()
     // Phase 2: fold the commands into the timelines, sequentially and
     // in enqueue order — bit-identical for any worker-thread count.
     // Host-side charges land on the issuing tenant's host lane; the bus
-    // and the ranks are shared across tenants. With a recorder
-    // attached, each command also emits one span per lane it occupied,
-    // at exactly the interval the fold computed, tagged with its
-    // tenant's name.
+    // and the ranks are shared across tenants. Each charged interval
+    // and each resolved command goes to the observers through one call
+    // (observeInterval / observeResolved).
     const double launch_overhead =
         sys_.config().xferCfg.launchLatencySec;
-    auto span = [this](int lane, const std::string &name, double t0,
-                       double t1, const Command &cmd, Event id,
-                       bool idle = false) {
-        trace::Span s;
-        s.lane = lane;
-        s.name = name;
-        s.tenant = tenantTag(cmd.tenant);
-        s.t0 = traceEpoch_ + t0;
-        s.t1 = traceEpoch_ + t1;
-        s.bytes = cmd.type == Command::Type::Copy
-                && lane == trace::kBusLane
-            ? cmd.totalBytes : 0;
-        s.event = id;
-        s.after = cmd.after;
-        s.idle = idle;
-        rec_->record(std::move(s));
-    };
     if (met_ != nullptr)
         ensureTenantMetrics();
-    // Metric helpers (met_ != nullptr only): sampler times are
-    // epoch-absolute so series stay monotonic across resetTimeline,
-    // exactly like trace spans.
-    auto metUtil = [this](int sid, double t0, double t1) {
-        met_->sampler().accumulate(sid, traceEpoch_ + t0,
-                                   traceEpoch_ + t1);
-    };
-    auto metRankBusy = [&](const Command &cmd, double t0, double t1,
-                           unsigned r) {
-        metUtil(rankSid_[r], t0, t1);
-        metUtil(ranksBusySid_, t0, t1);
-        metUtil(tenantMet_[cmd.tenant].ranksBusySid, t0, t1);
-    };
-    auto metInFlight = [this](double t0, double t1) {
-        met_->sampler().eventDelta(depthSid_, traceEpoch_ + t0, +1);
-        met_->sampler().eventDelta(depthSid_, traceEpoch_ + t1, -1);
-    };
     for (Command &cmd : pending_) {
         const Event id = static_cast<Event>(
             resolvedBase_ + resolved_.size());
@@ -496,32 +558,22 @@ CommandQueue::drain()
             // chain and nowhere else.
             cmd.end = std::max(host_t, dep);
             inj_->notePoisoned();
-            if (met_ != nullptr) {
-                qm_.resolved->add();
-                qm_.failed->add();
-                qm_.poisoned->add();
-                const TenantMetrics &tm = tenantMet_[cmd.tenant];
-                if (tm.poisoned != nullptr) {
-                    tm.resolved->add();
-                    tm.failed->add();
-                    tm.poisoned->add();
-                }
-            }
+            observeResolved(cmd, cmd.end, /*failed=*/true,
+                            /*poisoned=*/true, 0);
             resolved_.push_back(cmd.end);
             resolvedFailed_.push_back(1);
             continue;
         }
+        // Opening of the command's in-flight window (a launch's issue).
+        double window_t0 = host_t;
+        // Transfer attempts beyond the first.
+        unsigned retries = 0;
         switch (cmd.type) {
           case Command::Type::Launch: {
             // The host pays the driver-issue overhead, then moves on.
             const double issue_t0 = host_t;
             host_t += launch_overhead;
-            std::string name; // only materialized when tracing
-            if (rec_ != nullptr) {
-                name = cmd.label.empty() ? "launch" : cmd.label;
-                span(hostLane(cmd.tenant), name + " (issue)", issue_t0,
-                     host_t, cmd, id);
-            }
+            observeInterval(cmd, id, kOnHost, issue_t0, host_t);
             // A rank with sampled members is busy for its slowest one;
             // an unsampled rank is charged the slowest sampled member
             // of the whole launch (representative-sample assumption).
@@ -613,39 +665,16 @@ CommandQueue::drain()
                     rankT_[r] = start + dur;
                     launch_end = std::max(launch_end, rankT_[r]);
                     launch_work = std::max(launch_work, dur);
-                    if (met_ != nullptr)
-                        metRankBusy(cmd, start, rankT_[r], r);
+                    observeInterval(cmd, id, static_cast<int>(r), start,
+                                    rankT_[r], rank_fault, cycles);
                 } else {
                     launch_end = std::max(launch_end, start);
-                }
-                if (rec_ != nullptr && charge) {
-                    trace::Span s;
-                    s.lane = trace::rankLane(r);
-                    s.name = rank_fault ? name + " !fault" : name;
-                    s.tenant = tenantTag(cmd.tenant);
-                    s.t0 = traceEpoch_ + start;
-                    s.t1 = traceEpoch_ + rankT_[r];
-                    s.cycles = cycles;
-                    s.event = id;
-                    s.after = cmd.after;
-                    rec_->record(std::move(s));
                 }
             }
             // Ranks run concurrently, so one launch contributes its
             // slowest rank once to the serial-composition work sum.
             launchWork_ += launch_work;
             cmd.end = launch_end;
-            if (met_ != nullptr) {
-                metUtil(tenantMet_[cmd.tenant].hostSid, issue_t0,
-                        host_t);
-                metInFlight(issue_t0, cmd.end);
-                uint64_t ev = 0;
-                if (cmd.eventsOff != kNoArena) {
-                    for (size_t j = 0; j < part.slots.size(); ++j)
-                        ev += slotEventsArena_[cmd.eventsOff + j];
-                }
-                qm_.simEvents->add(ev);
-            }
             break;
           }
           case Command::Type::Copy: {
@@ -676,21 +705,19 @@ CommandQueue::drain()
                         inj_->transfer(start, cmd.copySeconds);
                     copy_sec = out.busSeconds;
                     failed = out.failed;
-                    if (met_ != nullptr && out.attempts > 1) {
-                        const uint64_t n = out.attempts - 1;
-                        qm_.retries->add(n);
-                        const TenantMetrics &tm =
-                            tenantMet_[cmd.tenant];
-                        if (tm.retries != nullptr)
-                            tm.retries->add(n);
-                    }
+                    retries = out.attempts - 1;
                 }
             }
             const double end = start + copy_sec;
             busT_ = end;
+            window_t0 = start;
+            observeInterval(cmd, id, kOnBus, start, end, failed);
             if (cmd.occupyRanks && !failed) {
-                for (const unsigned r : cmd.part->ranks)
+                for (const unsigned r : cmd.part->ranks) {
                     rankT_[r] = end;
+                    observeInterval(cmd, id, static_cast<int>(r), start,
+                                    end);
+                }
             }
             // A failed transfer moved wire traffic but delivered no
             // payload; retries of a succeeding one deliver it once.
@@ -698,75 +725,27 @@ CommandQueue::drain()
                 transferredBytes_ += cmd.totalBytes;
             copyWork_ += copy_sec;
             cmd.end = end;
-            if (met_ != nullptr) {
-                metUtil(busSid_, start, end);
-                if (cmd.occupyRanks && !failed) {
-                    for (const unsigned r : cmd.part->ranks)
-                        metRankBusy(cmd, start, end, r);
-                }
-                if (!failed) {
-                    qm_.busBytes->add(cmd.totalBytes);
-                    const TenantMetrics &tm = tenantMet_[cmd.tenant];
-                    if (tm.busBytes != nullptr)
-                        tm.busBytes->add(cmd.totalBytes);
-                }
-                metInFlight(start, end);
-            }
-            if (rec_ != nullptr) {
-                std::string name = cmd.label.empty()
-                    ? std::string(cmd.dir == CopyDirection::HostToPim
-                                      ? "memcpy:h2p" : "memcpy:p2h")
-                    : cmd.label;
-                if (failed)
-                    name += " !fault";
-                span(trace::kBusLane, name, start, end, cmd, id);
-                if (cmd.occupyRanks && !failed) {
-                    for (const unsigned r : cmd.part->ranks)
-                        span(trace::rankLane(r), name, start, end, cmd,
-                             id);
-                }
-            }
             break;
           }
           case Command::Type::HostCompute: {
             const double host_t0 = host_t;
             if (cmd.hostUntil >= 0.0) {
                 host_t = std::max({host_t, cmd.hostUntil, dep});
-                if (rec_ != nullptr && host_t > host_t0)
-                    span(hostLane(cmd.tenant),
-                         cmd.label.empty() ? std::string("idle-until")
-                                           : cmd.label,
-                         host_t0, host_t, cmd, id, /*idle=*/true);
+                if (host_t > host_t0)
+                    observeInterval(cmd, id, kOnHost, host_t0, host_t);
             } else {
                 const double start = std::max(host_t0, dep);
                 host_t = start + cmd.hostSeconds;
                 hostWork_ += cmd.hostSeconds;
-                if (rec_ != nullptr)
-                    span(hostLane(cmd.tenant),
-                         cmd.label.empty() ? std::string("host")
-                                           : cmd.label,
-                         start, host_t, cmd, id);
-                if (met_ != nullptr) {
-                    metUtil(tenantMet_[cmd.tenant].hostSid, start,
-                            host_t);
-                    metInFlight(start, host_t);
-                }
+                window_t0 = start;
+                observeInterval(cmd, id, kOnHost, start, host_t);
             }
             cmd.end = host_t;
             break;
           }
         }
-        if (met_ != nullptr) {
-            qm_.resolved->add();
-            const TenantMetrics &tm = tenantMet_[cmd.tenant];
-            if (tm.resolved != nullptr)
-                tm.resolved->add();
-            if (failed) {
-                qm_.failed->add();
-                if (tm.failed != nullptr)
-                    tm.failed->add();
-            }
-        }
+        observeResolved(cmd, window_t0, failed, /*poisoned=*/false,
+                        retries);
         resolved_.push_back(cmd.end);
         resolvedFailed_.push_back(failed ? 1 : 0);
     }

@@ -42,15 +42,21 @@
  * over all sampled members of the launch (the sample is assumed
  * representative: the paper's workloads shard uniformly across DPUs).
  *
- * Tracing: attachRecorder() hooks a trace::Recorder into the drain —
- * every resolved command then also emits spans on the lane(s) it
- * occupied (host, bus, per rank), carrying bytes/cycles and its Event
- * id/dependency, so the exact interval arithmetic above becomes
- * visible in chrome://tracing and analyzable as per-lane occupancy.
- * Spans of a registered tenant carry the tenant's name (the hook for
- * trace::analyzeOccupancy's per-tenant attribution), and a tenant's
- * host lane appears as a dedicated "host:<name>" lane. With no recorder
- * attached the cost is one pointer test per resolved command.
+ * Observers: a run attaches its trace::Recorder (attachRecorder) and
+ * its telemetry::Registry (attachMetrics) once, to its queue; the
+ * tasks and the core::Session driving the queue read them from here.
+ * The fold reports to both through two calls: each interval it charges
+ * (a launch's host issue, each charged rank, a copy's bus and, when it
+ * lands, its ranks, host compute, an idle wait that advances) becomes
+ * one span on that lane, carrying bytes/cycles and its Event
+ * id/dependency, plus busy time on the lane's sampler series; each
+ * resolved command updates the counters and the in-flight depth. So
+ * the exact interval arithmetic above becomes visible in
+ * chrome://tracing, analyzable as per-lane occupancy, and binned as
+ * utilization. Spans of a registered tenant carry the tenant's name
+ * (the hook for trace::analyzeOccupancy's per-tenant attribution), and
+ * a tenant's host lane appears as a dedicated "host:<name>" lane. With
+ * nothing attached the cost is one inline pointer test per interval.
  *
  * Fault injection: attachFaultInjector() routes every fold decision
  * through a deterministic fault::FaultInjector. Commands then gain a
@@ -394,8 +400,10 @@ class CommandQueue
      * utilization, busy-rank averages (global and per tenant), and the
      * in-flight command depth — all in *simulated* time from the
      * sequential fold, so every metric is bit-identical for any
-     * worker-thread count. With no registry attached the cost is one
-     * pointer test per command (the same contract as attachRecorder).
+     * worker-thread count. Attach before building a core::Session or
+     * a task on this queue: they take the registry from
+     * metricsRegistry() (the task's latency histograms and SLOs, the
+     * session's rank-scheduler and fault counters).
      */
     void attachMetrics(telemetry::Registry *met);
 
@@ -464,14 +472,16 @@ class CommandQueue
         unsigned pos;
     };
 
-    Event enqueue(Command cmd);
+    /** Apply @p opts (dependency, tenant, label) to @p cmd and queue
+     *  it. @return its event. */
+    Event enqueue(Command cmd, const CommandOptions &opts);
     Event enqueueScatter(const DpuSet &set,
                          const std::vector<uint64_t> &bytes_per_dpu,
                          CopyDirection dir, const CommandOptions &opts,
                          bool occupy_ranks);
     double copyDuration(const DpuSet &set, uint64_t total_bytes) const;
     Command makeCopy(const DpuSet &set, uint64_t total_bytes,
-                     const CommandOptions &opts, CopyDirection dir) const;
+                     CopyDirection dir) const;
     /** Execute pending launch bodies and fold every pending command
      *  into the timelines, in enqueue order. */
     void drain();
@@ -488,6 +498,44 @@ class CommandQueue
 
     /** Emit the one-off zero-width rank-death marker span. */
     void traceRankDeath(unsigned r, double failAtSec);
+
+    /** observeInterval lanes other than a rank index (>= 0). */
+    static constexpr int kOnHost = -1; ///< the command's tenant host lane
+    static constexpr int kOnBus = -2;
+
+    /**
+     * Report one interval the fold charged to command @p cmd (event
+     * @p id): [@p t0, @p t1) on rank @p where, or on kOnHost / kOnBus.
+     * The observers see it once: the recorder as a span named after the
+     * command (its label or the kind default, plus " (issue)" on a
+     * launch's host lane and " !fault" when @p fault says the fault
+     * path cut it), carrying @p cycles and, on the bus, the copy's
+     * bytes; the registry as busy time on the lane's sampler series,
+     * unless the interval is an idle wait. With nothing attached the
+     * cost is this inline test.
+     */
+    void observeInterval(const Command &cmd, Event id, int where,
+                         double t0, double t1, bool fault = false,
+                         uint64_t cycles = 0)
+    {
+        if (rec_ != nullptr || met_ != nullptr)
+            recordInterval(cmd, id, where, t0, t1, fault, cycles);
+    }
+
+    void recordInterval(const Command &cmd, Event id, int where,
+                        double t0, double t1, bool fault,
+                        uint64_t cycles);
+
+    /**
+     * Report a resolved command to the registry: the resolved, failed,
+     * poisoned and transfer-retry counters (@p retries attempts beyond
+     * the first), delivered bus bytes, a launch's simulation events,
+     * and its in-flight window [@p start, cmd.end] on the depth series.
+     * A @p poisoned command charged nothing, so it adds no events and
+     * no window; neither does an idle wait.
+     */
+    void observeResolved(const Command &cmd, double start, bool failed,
+                         bool poisoned, unsigned retries);
 
     /** Trace lane of tenant @p t's host timeline. */
     int hostLane(TenantId t) const;

@@ -14,8 +14,6 @@ void
 RankScheduler::attachMetrics(telemetry::Registry *met)
 {
     met_ = met;
-    if (met_ != nullptr)
-        met_->gauge("ranks.free").set(freeRankCount());
 }
 
 std::optional<DpuSet>

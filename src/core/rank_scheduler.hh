@@ -50,8 +50,11 @@ class RankScheduler
     /**
      * Start counting arbitration decisions into @p met (nullptr
      * detaches): grants / granted ranks / parked waits / quarantines /
-     * releases as "ranks.*" counters, plus a "ranks.free" gauge
-     * tracking the free pool. One pointer test when detached.
+     * releases as "ranks.*" counters, plus a "ranks.free" gauge that
+     * every grant, release and quarantine sets to the free pool (so a
+     * scheduler that never decides adds no entries). One pointer test
+     * when detached. core::Session attaches its scheduler to its
+     * queue's registry.
      */
     void attachMetrics(telemetry::Registry *met);
 

@@ -8,9 +8,11 @@
 namespace pim::core {
 
 Session::Session(CommandQueue &queue, const fault::FaultSpec &faults,
-                 uint64_t faultSeed, telemetry::Registry *metrics)
-    : queue_(queue), sched_(queue.system()), met_(metrics)
+                 uint64_t faultSeed)
+    : queue_(queue), sched_(queue.system()),
+      met_(queue.metricsRegistry())
 {
+    sched_.attachMetrics(met_);
     if (faults.enabled()) {
         inj_ = std::make_unique<fault::FaultInjector>(fault::FaultPlan(
             faults, faultSeed, queue.system().numRanks()));
@@ -62,6 +64,9 @@ Session::add(const std::string &tenant, Stepper &task)
 double
 Session::run()
 {
+    PIM_ASSERT(queue_.metricsRegistry() == met_,
+               "the queue's metrics registry changed after the session "
+               "was built: attach observers to the queue first");
     for (;;) {
         // The unfinished tenant whose clock is behind; ties go to the
         // one added first.

@@ -80,15 +80,18 @@ class Session
 {
   public:
     /**
+     * Observers attach to @p queue before the session is built: the
+     * session counts its rank scheduler's decisions into the queue's
+     * registry and, once run() has joined the queue, exports the fault
+     * statistics there too. run() is fatal if the queue's registry
+     * changed in between.
+     *
      * @param faults opt-in fault injection: when enabled(), the session
      *        attaches a FaultInjector over FaultPlan(faults, faultSeed,
      *        ranks) to @p queue for its lifetime.
-     * @param metrics registry the injector's statistics are exported to
-     *        once run() has joined the queue (nullptr = none).
      */
     explicit Session(CommandQueue &queue, const fault::FaultSpec &faults = {},
-                     uint64_t faultSeed = 0,
-                     telemetry::Registry *metrics = nullptr);
+                     uint64_t faultSeed = 0);
     ~Session();
 
     Session(const Session &) = delete;
@@ -129,6 +132,7 @@ class Session
     CommandQueue &queue_;
     RankScheduler sched_;
     std::unique_ptr<fault::FaultInjector> inj_;
+    /** The queue's registry when the session was built. */
     telemetry::Registry *met_;
     std::vector<Tenant> tenants_;
 };

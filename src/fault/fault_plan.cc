@@ -1,6 +1,7 @@
 #include "fault/fault_plan.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -37,6 +38,9 @@ parseDouble(const std::string &key, const std::string &value)
     if (end == nullptr || *end != '\0' || value.empty())
         PIM_FATAL("--fault-spec: value for '", key, "' is not a number: '",
                   value, "'");
+    if (!std::isfinite(v))
+        PIM_FATAL("--fault-spec: value for '", key, "' must be finite, "
+                  "got '", value, "'");
     if (v < 0.0)
         PIM_FATAL("--fault-spec: '", key, "' must be >= 0, got ", value);
     return v;

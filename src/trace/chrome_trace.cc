@@ -3,9 +3,9 @@
 #include <fstream>
 #include <iostream>
 
-#include "telemetry/export.hh"
 #include "trace/occupancy.hh"
 #include "util/json.hh"
+#include "util/table.hh"
 
 namespace pim::trace {
 
@@ -62,14 +62,16 @@ writeCounterTracks(util::JsonWriter &j,
 }
 
 void
-writeProcess(util::JsonWriter &j, const TraceProcess &proc, int pid)
+writeProcess(util::JsonWriter &j, const std::string &name,
+             const Recorder *recorder, const telemetry::Registry *metrics,
+             int pid)
 {
-    metaEvent(j, "process_name", pid, 0, "name", proc.name, 0, true);
-    if (proc.metrics != nullptr)
-        writeCounterTracks(j, *proc.metrics, pid);
-    if (proc.recorder == nullptr)
+    metaEvent(j, "process_name", pid, 0, "name", name, 0, true);
+    if (metrics != nullptr)
+        writeCounterTracks(j, *metrics, pid);
+    if (recorder == nullptr)
         return;
-    const Recorder &rec = *proc.recorder;
+    const Recorder &rec = *recorder;
 
     // One named thread per lane, sorted host < bus < ranks < customs.
     const std::vector<int> lanes = rec.lanes();
@@ -116,6 +118,22 @@ writeProcess(util::JsonWriter &j, const TraceProcess &proc, int pid)
     }
 }
 
+/** Open the capture object and its "traceEvents" array. */
+void
+beginCapture(util::JsonWriter &j)
+{
+    j.beginObject();
+    j.key("displayTimeUnit").value("ms");
+    j.key("traceEvents").beginArray();
+}
+
+void
+endCapture(util::JsonWriter &j)
+{
+    j.endArray();
+    j.endObject();
+}
+
 } // namespace
 
 void
@@ -123,24 +141,24 @@ writeChromeTrace(std::ostream &out,
                  const std::vector<TraceProcess> &processes)
 {
     util::JsonWriter j(out);
-    j.beginObject();
-    j.key("displayTimeUnit").value("ms");
-    j.key("traceEvents").beginArray();
+    beginCapture(j);
     int pid = 1;
     for (const TraceProcess &proc : processes) {
         if (proc.recorder != nullptr || proc.metrics != nullptr)
-            writeProcess(j, proc, pid);
+            writeProcess(j, proc.name, proc.recorder, proc.metrics, pid);
         ++pid;
     }
-    j.endArray();
-    j.endObject();
+    endCapture(j);
 }
 
 void
 writeChromeTrace(std::ostream &out, const Recorder &rec,
                  const std::string &process_name)
 {
-    writeChromeTrace(out, {{process_name, &rec}});
+    util::JsonWriter j(out);
+    beginCapture(j);
+    writeProcess(j, process_name, &rec, nullptr, 1);
+    endCapture(j);
 }
 
 bool
@@ -162,35 +180,28 @@ writeChromeTraceFile(const std::string &path,
     return true;
 }
 
-Recorder *
-RecorderSet::add(std::string name)
+TraceProcess
+ObserverSet::add(std::string name)
 {
-    if (!enabled_)
-        return nullptr;
-    recorders_.emplace_back();
-    names_.push_back(std::move(name));
-    return &recorders_.back();
-}
-
-std::vector<TraceProcess>
-RecorderSet::processes() const
-{
-    std::vector<TraceProcess> procs;
-    for (size_t i = 0; i < names_.size(); ++i)
-        procs.push_back({names_[i], &recorders_[i]});
-    return procs;
+    TraceProcess p;
+    p.name = std::move(name);
+    if (trace_)
+        p.recorder = &recorders_.emplace_back();
+    if (metrics_)
+        p.metrics = &registries_.emplace_back();
+    procs_.push_back(p);
+    return p;
 }
 
 bool
-emitReports(std::ostream &out,
-            const std::vector<TraceProcess> &processes,
-            bool print_occupancy, const std::string &trace_path,
-            const std::string &title_prefix)
+emitReports(std::ostream &out, const ObserverSet &obs,
+            bool print_occupancy, bool print_metrics,
+            const std::string &trace_path, const std::string &title_prefix)
 {
     if (print_occupancy) {
-        for (const TraceProcess &p : processes) {
+        for (const TraceProcess &p : obs.processes()) {
             if (p.recorder == nullptr)
-                continue; // metrics-only process: no spans to analyze
+                continue; // metrics-only run: no spans to analyze
             out << "\n";
             const OccupancyReport rep = analyzeOccupancy(*p.recorder);
             rep.toTable(title_prefix + p.name).print(out);
@@ -201,49 +212,19 @@ emitReports(std::ostream &out,
             }
         }
     }
-    if (!trace_path.empty())
-        return writeChromeTraceFile(trace_path, processes);
-    return true;
-}
-
-bool
-emitReports(std::ostream &out, const RecorderSet &recorders,
-            bool print_occupancy, const std::string &trace_path,
-            const std::string &title_prefix)
-{
-    if (!recorders.enabled())
-        return true;
-    return emitReports(out, recorders.processes(), print_occupancy,
-                       trace_path, title_prefix);
-}
-
-bool
-emitReports(std::ostream &out, const RecorderSet &recorders,
-            const telemetry::MetricSet &metrics, bool print_occupancy,
-            bool print_metrics, const std::string &trace_path,
-            const std::string &title_prefix)
-{
-    std::vector<TraceProcess> procs = recorders.enabled()
-        ? recorders.processes() : std::vector<TraceProcess>{};
-    if (metrics.enabled()) {
-        for (const auto &e : metrics.entries()) {
-            bool paired = false;
-            for (TraceProcess &p : procs) {
-                if (p.name == e.name) {
-                    p.metrics = e.registry;
-                    paired = true;
-                }
+    if (print_metrics) {
+        for (const TraceProcess &p : obs.processes()) {
+            if (p.metrics == nullptr)
+                continue;
+            for (const util::Table &t : p.metrics->tables(p.name)) {
+                out << "\n";
+                t.print(out);
             }
-            if (!paired)
-                procs.push_back({e.name, nullptr, e.registry});
         }
     }
-    emitReports(out, procs, print_occupancy, /*trace_path=*/"",
-                title_prefix);
-    telemetry::printMetrics(out, metrics, print_metrics);
-    if (!trace_path.empty() && !procs.empty())
-        return writeChromeTraceFile(trace_path, procs);
-    return true;
+    if (trace_path.empty())
+        return true;
+    return writeChromeTraceFile(trace_path, obs.processes());
 }
 
 } // namespace pim::trace

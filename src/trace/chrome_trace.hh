@@ -18,12 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/registry.hh"
 #include "trace/trace.hh"
-
-namespace pim::telemetry {
-class MetricSet;
-class Registry;
-}
 
 namespace pim::trace {
 
@@ -37,40 +33,48 @@ namespace pim::trace {
 struct TraceProcess
 {
     std::string name;
-    const Recorder *recorder = nullptr;
-    const telemetry::Registry *metrics = nullptr;
+    Recorder *recorder = nullptr;
+    telemetry::Registry *metrics = nullptr;
 };
 
 /**
- * Named recorders for a multi-configuration bench: one recorder per
- * traced run, with stable addresses, created only when tracing was
- * requested. The standard shape is
+ * The observers of a multi-run bench: per run, one recorder when
+ * tracing is on and one metrics registry when metrics are on, with
+ * stable addresses. A run attaches both to the queue it drives (or
+ * hands them to a standalone runner's config). The standard shape is
  *
- *   trace::RecorderSet recorders(knobs.wantsTrace());
- *   cfg.recorder = recorders.add(run_name);     // nullptr when off
+ *   trace::ObserverSet obs(knobs.wantsTrace(), knobs.wantsMetrics());
+ *   const trace::TraceProcess run = obs.add(run_name);
+ *   cfg.recorder = run.recorder;     // nullptr when tracing is off
+ *   cfg.metrics = run.metrics;       // nullptr when metrics are off
  *   ...
- *   if (!trace::emitReports(std::cout, recorders, knobs.occupancy,
- *                           knobs.tracePath))
+ *   if (!trace::emitReports(std::cout, obs, knobs.occupancy,
+ *                           knobs.metrics, knobs.tracePath))
  *       return 1;
  */
-class RecorderSet
+class ObserverSet
 {
   public:
-    /** @param enabled false = add() returns nullptr, emit no-ops. */
-    explicit RecorderSet(bool enabled) : enabled_(enabled) {}
+    ObserverSet(bool trace, bool metrics) : trace_(trace), metrics_(metrics)
+    {
+    }
 
-    bool enabled() const { return enabled_; }
+    /** True if add() creates registries. */
+    bool metricsEnabled() const { return metrics_; }
 
-    /** New recorder labeled @p name; nullptr when disabled. */
-    Recorder *add(std::string name);
+    /** Start run @p name: its process, with a new recorder and a new
+     *  registry (each null when its output is off). */
+    TraceProcess add(std::string name);
 
-    /** The recorders added so far, as capture processes. */
-    std::vector<TraceProcess> processes() const;
+    /** Every run added so far, in add() order. */
+    const std::vector<TraceProcess> &processes() const { return procs_; }
 
   private:
-    bool enabled_;
+    bool trace_;
+    bool metrics_;
     std::deque<Recorder> recorders_;
-    std::vector<std::string> names_;
+    std::deque<telemetry::Registry> registries_;
+    std::vector<TraceProcess> procs_;
 };
 
 /** Write a multi-process capture. */
@@ -90,34 +94,15 @@ bool writeChromeTraceFile(const std::string &path,
                           const std::vector<TraceProcess> &processes);
 
 /**
- * The shared bench/example epilogue behind the --occupancy / --trace
- * knobs: when @p print_occupancy, print one occupancy table per
- * process on @p out (titled "<title_prefix><process name>"); when
- * @p trace_path is non-empty, write all processes as one multi-process
- * Chrome capture. Returns false if the trace file cannot be written.
+ * The bench/example epilogue behind --occupancy, --metrics and --trace,
+ * over every run of @p obs: when @p print_occupancy, one occupancy table
+ * per traced run on @p out (titled "<title_prefix><run name>", plus the
+ * per-tenant table when spans carry tenants); when @p print_metrics,
+ * each registry's summary tables; when @p trace_path is non-empty, all
+ * runs as one multi-process Chrome capture, spans beside counter
+ * tracks. Returns false if the trace file cannot be written.
  */
-bool emitReports(std::ostream &out,
-                 const std::vector<TraceProcess> &processes,
-                 bool print_occupancy, const std::string &trace_path,
-                 const std::string &title_prefix = "Occupancy: ");
-
-/** emitReports over a RecorderSet; a disabled set is a successful
- *  no-op, so callers need no enabled() guard. */
-bool emitReports(std::ostream &out, const RecorderSet &recorders,
-                 bool print_occupancy, const std::string &trace_path,
-                 const std::string &title_prefix = "Occupancy: ");
-
-/**
- * emitReports with metrics: pairs each registry of @p metrics with the
- * recorder of the same name (name-matched add() calls), so a written
- * capture carries the run's counter tracks beside its spans, prints
- * each registry's summary tables when @p print_metrics (--metrics),
- * and prints occupancy tables as before. Disabled sets no-op
- * independently; registries without a recorder become metrics-only
- * processes.
- */
-bool emitReports(std::ostream &out, const RecorderSet &recorders,
-                 const telemetry::MetricSet &metrics,
+bool emitReports(std::ostream &out, const ObserverSet &obs,
                  bool print_occupancy, bool print_metrics,
                  const std::string &trace_path,
                  const std::string &title_prefix = "Occupancy: ");

@@ -115,18 +115,6 @@ Cli::getBool(const std::string &name, bool def) const
               it->second, "'");
 }
 
-std::string
-benchKnobNames(const std::string &extra)
-{
-    std::string names = "dpus,sample,tasklets,threads,json,trace,"
-                        "occupancy,metrics,fault-seed,mtbf,fault-spec";
-    if (!extra.empty()) {
-        names += ',';
-        names += extra;
-    }
-    return names;
-}
-
 BenchKnobs
 parseBenchKnobs(const Cli &cli, const BenchKnobs &defaults)
 {

@@ -56,10 +56,12 @@ class Cli
 };
 
 /**
- * The shared experiment knobs the figure benchmarks accept
- * (--dpus/--sample/--tasklets/--threads/--json/--trace/--occupancy),
- * so every bench parses them identically instead of hand-rolling its
- * own subset.
+ * The shared experiment knobs of the figure benchmarks
+ * (--dpus/--sample/--tasklets/--threads/--json/--trace/--occupancy/
+ * --metrics and the fault flags), so every bench parses them
+ * identically. parseBenchKnobs reads only the flags given; each bench
+ * lists in its Cli exactly the flags it honours, so a knob it ignores
+ * is an unknown flag there, not a silent no-op.
  */
 struct BenchKnobs
 {
@@ -116,9 +118,6 @@ struct BenchKnobs
         return metrics || wantsTrace();
     }
 };
-
-/** Comma-joined known-flag list: the shared knob names + @p extra. */
-std::string benchKnobNames(const std::string &extra = "");
 
 /**
  * Read the shared knobs from @p cli over per-bench @p defaults.

@@ -195,7 +195,7 @@ struct GraphUpdateTask::Impl
     double buildDoneSec = 0.0;
     double now = 0.0;
     GraphUpdateResult res; ///< updateEdgesTotal filled up front
-    /** Registry sinks (both null when cfg.metrics is null). */
+    /** Registry sinks (both null when the queue has no registry). */
     telemetry::Registry *met = nullptr;
     telemetry::Histogram *roundHist = nullptr;
 
@@ -265,8 +265,8 @@ GraphUpdateTask::Impl::Impl(const GraphUpdateConfig &cfg_in,
     PIM_ASSERT(numShards >= 1, "need at least one DPU in the partition");
     res.updateEdgesTotal = w.updateEdges.size();
 
-    if (cfg.metrics != nullptr) {
-        met = cfg.metrics;
+    met = queue.metricsRegistry();
+    if (met != nullptr) {
         roundHist = &met->histogram("graph.round_sec");
         if (cfg.sloRoundSec > 0.0)
             met->slo().declare("graph.round", cfg.sloRoundSec);
@@ -631,9 +631,11 @@ GraphUpdateTask::Impl::onRankFailed(unsigned rank, double failSec)
     }
     ++failures;
     partRankIds.erase(it);
-    PIM_ASSERT(!partRankIds.empty(),
-               "graph partition lost its last rank");
-    part = sys.ranks(partRankIds);
+    // With the last rank gone the partition stays as it was until a
+    // replacement joins (Recover) or the task ends (Drop): an empty
+    // rank list is no DpuSet.
+    if (!partRankIds.empty())
+        part = sys.ranks(partRankIds);
 
     const core::DpuSet dead_set = sys.ranks({rank});
 
@@ -660,6 +662,12 @@ GraphUpdateTask::Impl::onRankFailed(unsigned rank, double failSec)
             st.allocator.reset();
             st.active = false;
             pending[slot] = ShardOutcome{};
+        }
+        if (partRankIds.empty()) {
+            // Every shard is gone (their edges are written off above):
+            // the remaining rounds are lost and the task is finished.
+            lostRoundsN += rounds - round;
+            round = rounds;
         }
         return;
     }
@@ -872,11 +880,10 @@ runGraphUpdate(const GraphUpdateConfig &cfg)
     if (cfg.metrics != nullptr)
         queue.attachMetrics(cfg.metrics);
 
-    core::Session session(queue, cfg.faultSpec, cfg.faultSeed, cfg.metrics);
+    core::Session session(queue, cfg.faultSpec, cfg.faultSeed);
     core::DpuSet part = sys.all();
     if (session.rankFaults()) {
         // Hold spare ranks back so a dead rank's replacement exists.
-        session.scheduler().attachMetrics(cfg.metrics);
         part = session.acquireRest("graph", cfg.spareRanks, 1);
     }
     GraphUpdateTask task(cfg, queue, part);

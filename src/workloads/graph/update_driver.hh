@@ -93,14 +93,18 @@ struct GraphUpdateConfig
     /** Host worker threads simulating shards (0 = PIM_SIM_THREADS env,
      *  else hardware concurrency). Results are thread-count invariant. */
     unsigned simThreads = 0;
-    /** Span recorder fed by the run's command queue (nullptr = off). */
-    trace::Recorder *recorder = nullptr;
     /**
-     * Metrics registry (nullptr = off): queue counters/utilization plus
-     * the per-round ingest latency histogram "graph.round_sec"
-     * (completion minus the round's scheduled issue time) and, when
-     * sloRoundSec is set, attainment under "graph.round".
+     * Observers runGraphUpdate attaches to the queue it builds
+     * (nullptr = off). A GraphUpdateTask on a caller's queue ignores
+     * both and uses that queue's recorder and registry.
+     *
+     * recorder: span recorder fed by the command queue.
+     * metrics: queue counters/utilization plus the per-round ingest
+     * latency histogram "graph.round_sec" (completion minus the round's
+     * scheduled issue time) and, when sloRoundSec is set, attainment
+     * under "graph.round".
      */
+    trace::Recorder *recorder = nullptr;
     telemetry::Registry *metrics = nullptr;
     /** Round-latency SLO target in seconds (0 = no SLO declared). */
     double sloRoundSec = 0.0;

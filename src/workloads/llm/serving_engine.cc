@@ -324,7 +324,7 @@ struct DisaggServingTask::Impl
      */
     telemetry::Histogram tpot;
     telemetry::Histogram ttft;
-    /** Registry sinks (all null when cfg.metrics is null). */
+    /** Registry sinks (all null when the queue has no registry). */
     telemetry::Registry *met = nullptr;
     telemetry::Histogram *tpotReg = nullptr;
     telemetry::Histogram *ttftReg = nullptr;
@@ -417,8 +417,8 @@ DisaggServingTask::Impl::Impl(const ServingScheme &scheme_in,
 
     arrivals = arrivalTimes(cfg);
 
-    if (cfg.metrics != nullptr) {
-        met = cfg.metrics;
+    met = queue.metricsRegistry();
+    if (met != nullptr) {
         tpotReg = &met->histogram("serving.tpot_sec");
         ttftReg = &met->histogram("serving.ttft_sec");
         if (cfg.sloTpotSec > 0.0)
@@ -981,13 +981,10 @@ ServingEngine::runDisaggregated()
     // play it holds spare ranks back from the task's grant — for every
     // policy, so a Recover run and its Drop baseline serve on
     // identically sized partitions.
-    core::Session session(queue, cfg_.faultSpec, cfg_.faultSeed,
-                          cfg.metrics);
+    core::Session session(queue, cfg_.faultSpec, cfg_.faultSeed);
     core::DpuSet part = sys.all();
-    if (session.rankFaults()) {
-        session.scheduler().attachMetrics(cfg.metrics);
+    if (session.rankFaults())
         part = session.acquireRest("serving", cfg_.spareRanks, 2);
-    }
     DisaggServingTask task(scheme_, cfg_, queue, part);
     session.add("serving", task);
     const double makespan = session.run();

@@ -82,20 +82,22 @@ struct ServingConfig
     uint64_t seed = 11;
 
     /**
-     * Span recorder fed by the serving clock's command queue: decode
+     * Observers the standalone runners (runServing, ServingEngine::run)
+     * attach to the queue they build (nullptr = off). A
+     * DisaggServingTask on a caller's queue ignores both and uses that
+     * queue's recorder and registry.
+     *
+     * recorder: span recorder fed by the serving queue; lockstep decode
      * steps appear as host spans labeled "step b<batch>", idle gaps as
-     * "wait:arrival" (nullptr = off).
-     */
-    trace::Recorder *recorder = nullptr;
-
-    /**
-     * Metrics registry (nullptr = off): queue counters and utilization
-     * series, "serving.tpot_sec"/"serving.ttft_sec" latency histograms,
-     * and — when the SLO targets below are set — per-run attainment
-     * under "serving.tpot"/"serving.ttft". With a registry attached the
+     * "wait:arrival".
+     * metrics: queue counters and utilization series,
+     * "serving.tpot_sec"/"serving.ttft_sec" latency histograms, and —
+     * when the SLO targets below are set — per-run attainment under
+     * "serving.tpot"/"serving.ttft". With a registry attached the
      * disaggregated-mode percentiles come from the same histograms the
      * registry exports, so table and JSON always agree.
      */
+    trace::Recorder *recorder = nullptr;
     telemetry::Registry *metrics = nullptr;
     /** TTFT / TPOT SLO targets in seconds (0 = no SLO declared). */
     double sloTtftSec = 0.0;

@@ -13,6 +13,11 @@ using pim::util::Cli;
 
 namespace {
 
+/** Every flag parseBenchKnobs reads. */
+const char *const kSharedKnobs = "dpus,sample,tasklets,threads,json,trace,"
+                                 "occupancy,metrics,fault-seed,mtbf,"
+                                 "fault-spec";
+
 Cli
 parse(std::vector<const char *> args, const std::string &known = "")
 {
@@ -82,21 +87,11 @@ TEST(CliDeath, PositionalIsFatal)
     EXPECT_DEATH(parse({"positional"}), "positional");
 }
 
-TEST(Cli, BenchKnobNamesComposeWithExtras)
-{
-    EXPECT_EQ(pim::util::benchKnobNames(),
-              "dpus,sample,tasklets,threads,json,trace,occupancy,"
-              "metrics,fault-seed,mtbf,fault-spec");
-    EXPECT_EQ(pim::util::benchKnobNames("requests,rate"),
-              "dpus,sample,tasklets,threads,json,trace,occupancy,"
-              "metrics,fault-seed,mtbf,fault-spec,requests,rate");
-}
-
 TEST(Cli, ParseBenchKnobsReadsSharedFlags)
 {
     auto c = parse({"--dpus=64", "--sample=0", "--threads=3",
                     "--json=out.json", "--trace=t.json", "--occupancy"},
-                   pim::util::benchKnobNames());
+                   kSharedKnobs);
     pim::util::BenchKnobs defaults;
     defaults.tasklets = 8;
     const auto k = pim::util::parseBenchKnobs(c, defaults);
@@ -112,7 +107,7 @@ TEST(Cli, ParseBenchKnobsReadsSharedFlags)
 
 TEST(Cli, ParseBenchKnobsDefaults)
 {
-    auto c = parse({}, pim::util::benchKnobNames());
+    auto c = parse({}, kSharedKnobs);
     const auto k = pim::util::parseBenchKnobs(c);
     EXPECT_EQ(k.dpus, 512u);
     EXPECT_EQ(k.sample, 2u);
@@ -145,7 +140,7 @@ TEST(CliDeath, GarbageDoubleIsFatal)
 TEST(CliDeath, BooleanTypoIsFatal)
 {
     // "no" must not read as true (the old rule: anything but false/0).
-    auto c = parse({"--metrics=no"}, pim::util::benchKnobNames());
+    auto c = parse({"--metrics=no"}, kSharedKnobs);
     EXPECT_DEATH(pim::util::parseBenchKnobs(c),
                  "--metrics expects true, false, 1 or 0, got 'no'");
 }
@@ -154,7 +149,7 @@ TEST(CliDeath, NanDoubleIsFatal)
 {
     // NaN fails every comparison, so --mtbf=nan used to pass the >= 0
     // check and then silently disable fault injection.
-    auto c = parse({"--mtbf=nan"}, pim::util::benchKnobNames());
+    auto c = parse({"--mtbf=nan"}, kSharedKnobs);
     EXPECT_DEATH(pim::util::parseBenchKnobs(c), "--mtbf must be finite");
 }
 
@@ -174,14 +169,14 @@ TEST(CliDeath, CountAboveUintMaxIsFatal)
 
 TEST(CliDeath, ExplicitZeroThreadsIsFatal)
 {
-    auto c = parse({"--threads=0"}, pim::util::benchKnobNames());
+    auto c = parse({"--threads=0"}, kSharedKnobs);
     EXPECT_DEATH(pim::util::parseBenchKnobs(c),
                  "--threads must be a positive integer");
 }
 
 TEST(CliDeath, NegativeThreadsIsFatal)
 {
-    auto c = parse({"--threads=-4"}, pim::util::benchKnobNames());
+    auto c = parse({"--threads=-4"}, kSharedKnobs);
     EXPECT_DEATH(pim::util::parseBenchKnobs(c),
                  "--threads must be a positive integer");
 }
@@ -189,33 +184,33 @@ TEST(CliDeath, NegativeThreadsIsFatal)
 TEST(CliDeath, ThreadsAboveUintMaxIsFatal)
 {
     // 2^32 would otherwise wrap to 0, which means "auto".
-    auto c = parse({"--threads=4294967296"}, pim::util::benchKnobNames());
+    auto c = parse({"--threads=4294967296"}, kSharedKnobs);
     EXPECT_DEATH(pim::util::parseBenchKnobs(c),
                  "--threads must be a positive integer");
 }
 
 TEST(CliDeath, GarbageThreadsIsFatal)
 {
-    auto c = parse({"--threads=many"}, pim::util::benchKnobNames());
+    auto c = parse({"--threads=many"}, kSharedKnobs);
     EXPECT_DEATH(pim::util::parseBenchKnobs(c), "expects an integer");
 }
 
 TEST(CliDeath, ZeroDpusIsFatal)
 {
-    auto c = parse({"--dpus=0"}, pim::util::benchKnobNames());
+    auto c = parse({"--dpus=0"}, kSharedKnobs);
     EXPECT_DEATH(pim::util::parseBenchKnobs(c), "--dpus must be >= 1");
 }
 
 TEST(CliDeath, DpusAboveUintMaxIsFatal)
 {
     // 2^32 would otherwise pass the >= 1 check and wrap to 0 DPUs.
-    auto c = parse({"--dpus=4294967296"}, pim::util::benchKnobNames());
+    auto c = parse({"--dpus=4294967296"}, kSharedKnobs);
     EXPECT_DEATH(pim::util::parseBenchKnobs(c),
                  "--dpus must be >= 1 and <= 4294967295");
 }
 
 TEST(Cli, ThreadsFlagAcceptsPositive)
 {
-    auto c = parse({"--threads=7"}, pim::util::benchKnobNames());
+    auto c = parse({"--threads=7"}, kSharedKnobs);
     EXPECT_EQ(pim::util::parseBenchKnobs(c).threads, 7u);
 }

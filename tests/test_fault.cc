@@ -135,6 +135,18 @@ TEST(FaultSpecDeathTest, InvalidSpecsAreFatal)
                  "hang-mtbf requires a launch timeout");
 }
 
+TEST(FaultSpecDeathTest, NonFiniteValuesAreFatal)
+{
+    // NaN passes every range check and infinity every >= 0 check, so
+    // the parser rejects both before any key-specific test.
+    EXPECT_DEATH(fault::FaultSpec::parse("xfer-mtbf=nan"),
+                 "--fault-spec: value for 'xfer-mtbf' must be finite");
+    EXPECT_DEATH(fault::FaultSpec::parse("hang-mtbf=inf,timeout=0.2"),
+                 "--fault-spec: value for 'hang-mtbf' must be finite");
+    EXPECT_DEATH(fault::FaultSpec::parse("degrade-mtbf=1,degrade-mult=nan"),
+                 "--fault-spec: value for 'degrade-mult' must be finite");
+}
+
 // ---------------------------------------------------------------------
 // FaultPlan generation
 // ---------------------------------------------------------------------
@@ -954,6 +966,42 @@ TEST(GraphFaults, RecoverReExecutesDropLosesEdges)
     EXPECT_EQ(drop.restoreBytes, 0u);
     EXPECT_GT(drop.lostEdges, 0u);
     EXPECT_LT(drop.availability, 1.0);
+}
+
+TEST(GraphFaults, LosingTheLastRankRecoversOnTheSpareOrDropsTheRest)
+{
+    // Two ranks: the graph owns rank 0 and rank 1 is the held-back
+    // spare, so the death leaves the graph with no rank at all.
+    const auto run = [](double mtbf, uint64_t seed,
+                        fault::FaultPolicy policy) {
+        GraphUpdateConfig cfg = faultGraphCfg();
+        cfg.numDpus = 128;
+        cfg.faultSpec.rankMtbfSec = mtbf;
+        cfg.faultSeed = seed;
+        cfg.faultPolicy = policy;
+        return runGraphUpdate(cfg);
+    };
+    const GraphUpdateResult ref =
+        run(kNeverMtbfSec, 29, fault::FaultPolicy::Recover);
+    const Scenario scn = singleDeathScenario(
+        0.5 * ref.wallSeconds, 4.0 * ref.wallSeconds, 2, 0, 0);
+    ASSERT_GT(scn.mtbf, 0.0);
+
+    const GraphUpdateResult rec =
+        run(scn.mtbf, scn.seed, fault::FaultPolicy::Recover);
+    EXPECT_EQ(rec.rankFailures, 1u);
+    EXPECT_EQ(rec.lostRounds, 0u);
+    EXPECT_EQ(rec.lostEdges, 0u);
+    EXPECT_EQ(rec.updateEdgesTotal, ref.updateEdgesTotal);
+    EXPECT_GT(rec.restoreBytes, 0u);
+
+    const GraphUpdateResult drop =
+        run(scn.mtbf, scn.seed, fault::FaultPolicy::Drop);
+    EXPECT_EQ(drop.rankFailures, 1u);
+    EXPECT_GT(drop.lostRounds, 0u);
+    EXPECT_GT(drop.lostEdges, 0u);
+    // Rounds before the death were ingested.
+    EXPECT_LT(drop.lostEdges, drop.updateEdgesTotal);
 }
 
 TEST(GraphFaults, InjectedFaultsBitIdenticalAcrossSimThreads)

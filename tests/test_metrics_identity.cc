@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -192,6 +193,28 @@ TEST(MetricsIdentity, SimThroughputCountsUnchangedByMetrics)
         EXPECT_EQ(a, numbersFor(metered, key)) << key;
     }
     EXPECT_NE(metered.find("\"metrics\""), std::string::npos);
+}
+
+TEST(MetricsIdentity, FlagsABenchIgnoresAreUnknown)
+{
+    // Each bench lists exactly the flags it honours, so a knob it would
+    // ignore fails the run instead of silently changing nothing: fig03
+    // runs no fault injection, hw_overhead writes no trace.
+    TempFile trace("identity_hw_overhead.trace.json");
+    const std::pair<std::string, std::string> cases[] = {
+        {"./bench_fig03_graph_motivation", "--mtbf=1"},
+        {"./bench_hw_overhead", "--trace=" + trace.path},
+    };
+    for (const auto &[bin, flag] : cases) {
+        if (!exists(bin))
+            GTEST_SKIP() << bin << " not built (PIM_BUILD_BENCH=OFF?)";
+        int rc = 0;
+        const std::string out = runStatus(bin + " " + flag, rc);
+        EXPECT_NE(rc, 0) << bin << " " << flag << "\n" << out;
+        EXPECT_NE(out.find("unknown flag"), std::string::npos)
+            << bin << " " << flag << "\n" << out;
+    }
+    EXPECT_FALSE(exists(trace.path));
 }
 
 TEST(MetricsIdentity, JsonWriteFailureFailsTheRun)

@@ -17,6 +17,7 @@
 #include "core/pim_system.hh"
 #include "core/session.hh"
 #include "fault/fault_plan.hh"
+#include "telemetry/registry.hh"
 #include "workloads/graph/update_driver.hh"
 #include "workloads/llm/serving_engine.hh"
 
@@ -252,6 +253,43 @@ TEST(Session, FinishedTenantsGrantServesAsReplacement)
     EXPECT_TRUE(a.failed.empty());
     EXPECT_EQ(b.failed, std::vector<unsigned>{d.victim});
     EXPECT_EQ(b.granted, std::vector<unsigned>{0});
+}
+
+TEST(Session, CountsIntoTheQueueRegistry)
+{
+    PimSystem sys(fourRanks());
+    CommandQueue queue(sys);
+    telemetry::Registry met;
+    queue.attachMetrics(&met);
+    fault::FaultSpec deaths;
+    deaths.rankMtbfSec = 1e30; // armed, never fires
+    Session session(queue, deaths, 1);
+    session.acquireRest("t", 1, 1);
+    std::vector<std::string> log;
+    FakeStepper t("t", 1, 0.5, true, log);
+    session.add("t", t);
+    session.run();
+    // The scheduler's grant and release, and the injector's statistics
+    // after the run, land in the registry the queue carries.
+    EXPECT_EQ(met.counter("ranks.grants").value(), 1u);
+    EXPECT_EQ(met.counter("ranks.granted_ranks").value(), 3u);
+    EXPECT_EQ(met.counter("ranks.releases").value(), 1u);
+    EXPECT_EQ(met.gauges().at("ranks.free").value(), 4.0);
+    EXPECT_EQ(met.counters().count("fault.rank_failures"), 1u);
+}
+
+TEST(SessionDeathTest, RegistryAttachedAfterTheSessionIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            PimSystem sys(fourRanks());
+            CommandQueue queue(sys);
+            Session session(queue);
+            telemetry::Registry met;
+            queue.attachMetrics(&met);
+            session.run();
+        },
+        "registry changed after the session was built");
 }
 
 TEST(SessionDeathTest, DeathWithNoFreeReplacementIsFatal)

@@ -195,27 +195,37 @@ TEST(Occupancy, IdleOnlyTraceFallsBackToLatestLane)
     EXPECT_DOUBLE_EQ(rep.busySumSeconds, 0.0);
 }
 
-TEST(Recorder, RecorderSetAddsAndDisables)
+TEST(Recorder, ObserverSetAddsPerOutput)
 {
-    RecorderSet on(true);
-    Recorder *a = on.add("first");
-    Recorder *b = on.add("second");
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_NE(a, b);
-    a->record(mkSpan(kHostLane, "x", 0.0, 1.0));
-    const auto procs = on.processes();
+    ObserverSet both(true, true);
+    const TraceProcess a = both.add("first");
+    const TraceProcess b = both.add("second");
+    ASSERT_NE(a.recorder, nullptr);
+    ASSERT_NE(a.metrics, nullptr);
+    EXPECT_NE(a.recorder, b.recorder);
+    EXPECT_NE(a.metrics, b.metrics);
+    a.recorder->record(mkSpan(kHostLane, "x", 0.0, 1.0));
+    const auto &procs = both.processes();
     ASSERT_EQ(procs.size(), 2u);
     EXPECT_EQ(procs[0].name, "first");
-    EXPECT_EQ(procs[0].recorder, a);
+    EXPECT_EQ(procs[0].recorder, a.recorder);
+    EXPECT_EQ(procs[0].metrics, a.metrics);
     EXPECT_EQ(procs[1].name, "second");
 
-    RecorderSet off(false);
-    EXPECT_EQ(off.add("ignored"), nullptr);
-    EXPECT_TRUE(off.processes().empty());
-    // A disabled set is a successful emit no-op.
+    ObserverSet metrics_only(false, true);
+    const TraceProcess m = metrics_only.add("metered");
+    EXPECT_EQ(m.recorder, nullptr);
+    EXPECT_NE(m.metrics, nullptr);
+    EXPECT_TRUE(metrics_only.metricsEnabled());
+
+    ObserverSet off(false, false);
+    const TraceProcess o = off.add("ignored");
+    EXPECT_EQ(o.recorder, nullptr);
+    EXPECT_EQ(o.metrics, nullptr);
+    EXPECT_FALSE(off.metricsEnabled());
+    // With nothing on, the epilogue prints nothing and succeeds.
     std::ostringstream os;
-    EXPECT_TRUE(emitReports(os, off, true, ""));
+    EXPECT_TRUE(emitReports(os, off, true, true, ""));
     EXPECT_TRUE(os.str().empty());
 }
 
