@@ -66,8 +66,8 @@ ThreadCache::tryAlloc(sim::Tasklet &t, unsigned cls)
         Span &span = list.front();
         if (span.freeCount == 0) {
             ++rotations;
+            // splice keeps the node, so index_'s iterator stays valid.
             list.splice(list.end(), list, list.begin());
-            index_[span.base].second = std::prev(list.end());
             continue;
         }
         // Scan the bitmap one 64-bit word at a time for a set bit.
@@ -87,7 +87,6 @@ ThreadCache::tryAlloc(sim::Tasklet &t, unsigned cls)
             if (span.freeCount == 0 && list.size() > 1) {
                 // Rotate the now-full span behind the others.
                 list.splice(list.end(), list, list.begin());
-                index_[span.base].second = std::prev(list.end());
             }
             return addr;
         }
@@ -152,7 +151,6 @@ ThreadCache::free(sim::Tasklet &t, unsigned cls, sim::MramAddr span_base,
         // The span has free blocks again: bring it to the front so the
         // allocation fast path finds it.
         list.splice(list.begin(), list, span_it);
-        idx_it->second.second = list.begin();
     }
     return res;
 }

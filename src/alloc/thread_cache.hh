@@ -12,8 +12,11 @@
  *
  * Lists keep spans with free sub-blocks at the front: a span that
  * becomes full is rotated to the back, and a full span that receives a
- * free is rotated to the front, so the allocation fast path touches a
- * bounded number of records regardless of how many spans are live.
+ * free is rotated to the front, so an allocation that hits normally
+ * inspects only the head. A miss is not bounded that way: tryAlloc()
+ * finds it only after rotating through every span of the class, at
+ * 2 instructions per hop, so its cost grows with the spans the class
+ * holds (hundreds per class on long serving runs).
  * Span records themselves are MRAM-resident (Section VI-E accounts
  * them per workload, far beyond the 64 KB scratchpad); only the list
  * heads live in WRAM.

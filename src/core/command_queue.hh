@@ -254,10 +254,10 @@ class CommandQueue
     /**
      * Asynchronously launch heterogeneous per-DPU work: @p program
      * receives each materialized DPU of @p set and its global index,
-     * and drives it directly (Dpu::run / runBodies, any number of
-     * phases). The launch's cost on a rank is the max over its members'
-     * final Dpu::lastElapsedCycles() — phases before the last run are
-     * setup and not charged. @return completion event.
+     * and drives it directly (Dpu::run, any number of phases). The
+     * launch's cost on a rank is the max over its members' final
+     * Dpu::lastElapsedCycles() — phases before the last run are setup
+     * and not charged. @return completion event.
      */
     Event launchProgram(const DpuSet &set, LaunchFn program,
                         const CommandOptions &opts = {});

@@ -19,17 +19,10 @@ Dpu::Dpu(const DpuConfig &cfg)
 uint64_t
 Dpu::run(unsigned num_tasklets, const std::function<void(Tasklet &)> &body)
 {
-    std::vector<std::function<void(Tasklet &)>> bodies(num_tasklets, body);
-    return runBodies(std::move(bodies));
-}
-
-uint64_t
-Dpu::runBodies(std::vector<std::function<void(Tasklet &)>> bodies)
-{
-    PIM_ASSERT(!bodies.empty(), "DPU launch needs at least one tasklet");
+    PIM_ASSERT(num_tasklets > 0, "DPU launch needs at least one tasklet");
     TaskletScheduler sched(*this);
-    for (auto &b : bodies)
-        sched.spawn(std::move(b));
+    for (unsigned i = 0; i < num_tasklets; ++i)
+        sched.spawn(body);
     sched.runToCompletion();
 
     lastElapsed_ = sched.elapsedCycles();

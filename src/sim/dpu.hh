@@ -14,8 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "sim/buddy_cache.hh"
 #include "sim/config.hh"
@@ -53,14 +51,17 @@ class Dpu
     const TrafficStats &traffic() const { return traffic_; }
 
     /**
-     * Launch @p num_tasklets tasklets all running @p body and simulate to
-     * completion. Returns the makespan in cycles.
+     * Launch @p num_tasklets (at least one) tasklets all running
+     * @p body and simulate to completion. Returns the makespan in
+     * cycles. Tasklets with different programs branch on Tasklet::id().
+     * Every tasklet calls @p body by reference, and the tasklets,
+     * fibers and stacks come from the host thread's launch context
+     * (scheduler.hh), so a steady-state launch allocates nothing. A
+     * body may run another DPU; that nested launch takes its own
+     * context.
      */
     uint64_t run(unsigned num_tasklets,
                  const std::function<void(Tasklet &)> &body);
-
-    /** Launch with one distinct body per tasklet. */
-    uint64_t runBodies(std::vector<std::function<void(Tasklet &)>> bodies);
 
     /** Makespan of the most recent run, in cycles. */
     uint64_t lastElapsedCycles() const { return lastElapsed_; }
@@ -101,7 +102,7 @@ class Dpu
 
     /**
      * Per-tasklet tracing hook: while a recorder is attached, every
-     * run()/runBodies() records one span per tasklet on the custom
+     * run() records one span per tasklet on the custom
      * lane "dpu<index>/t<k>", covering that tasklet's virtual clock.
      * Successive runs stack on this DPU's own local timeline (each run
      * starts where the previous makespan ended). The work happens once

@@ -33,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 /*
  * AddressSanitizer needs explicit fiber-switch annotations for custom
@@ -68,7 +67,8 @@ namespace pim::sim {
  *
  * The owner (scheduler) calls resume(); the fiber body calls
  * Fiber::yield() to suspend back to the owner. When the body returns the
- * fiber becomes finished and further resume() calls are invalid.
+ * fiber becomes finished and further resume() calls are invalid until
+ * rearm() gives it a new body.
  */
 class Fiber
 {
@@ -76,13 +76,26 @@ class Fiber
     /**
      * @param body   function executed on the fiber's own stack.
      * @param stack_bytes size of the private stack (default 256 KiB,
-     *        enough for the deepest buddy-tree recursion plus workloads).
+     *        enough for the deepest buddy-tree recursion plus workloads),
+     *        rounded up to whole pages.
      */
     explicit Fiber(std::function<void()> body,
                    size_t stack_bytes = 256 * 1024);
 
+    /** Unmaps the stack and its guard page. */
+    ~Fiber();
+
     Fiber(const Fiber &) = delete;
     Fiber &operator=(const Fiber &) = delete;
+
+    /**
+     * Give a finished or never-started fiber a new @p body; the next
+     * resume() or switchTo() runs it from the top of the same stack.
+     * A body that fits std::function's inline buffer makes this
+     * allocation-free, which is how the scheduler reuses its fibers
+     * across launches.
+     */
+    void rearm(std::function<void()> body);
 
     /** Switch from the caller into the fiber. @pre !finished(). */
     void resume();
@@ -115,10 +128,16 @@ class Fiber
     void run();
 
     std::function<void()> body_;
-    /** Uninitialized private stack (zeroing 256 KiB per fiber would
-     *  dominate short launches). */
-    std::unique_ptr<uint8_t[]> stack_;
-    size_t stackBytes_;
+    /**
+     * Lowest usable byte of the private stack: its own private,
+     * anonymous, no-reserve mapping, so only the pages a body actually
+     * touches become resident. One PROT_NONE guard page sits directly
+     * below, so an overflow faults at the overflowing frame instead of
+     * corrupting a neighbour. The scheduler keeps its fibers, and with
+     * them their stacks, in a per-thread pool across launches.
+     */
+    uint8_t *stack_ = nullptr;
+    size_t stackBytes_ = 0;
     bool started_ = false;
     bool finished_ = false;
 

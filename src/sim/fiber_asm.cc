@@ -84,7 +84,7 @@ Fiber::ensureStarted()
     if (started_)
         return;
     started_ = true;
-    const auto base = reinterpret_cast<uintptr_t>(stack_.get());
+    const auto base = reinterpret_cast<uintptr_t>(stack_);
     /*
      * x86-64: the ABI fixes rsp = 8 (mod 16) at a function's first
      * instruction, so a saved frame's base must land the trampoline's
@@ -117,7 +117,7 @@ void
 Fiber::noteResumerStack()
 {
     if (Fiber *cur = tl_current) {
-        callerStackBottom_ = cur->stack_.get();
+        callerStackBottom_ = cur->stack_;
         callerStackSize_ = cur->stackBytes_;
         return;
     }
@@ -172,7 +172,7 @@ Fiber::resume()
     tl_current = this;
 #if PIM_SIM_FIBER_ASAN
     void *fake = nullptr;
-    __sanitizer_start_switch_fiber(&fake, stack_.get(), stackBytes_);
+    __sanitizer_start_switch_fiber(&fake, stack_, stackBytes_);
 #endif
     pim_fiber_jump(&callerSp_, sp_, this);
 #if PIM_SIM_FIBER_ASAN
@@ -196,7 +196,7 @@ Fiber::switchTo(Fiber &next)
     next.ensureStarted();
     tl_current = &next;
 #if PIM_SIM_FIBER_ASAN
-    __sanitizer_start_switch_fiber(&asanFakeStack_, next.stack_.get(),
+    __sanitizer_start_switch_fiber(&asanFakeStack_, next.stack_,
                                    next.stackBytes_);
 #endif
     pim_fiber_jump(&sp_, next.sp_, &next);

@@ -59,7 +59,7 @@ Fiber::ensureStarted()
     started_ = true;
     if (getcontext(&context_) != 0)
         PIM_PANIC("getcontext failed");
-    context_.uc_stack.ss_sp = stack_.get();
+    context_.uc_stack.ss_sp = stack_;
     context_.uc_stack.ss_size = stackBytes_;
     context_.uc_link = nullptr;
     const auto ptr = reinterpret_cast<uintptr_t>(this);

@@ -10,44 +10,81 @@ namespace pim::sim {
 TaskletScheduler::TaskletScheduler(Dpu &dpu, Policy policy)
     : dpu_(dpu), policy_(policy)
 {
+    auto &idle = idleContexts();
+    if (!idle.empty()) {
+        ctx_ = std::move(idle.back());
+        idle.pop_back();
+    }
+}
+
+TaskletScheduler::~TaskletScheduler()
+{
+    idleContexts().push_back(std::move(ctx_));
+}
+
+std::vector<TaskletScheduler::Context> &
+TaskletScheduler::idleContexts()
+{
+    thread_local std::vector<Context> idle;
+    return idle;
 }
 
 void
-TaskletScheduler::spawn(std::function<void(Tasklet &)> body)
+TaskletScheduler::spawn(const std::function<void(Tasklet &)> &body)
 {
     PIM_ASSERT(!running_, "cannot spawn while running");
-    PIM_ASSERT(tasklets_.size() < dpu_.config().maxTasklets,
+    PIM_ASSERT(count_ < dpu_.config().maxTasklets,
                "DPU supports at most ", dpu_.config().maxTasklets,
                " tasklets");
-    const unsigned id = static_cast<unsigned>(tasklets_.size());
+    const unsigned id = count_;
     PIM_ASSERT(id < (1u << Tasklet::kIdBits),
                "election-key packing supports at most ",
                1u << Tasklet::kIdBits, " tasklets");
-    tasklets_.push_back(std::make_unique<Tasklet>(dpu_, *this, id));
-    Tasklet *t = tasklets_.back().get();
-    fibers_.push_back(
-        std::make_unique<Fiber>([this, body = std::move(body), t]() {
-            body(*t);
-            // Charges after the run loop (e.g. tests poking a finished
-            // launch's tasklets) must never try to yield.
-            t->horizonKey_ = UINT64_MAX;
-            // The finish history lets mutex wakers replay the pipeline
-            // width at any past virtual instant (pipelineWidthAt).
-            finishKeys_.push_back(t->clockKey_);
-        }));
-    taskletRaw_.push_back(t);
-    fiberRaw_.push_back(fibers_.back().get());
+    // The entry captures two words, so it fits std::function's inline
+    // buffer: re-arming a pooled fiber allocates nothing.
+    std::function<void()> entry = [this, id] { runTasklet(id); };
+    if (id < ctx_.tasklets.size()) {
+        ctx_.fibers[id]->rearm(std::move(entry));
+        ctx_.bodies[id] = &body;
+    } else {
+        ctx_.tasklets.push_back(std::unique_ptr<Tasklet>(new Tasklet));
+        ctx_.fibers.push_back(std::make_unique<Fiber>(std::move(entry)));
+        ctx_.bodies.push_back(&body);
+    }
+    ctx_.tasklets[id]->rearm(dpu_, *this, id);
+    ++count_;
+}
+
+const Tasklet &
+TaskletScheduler::tasklet(size_t i) const
+{
+    PIM_ASSERT(i < count_, "tasklet ", i, " of a ", count_,
+               "-tasklet launch");
+    return *ctx_.tasklets[i];
+}
+
+void
+TaskletScheduler::runTasklet(unsigned id)
+{
+    Tasklet &t = *ctx_.tasklets[id];
+    (*ctx_.bodies[id])(t);
+    // Charges after the run loop (e.g. tests poking a finished
+    // launch's tasklets) must never try to yield.
+    t.horizonKey_ = UINT64_MAX;
+    // The finish history lets mutex wakers replay the pipeline width
+    // at any past virtual instant (pipelineWidthAt).
+    ctx_.finishKeys.push_back(t.clockKey_);
 }
 
 void
 TaskletScheduler::runToCompletion()
 {
     PIM_ASSERT(!running_, "scheduler already running");
-    PIM_ASSERT(!tasklets_.empty(), "no tasklets spawned");
+    PIM_ASSERT(count_ > 0, "no tasklets spawned");
     running_ = true;
-    active_ = static_cast<unsigned>(tasklets_.size());
-    finishKeys_.clear();
-    finishKeys_.reserve(tasklets_.size());
+    active_ = count_;
+    ctx_.finishKeys.clear();
+    ctx_.finishKeys.reserve(count_);
     if (policy_ == Policy::Horizon)
         runHorizon();
     else
@@ -64,9 +101,9 @@ TaskletScheduler::pipelineWidthAt(uint64_t key) const
     // Small linear scan: at most one entry per tasklet (<= 24), and
     // wakers only call this on the contended path.
     unsigned finished = 0;
-    for (const uint64_t fk : finishKeys_)
+    for (const uint64_t fk : ctx_.finishKeys)
         finished += fk < key ? 1u : 0u;
-    const uint64_t unfinished = tasklets_.size() - finished;
+    const uint64_t unfinished = count_ - finished;
     const uint64_t interval = dpu_.config().pipelineIssueInterval;
     return unfinished > interval ? unfinished : interval;
 }
@@ -80,15 +117,15 @@ TaskletScheduler::parkCurrent(Tasklet &t)
         Fiber::yield();
         return;
     }
-    if (heap_.empty())
+    if (ctx_.heap.empty())
         PIM_FATAL("tasklet ", t.id_, " parked with no runnable tasklet "
                   "left — deadlock (a lock was never released?)");
     // Like switchOut(), but t's key is *not* re-inserted: hand control
     // to the best waiter and leave t out of all elections until wake().
     const uint64_t winner = heapPop();
-    taskletRaw_[keyId(winner)]->horizonKey_ =
-        heap_.empty() ? UINT64_MAX : heap_.front();
-    fiberRaw_[t.id_]->switchTo(*fiberRaw_[keyId(winner)]);
+    ctx_.tasklets[keyId(winner)]->horizonKey_ =
+        ctx_.heap.empty() ? UINT64_MAX : ctx_.heap.front();
+    ctx_.fibers[t.id_]->switchTo(*ctx_.fibers[keyId(winner)]);
 }
 
 void
@@ -105,7 +142,7 @@ TaskletScheduler::wake(Tasklet &waiter, uint64_t clock_key,
         heapPush(clock_key);
         // The waker's horizon was the previous heap front; the woken
         // key may now be the nearer election it must not run past.
-        current.horizonKey_ = heap_.front();
+        current.horizonKey_ = ctx_.heap.front();
     }
 }
 
@@ -114,27 +151,28 @@ TaskletScheduler::heapPush(uint64_t key)
 {
     // Cold path (launch setup only); the hot operation is
     // heapReplaceTop, which std:: has no equivalent for.
-    heap_.push_back(key);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    ctx_.heap.push_back(key);
+    std::push_heap(ctx_.heap.begin(), ctx_.heap.end(), std::greater<>{});
 }
 
 uint64_t
 TaskletScheduler::heapPop()
 {
-    const uint64_t top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty())
-        heapReplaceTop(heap_.front());
+    auto &heap = ctx_.heap;
+    const uint64_t top = heap.front();
+    heap.front() = heap.back();
+    heap.pop_back();
+    if (!heap.empty())
+        heapReplaceTop(heap.front());
     return top;
 }
 
 uint64_t
 TaskletScheduler::heapReplaceTop(uint64_t key)
 {
-    uint64_t *h = heap_.data();
+    uint64_t *h = ctx_.heap.data();
     const uint64_t top = h[0];
-    const size_t n = heap_.size();
+    const size_t n = ctx_.heap.size();
     size_t i = 0;
     for (;;) {
         const size_t l = 2 * i + 1;
@@ -159,33 +197,34 @@ TaskletScheduler::switchOut(Tasklet &t)
         return;
     }
     /*
-     * t just lost the election to heap_[0] (its horizon was computed
+     * t just lost the election to the heap's front (its horizon was computed
      * from exactly that entry, and the heap cannot change while t
      * runs). Swap t in for the winner with a single sift-down, give the
      * winner its horizon against the new best waiter, and jump straight
      * into its fiber.
      */
     const uint64_t winner = heapReplaceTop(t.clockKey_);
-    taskletRaw_[keyId(winner)]->horizonKey_ = heap_.front();
-    fiberRaw_[t.id_]->switchTo(*fiberRaw_[keyId(winner)]);
+    ctx_.tasklets[keyId(winner)]->horizonKey_ = ctx_.heap.front();
+    ctx_.fibers[t.id_]->switchTo(*ctx_.fibers[keyId(winner)]);
 }
 
 void
 TaskletScheduler::runHorizon()
 {
-    heap_.clear();
-    heap_.reserve(tasklets_.size());
-    for (size_t i = 0; i < tasklets_.size(); ++i)
-        heapPush(tasklets_[i]->clockKey_);
+    auto &heap = ctx_.heap;
+    heap.clear();
+    heap.reserve(count_);
+    for (unsigned i = 0; i < count_; ++i)
+        heapPush(ctx_.tasklets[i]->clockKey_);
 
-    while (!heap_.empty()) {
+    while (!heap.empty()) {
         const uint64_t cur = heapPop();
-        Tasklet &t = *taskletRaw_[keyId(cur)];
+        Tasklet &t = *ctx_.tasklets[keyId(cur)];
         // The best waiter's key is exactly the largest own key at which
         // `t` still wins the "(smallest clock, lowest id)" election;
         // with no waiters `t` can never lose.
-        t.horizonKey_ = heap_.empty() ? UINT64_MAX : heap_.front();
-        fiberRaw_[keyId(cur)]->resume();
+        t.horizonKey_ = heap.empty() ? UINT64_MAX : heap.front();
+        ctx_.fibers[keyId(cur)]->resume();
         // Control only returns here when a fiber (not necessarily
         // cur's — losers switch directly into winners and park
         // themselves in the heap) ran its body to completion.
@@ -203,21 +242,22 @@ TaskletScheduler::runNaive()
     for (;;) {
         int next = -1;
         uint64_t best = UINT64_MAX;
-        for (size_t i = 0; i < tasklets_.size(); ++i) {
-            if (fibers_[i]->finished() || tasklets_[i]->parked_)
+        for (unsigned i = 0; i < count_; ++i) {
+            if (ctx_.fibers[i]->finished() || ctx_.tasklets[i]->parked_)
                 continue;
-            if (tasklets_[i]->clockKey_ < best) {
-                best = tasklets_[i]->clockKey_;
+            if (ctx_.tasklets[i]->clockKey_ < best) {
+                best = ctx_.tasklets[i]->clockKey_;
                 next = static_cast<int>(i);
             }
         }
         if (next < 0)
             break;
-        Tasklet &t = *tasklets_[static_cast<size_t>(next)];
+        Tasklet &t = *ctx_.tasklets[static_cast<size_t>(next)];
+        Fiber &f = *ctx_.fibers[static_cast<size_t>(next)];
         t.horizonKey_ = t.clockKey_;
-        fibers_[static_cast<size_t>(next)]->resume();
+        f.resume();
         t.horizonKey_ = UINT64_MAX;
-        if (fibers_[static_cast<size_t>(next)]->finished())
+        if (f.finished())
             --active_;
     }
 }
@@ -226,8 +266,8 @@ uint64_t
 TaskletScheduler::elapsedCycles() const
 {
     uint64_t best = 0;
-    for (const auto &t : tasklets_)
-        best = std::max(best, t->clock());
+    for (unsigned i = 0; i < count_; ++i)
+        best = std::max(best, ctx_.tasklets[i]->clock());
     return best;
 }
 

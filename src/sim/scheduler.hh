@@ -38,6 +38,20 @@
  * scheduler also keeps the election keys at which tasklets finished
  * (finish history), so wakers can reconstruct the pipeline width that
  * was in effect at any past virtual instant (pipelineWidthAt()).
+ *
+ * Launch contexts: a launch needs tasklets, fibers with their stacks,
+ * and the heap and finish-history vectors. Each host thread keeps these
+ * in a launch context that outlives the scheduler: the constructor
+ * checks the thread's idle context out, spawn() re-arms its pooled
+ * tasklets and fibers in place (growing the pool only past its largest
+ * launch so far), and the destructor returns it. A steady-state launch
+ * therefore makes no heap allocation and maps no stack. A scheduler
+ * built while the thread's context is checked out — a Dpu::run issued
+ * from inside a tasklet body, or a caller holding two schedulers —
+ * takes a second context, so nested launches never share tasklets or
+ * stacks; the thread keeps every context it has made for later
+ * launches. Contexts are per host thread, not per DPU, so the stacks
+ * mapped scale with the worker count, not with the DPUs simulated.
  */
 
 #ifndef PIM_SIM_SCHEDULER_HH
@@ -55,7 +69,7 @@ namespace pim::sim {
 
 class Dpu;
 
-/** Scheduler owning the tasklets and fibers of one DPU program launch. */
+/** Scheduler running the tasklets of one DPU program launch. */
 class TaskletScheduler
 {
   public:
@@ -65,20 +79,31 @@ class TaskletScheduler
         NaiveReference, ///< yield-per-charge + O(T) scan (test oracle)
     };
 
+    /** Checks this thread's launch context out (see the file comment). */
     explicit TaskletScheduler(Dpu &dpu, Policy policy = Policy::Horizon);
 
-    /** Add one tasklet running @p body. Must precede runToCompletion(). */
-    void spawn(std::function<void(Tasklet &)> body);
+    /** Returns the launch context to this thread for the next launch. */
+    ~TaskletScheduler();
+
+    TaskletScheduler(const TaskletScheduler &) = delete;
+    TaskletScheduler &operator=(const TaskletScheduler &) = delete;
+
+    /**
+     * Add one tasklet running @p body. Must precede runToCompletion().
+     * The body is held by reference, not copied, so it must outlive the
+     * run; the deleted overload below rejects temporaries.
+     */
+    void spawn(const std::function<void(Tasklet &)> &body);
+    void spawn(std::function<void(Tasklet &)> &&body) = delete;
 
     /** Run all spawned tasklets to completion (single host thread). */
     void runToCompletion();
 
     /** Number of tasklets spawned. */
-    size_t numTasklets() const { return tasklets_.size(); }
+    size_t numTasklets() const { return count_; }
 
     /** Access a tasklet (e.g. to read its breakdown after the run). */
-    Tasklet &tasklet(size_t i) { return *tasklets_.at(i); }
-    const Tasklet &tasklet(size_t i) const { return *tasklets_.at(i); }
+    const Tasklet &tasklet(size_t i) const;
 
     /** Max virtual clock across tasklets (the program's makespan). */
     uint64_t elapsedCycles() const;
@@ -119,6 +144,39 @@ class TaskletScheduler
   private:
     friend class Tasklet;
 
+    /**
+     * The reusable state of a launch; index i of each vector belongs to
+     * tasklet i. Pooled entries past the launch's count_ are idle.
+     */
+    struct Context
+    {
+        std::vector<std::unique_ptr<Tasklet>> tasklets;
+        std::vector<std::unique_ptr<Fiber>> fibers;
+        /** Each tasklet's body, owned by the spawn() caller. */
+        std::vector<const std::function<void(Tasklet &)> *> bodies;
+        /**
+         * Binary min-heap of the *suspended* unfinished tasklets'
+         * election keys (the running tasklet is not in it). Only the
+         * switched-out tasklet's key ever changes, so replace-top is
+         * the only hot operation; no decrease-key / index tracking is
+         * needed.
+         */
+        std::vector<uint64_t> heap;
+        /**
+         * Election keys at which tasklets of this launch finished, in
+         * finish order. Drives pipelineWidthAt(): the unfinished count
+         * at key K is numTasklets() minus the finishes strictly
+         * before K.
+         */
+        std::vector<uint64_t> finishKeys;
+    };
+
+    /** This thread's contexts not checked out by a live scheduler. */
+    static std::vector<Context> &idleContexts();
+
+    /** Fiber entry of tasklet @p id: run its body, record the finish. */
+    void runTasklet(unsigned id);
+
     void runHorizon();
     void runNaive();
 
@@ -145,24 +203,10 @@ class TaskletScheduler
 
     Dpu &dpu_;
     Policy policy_;
-    std::vector<std::unique_ptr<Tasklet>> tasklets_;
-    std::vector<std::unique_ptr<Fiber>> fibers_;
-    /** Raw-pointer mirrors of the above (hot path, no deref chains). */
-    std::vector<Tasklet *> taskletRaw_;
-    std::vector<Fiber *> fiberRaw_;
-    /**
-     * Binary min-heap of the *suspended* unfinished tasklets' election
-     * keys (the running tasklet is not in it). Only the switched-out
-     * tasklet's key ever changes, so replace-top is the only hot
-     * operation; no decrease-key / index tracking is needed.
-     */
-    std::vector<uint64_t> heap_;
-    /**
-     * Election keys at which tasklets of this launch finished, in
-     * finish order. Drives pipelineWidthAt(): the unfinished count at
-     * key K is numTasklets() minus the finishes strictly before K.
-     */
-    std::vector<uint64_t> finishKeys_;
+    /** This thread's launch context, checked out for our lifetime. */
+    Context ctx_;
+    /** Tasklets spawned for this launch (a prefix of the pool). */
+    unsigned count_ = 0;
     unsigned active_ = 0;
     bool running_ = false;
 };

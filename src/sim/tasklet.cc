@@ -20,27 +20,35 @@ cycleKindName(CycleKind kind)
     return "?";
 }
 
-Tasklet::Tasklet(Dpu &dpu, TaskletScheduler &sched, unsigned id)
-    : dpu_(dpu), sched_(sched), activeTasklets_(&sched.active_),
-      issueInterval_(dpu.config().pipelineIssueInterval), id_(id),
-      clockKey_(id) // clock 0, id in the low bits
+void
+Tasklet::rearm(Dpu &dpu, TaskletScheduler &sched, unsigned id)
 {
+    dpu_ = &dpu;
+    sched_ = &sched;
+    activeTasklets_ = &sched.active_;
+    issueInterval_ = dpu.config().pipelineIssueInterval;
+    id_ = id;
+    clockKey_ = id; // clock 0, id in the low bits
+    horizonKey_ = UINT64_MAX;
+    simEvents_ = 0;
+    parked_ = false;
+    breakdown_ = CycleBreakdown{};
 }
 
 void
 Tasklet::yieldNow()
 {
-    sched_.switchOut(*this);
+    sched_->switchOut(*this);
 }
 
 void
 Tasklet::dmaRead(MramAddr addr, uint32_t bytes, TrafficClass tc)
 {
     (void)addr;
-    const auto &cfg = dpu_.config();
+    const auto &cfg = dpu_->config();
     const uint64_t cycles = cfg.dmaSetupCycles
         + static_cast<uint64_t>(std::ceil(cfg.dmaCyclesPerByte * bytes));
-    auto &traffic = dpu_.traffic();
+    auto &traffic = dpu_->traffic();
     ++traffic.dmaTransfers;
     if (tc == TrafficClass::Metadata)
         traffic.metadataReadBytes += bytes;
@@ -53,10 +61,10 @@ void
 Tasklet::dmaWrite(MramAddr addr, uint32_t bytes, TrafficClass tc)
 {
     (void)addr;
-    const auto &cfg = dpu_.config();
+    const auto &cfg = dpu_->config();
     const uint64_t cycles = cfg.dmaSetupCycles
         + static_cast<uint64_t>(std::ceil(cfg.dmaCyclesPerByte * bytes));
-    auto &traffic = dpu_.traffic();
+    auto &traffic = dpu_->traffic();
     ++traffic.dmaTransfers;
     if (tc == TrafficClass::Metadata)
         traffic.metadataWriteBytes += bytes;
@@ -70,7 +78,7 @@ T
 Tasklet::mramRead(MramAddr addr, TrafficClass tc)
 {
     dmaRead(addr, std::max<uint32_t>(8, sizeof(T)), tc);
-    return dpu_.mram().read<T>(addr);
+    return dpu_->mram().read<T>(addr);
 }
 
 template <typename T>
@@ -81,7 +89,7 @@ Tasklet::mramWrite(MramAddr addr, const T &value, TrafficClass tc)
     // the write must not become visible to tasklets scheduled during
     // the transfer's virtual time window.
     dmaWrite(addr, std::max<uint32_t>(8, sizeof(T)), tc);
-    dpu_.mram().write<T>(addr, value);
+    dpu_->mram().write<T>(addr, value);
 }
 
 // Explicit instantiations for the types workloads use.

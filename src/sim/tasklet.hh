@@ -24,16 +24,15 @@ class Dpu;
 class TaskletScheduler;
 
 /**
- * One DPU hardware thread. Instances are created and owned by the
- * TaskletScheduler; workload code receives a reference.
+ * One DPU hardware thread. Instances are created, owned and re-armed for
+ * each launch by the TaskletScheduler; workload code receives a
+ * reference.
  */
 class Tasklet
 {
   public:
     /** Low bits of the election key reserved for the tasklet id. */
     static constexpr unsigned kIdBits = 5;
-
-    Tasklet(Dpu &dpu, TaskletScheduler &sched, unsigned id);
 
     Tasklet(const Tasklet &) = delete;
     Tasklet &operator=(const Tasklet &) = delete;
@@ -101,10 +100,10 @@ class Tasklet
     unsigned id() const { return id_; }
 
     /** The DPU this tasklet runs on. */
-    Dpu &dpu() { return dpu_; }
+    Dpu &dpu() { return *dpu_; }
 
-    /** The scheduler owning this tasklet (park/wake, width replay). */
-    TaskletScheduler &scheduler() { return sched_; }
+    /** The scheduler running this tasklet (park/wake, width replay). */
+    TaskletScheduler &scheduler() { return *sched_; }
 
     /** True while descheduled via TaskletScheduler::parkCurrent(). */
     bool parked() const { return parked_; }
@@ -114,6 +113,14 @@ class Tasklet
 
   private:
     friend class TaskletScheduler;
+
+    Tasklet() = default;
+
+    /**
+     * Make this the fresh tasklet @p id of a launch of @p sched on
+     * @p dpu: clock 0, no events, not parked, empty breakdown.
+     */
+    void rearm(Dpu &dpu, TaskletScheduler &sched, unsigned id);
 
     /**
      * The hot path of the whole simulator: account @p cycles and yield
@@ -133,13 +140,13 @@ class Tasklet
     /** Cold path: suspend back to the scheduler loop. */
     void yieldNow();
 
-    Dpu &dpu_;
-    TaskletScheduler &sched_;
+    Dpu *dpu_ = nullptr;
+    TaskletScheduler *sched_ = nullptr;
     /** Points at the scheduler's live unfinished-tasklet count. */
-    const unsigned *activeTasklets_;
+    const unsigned *activeTasklets_ = nullptr;
     /** Cached DpuConfig::pipelineIssueInterval. */
-    uint64_t issueInterval_;
-    unsigned id_;
+    uint64_t issueInterval_ = 0;
+    unsigned id_ = 0;
     /**
      * The tasklet's election key: virtual clock in the upper 59 bits,
      * id in the low kIdBits. "(smallest clock, lowest id) wins" is then
@@ -147,7 +154,7 @@ class Tasklet
      * keys and the horizon check below is a single compare. Charging
      * cycles adds cycles << kIdBits, leaving the id bits untouched.
      */
-    uint64_t clockKey_;
+    uint64_t clockKey_ = 0;
     /**
      * Run-ahead bound, maintained by the scheduler: the election key of
      * the best waiting tasklet. This tasklet keeps running (no context

@@ -1,14 +1,76 @@
 /**
  * @file
  * DPU-level tests: configuration defaults, launch mechanics, repeated
- * launches, and time conversion.
+ * launches, time conversion, and the per-thread launch context (no
+ * allocation in steady state, reuse equal to a fresh context, nested
+ * launches).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <new>
+#include <thread>
+#include <vector>
+
 #include "sim/dpu.hh"
+#include "sim/mutex.hh"
 
 using namespace pim::sim;
+
+namespace {
+
+/** While set, global operator new counts into tl_allocs (this thread). */
+thread_local bool tl_countAllocs = false;
+thread_local uint64_t tl_allocs = 0;
+
+} // namespace
+
+// Replaced global allocation functions: malloc/free underneath, so the
+// sanitizers' own malloc interception still sees every block. They stay
+// out of line: inlined into a caller, gcc would see a malloc'd block
+// reach operator delete (or a new'd one reach free) and warn.
+[[gnu::noinline]] void *
+operator new(std::size_t bytes)
+{
+    if (tl_countAllocs)
+        ++tl_allocs;
+    if (void *p = std::malloc(bytes == 0 ? 1 : bytes))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t bytes)
+{
+    return operator new(bytes);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 TEST(Dpu, UpmemDefaults)
 {
@@ -89,5 +151,187 @@ TEST(Dpu, CustomConfigPropagates)
 TEST(DpuDeath, EmptyLaunchPanics)
 {
     Dpu dpu;
-    EXPECT_DEATH(dpu.runBodies({}), "at least one tasklet");
+    EXPECT_DEATH(dpu.run(0, [](Tasklet &t) { t.execute(1); }),
+                 "at least one tasklet");
+}
+
+namespace {
+
+/** What one launch leaves behind, per tasklet and on the DPU. */
+struct LaunchRecord
+{
+    std::vector<uint64_t> clocks;
+    std::vector<uint64_t> events;
+    std::vector<CycleBreakdown> breakdowns;
+    uint64_t elapsed = 0;
+    uint64_t simEvents = 0;
+    CycleBreakdown breakdown;
+    uint64_t acquisitions = 0;
+    uint64_t contended = 0;
+    uint64_t parked = 0;
+    uint64_t woken = 0;
+    uint64_t elided = 0;
+    uint64_t counter = 0;
+};
+
+void
+expectSameLaunch(const LaunchRecord &a, const LaunchRecord &b)
+{
+    EXPECT_EQ(a.clocks, b.clocks);
+    EXPECT_EQ(a.events, b.events);
+    ASSERT_EQ(a.breakdowns.size(), b.breakdowns.size());
+    for (size_t i = 0; i < a.breakdowns.size(); ++i)
+        EXPECT_EQ(a.breakdowns[i].cycles, b.breakdowns[i].cycles)
+            << "tasklet " << i;
+    EXPECT_EQ(a.elapsed, b.elapsed);
+    EXPECT_EQ(a.simEvents, b.simEvents);
+    EXPECT_EQ(a.breakdown.cycles, b.breakdown.cycles);
+    EXPECT_EQ(a.acquisitions, b.acquisitions);
+    EXPECT_EQ(a.contended, b.contended);
+    EXPECT_EQ(a.parked, b.parked);
+    EXPECT_EQ(a.woken, b.woken);
+    EXPECT_EQ(a.elided, b.elided);
+    EXPECT_EQ(a.counter, b.counter);
+}
+
+constexpr MramAddr kCounterAddr = 4096;
+
+/**
+ * Launch @p n tasklets that contend on one mutex around an MRAM
+ * read-modify-write of a shared counter, so waiters park and wake.
+ */
+LaunchRecord
+contendedLaunch(Dpu &dpu, unsigned n)
+{
+    SimMutex mutex;
+    LaunchRecord r;
+    r.clocks.resize(n);
+    r.events.resize(n);
+    r.breakdowns.resize(n);
+    dpu.mram().write<uint64_t>(kCounterAddr, 0);
+    dpu.run(n, [&](Tasklet &t) {
+        for (unsigned i = 0; i < 3 + t.id() % 4; ++i) {
+            t.execute(2 + t.id() % 5);
+            mutex.lock(t);
+            const auto v = t.mramRead<uint64_t>(kCounterAddr);
+            t.execute(8);
+            t.mramWrite<uint64_t>(kCounterAddr, v + 1);
+            mutex.unlock(t);
+        }
+        r.clocks[t.id()] = t.clock();
+        r.events[t.id()] = t.simEvents();
+        r.breakdowns[t.id()] = t.breakdown();
+    });
+    r.elapsed = dpu.lastElapsedCycles();
+    r.simEvents = dpu.lastSimEvents();
+    r.breakdown = dpu.lastBreakdown();
+    r.acquisitions = mutex.acquisitions();
+    r.contended = mutex.contendedAcquisitions();
+    r.parked = mutex.parkedCount();
+    r.woken = mutex.wokenCount();
+    r.elided = mutex.elidedSpinEvents();
+    r.counter = dpu.mram().read<uint64_t>(kCounterAddr);
+    return r;
+}
+
+} // namespace
+
+TEST(DpuLaunchContext, SteadyStateLaunchAllocatesNothing)
+{
+    Dpu dpu;
+    const std::function<void(Tasklet &)> body = [](Tasklet &t) {
+        t.execute(1);
+    };
+    for (const unsigned tasklets : {1u, 16u}) {
+        dpu.run(tasklets, body); // warm-up: grows this thread's context
+        tl_allocs = 0;
+        tl_countAllocs = true;
+        for (int i = 0; i < 100; ++i)
+            dpu.run(tasklets, body);
+        tl_countAllocs = false;
+        EXPECT_EQ(tl_allocs, 0u) << "100 launches of " << tasklets
+                                 << " tasklet(s)";
+    }
+}
+
+TEST(DpuLaunchContext, ReuseMatchesFreshContext)
+{
+    // The same launch sequence twice: once reusing this thread's
+    // context, whose pooled tasklets carry the previous launch's
+    // clocks, parks and breakdowns, and once with every launch on a
+    // new thread, whose context starts empty.
+    const std::vector<unsigned> sizes{16, 1, 24, 4, 16};
+    Dpu reused_dpu;
+    Dpu fresh_dpu;
+    for (const unsigned n : sizes) {
+        const LaunchRecord reused = contendedLaunch(reused_dpu, n);
+        LaunchRecord fresh;
+        std::thread([&] { fresh = contendedLaunch(fresh_dpu, n); }).join();
+        SCOPED_TRACE(testing::Message() << n << " tasklets");
+        if (n > 1) {
+            EXPECT_GT(reused.parked, 0u);
+        }
+        expectSameLaunch(reused, fresh);
+    }
+}
+
+TEST(DpuLaunchContext, NestedLaunchMatchesSequentialLaunches)
+{
+    // Tasklet 2 of an 8-tasklet launch runs another DPU's 4-tasklet
+    // launch while its siblings are parked or suspended mid-body. The
+    // nested launch takes its own context, so both launches come out
+    // exactly as when run one after the other.
+    Dpu outer_dpu;
+    Dpu inner_dpu;
+    LaunchRecord inner;
+    const LaunchRecord outer = [&] {
+        SimMutex mutex;
+        LaunchRecord r;
+        r.clocks.resize(8);
+        outer_dpu.run(8, [&](Tasklet &t) {
+            for (int i = 0; i < 3; ++i) {
+                mutex.lock(t);
+                t.execute(4 + t.id());
+                if (t.id() == 2 && i == 1)
+                    inner = contendedLaunch(inner_dpu, 4);
+                mutex.unlock(t);
+            }
+            r.clocks[t.id()] = t.clock();
+        });
+        r.elapsed = outer_dpu.lastElapsedCycles();
+        r.simEvents = outer_dpu.lastSimEvents();
+        r.breakdown = outer_dpu.lastBreakdown();
+        r.parked = mutex.parkedCount();
+        return r;
+    }();
+
+    Dpu seq_outer_dpu;
+    Dpu seq_inner_dpu;
+    SimMutex mutex;
+    LaunchRecord seq_outer;
+    seq_outer.clocks.resize(8);
+    seq_outer_dpu.run(8, [&](Tasklet &t) {
+        for (int i = 0; i < 3; ++i) {
+            mutex.lock(t);
+            t.execute(4 + t.id());
+            mutex.unlock(t);
+        }
+        seq_outer.clocks[t.id()] = t.clock();
+    });
+    seq_outer.elapsed = seq_outer_dpu.lastElapsedCycles();
+    seq_outer.simEvents = seq_outer_dpu.lastSimEvents();
+    seq_outer.breakdown = seq_outer_dpu.lastBreakdown();
+    seq_outer.parked = mutex.parkedCount();
+    const LaunchRecord seq_inner = contendedLaunch(seq_inner_dpu, 4);
+
+    EXPECT_GT(outer.parked, 0u);
+    EXPECT_GT(inner.parked, 0u);
+    {
+        SCOPED_TRACE("outer launch");
+        expectSameLaunch(outer, seq_outer);
+    }
+    {
+        SCOPED_TRACE("nested launch");
+        expectSameLaunch(inner, seq_inner);
+    }
 }

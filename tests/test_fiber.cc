@@ -3,12 +3,14 @@
  * Unit tests for the fiber primitive, run against whichever backend is
  * compiled in (asm or ucontext; CI builds a leg with each): basic
  * resume/yield, nesting, direct switchTo chains, stack-heavy frames,
- * and a many-fiber stress loop. The death tests cover reuse of a
- * finished fiber.
+ * and a many-fiber stress loop, and rearm() reusing a stack. The death
+ * tests cover reuse of a finished fiber and a stack overflow into the
+ * guard page.
  */
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -17,6 +19,18 @@
 #include "sim/fiber.hh"
 
 using pim::sim::Fiber;
+
+/*
+ * ASan and TSan install their own SEGV handler, which reports the fault
+ * and aborts instead of letting the signal kill the process.
+ */
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SANITIZER_CATCHES_SEGV 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SANITIZER_CATCHES_SEGV 1
+#endif
+#endif
 
 TEST(Fiber, RunsToCompletionOnFirstResume)
 {
@@ -238,6 +252,58 @@ TEST(Fiber, ManyFibersStress)
         EXPECT_TRUE(fibers[i]->finished()) << i;
         EXPECT_EQ(counts[i], kRounds) << i;
     }
+}
+
+TEST(Fiber, RearmRunsANewBody)
+{
+    std::vector<int> order;
+    Fiber f([&] { order.push_back(1); });
+    f.rearm([&] { order.push_back(2); }); // never started: rearm is legal
+    f.resume();
+    EXPECT_TRUE(f.finished());
+    f.rearm([&] {
+        order.push_back(3);
+        Fiber::yield();
+        order.push_back(4);
+    });
+    EXPECT_FALSE(f.finished());
+    f.resume();
+    f.resume();
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(order, (std::vector<int>{2, 3, 4}));
+}
+
+namespace {
+
+/** Recurse @p depth levels, each holding 1 KiB of real stack. */
+[[gnu::noinline]] unsigned
+burnStack(unsigned depth)
+{
+    // alloca, not a local array: ASan may move locals to its fake
+    // stack, but an alloca'd block is always on the running stack.
+    auto *frame = static_cast<volatile uint8_t *>(__builtin_alloca(1024));
+    for (size_t i = 0; i < 1024; i += 64)
+        frame[i] = static_cast<uint8_t>(depth);
+    if (depth == 0)
+        return frame[0];
+    return burnStack(depth - 1) + frame[512];
+}
+
+} // namespace
+
+TEST(FiberDeath, StackOverflowHitsGuardPage)
+{
+    // About 70 KiB of frames on a 64 KiB stack: the first write past the
+    // stack lands on its guard page and faults right there.
+    auto overflow = [] {
+        Fiber f([] { burnStack(70); }, 64 * 1024);
+        f.resume();
+    };
+#if defined(SANITIZER_CATCHES_SEGV)
+    EXPECT_DEATH(overflow(), "");
+#else
+    EXPECT_EXIT(overflow(), testing::KilledBySignal(SIGSEGV), "");
+#endif
 }
 
 TEST(FiberDeath, ResumeFinishedPanics)

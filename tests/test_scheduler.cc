@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/dpu.hh"
@@ -113,14 +114,22 @@ TEST(Scheduler, IdlePaddingForEarlyFinishers)
 
 TEST(Scheduler, DistinctBodies)
 {
+    // Tasklets with different programs share one body that branches on
+    // the tasklet id.
     Dpu dpu;
     int a = 0, b = 0;
-    std::vector<std::function<void(Tasklet &)>> bodies;
-    bodies.emplace_back([&](Tasklet &t) { a = 1; t.execute(1); });
-    bodies.emplace_back([&](Tasklet &t) { b = 2; t.execute(2); });
-    dpu.runBodies(std::move(bodies));
+    dpu.run(2, [&](Tasklet &t) {
+        if (t.id() == 0) {
+            a = 1;
+            t.execute(1);
+        } else {
+            b = 2;
+            t.execute(2);
+        }
+    });
     EXPECT_EQ(a, 1);
     EXPECT_EQ(b, 2);
+    EXPECT_EQ(dpu.lastElapsedCycles(), 2u * 11u);
 }
 
 TEST(Scheduler, ActiveCountDropsAsTaskletsFinish)
@@ -166,11 +175,12 @@ TEST(Scheduler, HorizonRunAheadSkipsSwitchesNotEvents)
     auto run = [](TaskletScheduler::Policy policy) {
         Dpu dpu;
         TaskletScheduler sched(dpu, policy);
+        const std::function<void(Tasklet &)> body = [](Tasklet &t) {
+            for (int i = 0; i < 10; ++i)
+                t.execute(1 + t.id());
+        };
         for (int k = 0; k < 4; ++k)
-            sched.spawn([](Tasklet &t) {
-                for (int i = 0; i < 10; ++i)
-                    t.execute(1 + t.id());
-            });
+            sched.spawn(body);
         sched.runToCompletion();
         std::vector<uint64_t> out;
         for (size_t i = 0; i < sched.numTasklets(); ++i) {

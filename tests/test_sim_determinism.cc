@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/dpu.hh"
@@ -127,8 +128,11 @@ runWorkload(TaskletScheduler::Policy policy,
     dpu.mram().write<uint64_t>(kCounterAddr, 0);
 
     TraceHash trace;
+    const std::function<void(Tasklet &)> body = [&](Tasklet &t) {
+        workloadTasklet(t, mutex, trace);
+    };
     for (unsigned i = 0; i < kTasklets; ++i)
-        sched.spawn([&](Tasklet &t) { workloadTasklet(t, mutex, trace); });
+        sched.spawn(body);
     sched.runToCompletion();
 
     RunResult r;
