@@ -49,7 +49,6 @@ NodeState
 DirectStore::get(sim::Tasklet &t, uint32_t node)
 {
     (void)t;
-    ++accesses_;
     return rawGet(node);
 }
 
@@ -57,7 +56,6 @@ void
 DirectStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
 {
     (void)t;
-    ++accesses_;
     rawSet(node, s);
 }
 
@@ -107,7 +105,6 @@ SwBufferStore::ensureResident(sim::Tasklet &t, uint32_t node)
 NodeState
 SwBufferStore::get(sim::Tasklet &t, uint32_t node)
 {
-    ++accesses_;
     ensureResident(t, node);
     return rawGet(node);
 }
@@ -115,7 +112,6 @@ SwBufferStore::get(sim::Tasklet &t, uint32_t node)
 void
 SwBufferStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
 {
-    ++accesses_;
     ensureResident(t, node);
     rawSet(node, s);
     dirty_ = true;
@@ -192,7 +188,6 @@ DataCacheStore::ensureResident(sim::Tasklet &t, uint32_t node,
 NodeState
 DataCacheStore::get(sim::Tasklet &t, uint32_t node)
 {
-    ++accesses_;
     ensureResident(t, node, false);
     return rawGet(node);
 }
@@ -200,7 +195,6 @@ DataCacheStore::get(sim::Tasklet &t, uint32_t node)
 void
 DataCacheStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
 {
-    ++accesses_;
     ensureResident(t, node, true);
     rawSet(node, s);
 }
@@ -260,7 +254,6 @@ HwCacheStore::ensureResident(sim::Tasklet &t, sim::MramAddr word_addr)
 NodeState
 HwCacheStore::get(sim::Tasklet &t, uint32_t node)
 {
-    ++accesses_;
     const sim::MramAddr wa = wordAddr(node);
     ensureResident(t, wa);
     // read_bc
@@ -272,7 +265,6 @@ HwCacheStore::get(sim::Tasklet &t, uint32_t node)
 void
 HwCacheStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
 {
-    ++accesses_;
     const sim::MramAddr wa = wordAddr(node);
     ensureResident(t, wa);
     rawSet(node, s);

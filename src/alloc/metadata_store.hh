@@ -73,9 +73,6 @@ class MetadataStore
     /** MRAM base address of the array. */
     sim::MramAddr base() const { return base_; }
 
-    /** Total get+set accesses (for characterization). */
-    uint64_t accesses() const { return accesses_; }
-
   protected:
     /** Nodes per packed 4-byte word (16 nodes x 2 bits). */
     static constexpr uint32_t kWordBytes = 4;
@@ -105,7 +102,6 @@ class MetadataStore
     sim::MramAddr base_;
     uint32_t numNodes_;
     uint32_t wordCount_;
-    uint64_t accesses_ = 0;
 };
 
 /** Zero-cost direct access (host-side execution / test oracle). */

@@ -443,11 +443,11 @@ class CommandQueue
         /** >= 0: idle the host until this absolute time instead. */
         double hostUntil = -1.0;
 
-        /** Target ranks/slots of a Launch or Copy: the memoized
-         *  slot→rank partition of the addressed DpuSet, borrowed by
-         *  shared_ptr — commands on the same set (every full-system
-         *  command in particular) share one instance instead of each
-         *  copying rank and slot vectors. */
+        /** Target ranks/slots of a Launch or Copy: the partition of
+         *  the addressed DpuSet, borrowed by shared_ptr — commands on
+         *  the same set (every full-system command in particular)
+         *  share one instance instead of each copying rank and slot
+         *  vectors. */
         std::shared_ptr<const SlotPartition> part;
         /** Per-slot launch makespans live in the queue's drain arena
          *  at [cyclesOff, cyclesOff + part->slots.size()); filled in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/logging.hh"
 
@@ -26,122 +27,63 @@ sampleGlobalIndex(unsigned slot, unsigned sample, unsigned num_dpus)
                                  / sample);
 }
 
-DpuSet::DpuSet(const PimSystem *sys, Kind kind, unsigned rank,
-               std::vector<unsigned> rank_ids)
-    : sys_(sys), kind_(kind), rank_(rank)
-{
-    switch (kind_) {
-      case Kind::All:
-        size_ = sys_->numDpus();
-        for (unsigned r = 0; r < sys_->numRanks(); ++r)
-            ranks_.push_back(r);
-        for (unsigned s = 0; s < sys_->sampleCount(); ++s)
-            slots_.push_back(s);
-        break;
-      case Kind::Rank:
-        size_ = sys_->rankSize(rank_);
-        ranks_.push_back(rank_);
-        for (unsigned s = 0; s < sys_->sampleCount(); ++s) {
-            if (sys_->rankOf(sys_->globalIndex(s)) == rank_)
-                slots_.push_back(s);
-        }
-        break;
-      case Kind::Ranks:
-        // DPU membership stays implicit so a many-rank set costs
-        // O(ranks), not O(DPUs).
-        ranks_ = std::move(rank_ids);
-        for (const unsigned r : ranks_)
-            size_ += sys_->rankSize(r);
-        for (unsigned s = 0; s < sys_->sampleCount(); ++s) {
-            if (std::binary_search(
-                    ranks_.begin(), ranks_.end(),
-                    sys_->rankOf(sys_->globalIndex(s))))
-                slots_.push_back(s);
-        }
-        break;
-    }
-}
-
 namespace {
 
-/** Group @p slots into contiguous per-rank runs over @p ranks. Both
- *  lists are ascending and every slot's rank is a member of ranks, so
- *  one merge-style walk builds the run offsets. */
-std::shared_ptr<const SlotPartition>
-buildSlotPartition(const PimSystem &sys, std::vector<unsigned> ranks,
-                   std::vector<unsigned> slots)
+/** First sample slot whose global index is >= @p global, or
+ *  sampleCount() if none; globalIndex is strictly increasing in the
+ *  slot, so this is a binary search. */
+unsigned
+firstSlotAtOrAbove(const PimSystem &sys, unsigned global)
 {
-    auto part = std::make_shared<SlotPartition>();
-    part->ranks = std::move(ranks);
-    part->slots = std::move(slots);
-    part->rankSlotBegin.reserve(part->ranks.size() + 1);
-    size_t j = 0;
-    for (const unsigned r : part->ranks) {
-        part->rankSlotBegin.push_back(static_cast<unsigned>(j));
-        while (j < part->slots.size()
-               && sys.rankOf(sys.globalIndex(part->slots[j])) == r)
-            ++j;
+    unsigned lo = 0, hi = sys.sampleCount();
+    while (lo < hi) {
+        const unsigned mid = lo + (hi - lo) / 2;
+        if (sys.globalIndex(mid) < global)
+            lo = mid + 1;
+        else
+            hi = mid;
     }
-    part->rankSlotBegin.push_back(static_cast<unsigned>(j));
-    PIM_ASSERT(j == part->slots.size(),
-               "slot outside the set's rank list (DpuSet invariant "
-               "violated)");
-    return part;
+    return lo;
 }
 
 } // namespace
 
-const std::shared_ptr<const SlotPartition> &
-DpuSet::partition() const
+DpuSet::DpuSet(const PimSystem *sys, std::vector<unsigned> rank_ids)
+    : sys_(sys)
 {
-    if (part_ == nullptr) {
-        part_ = kind_ == Kind::All
-            ? sys_->allPartition()
-            : buildSlotPartition(*sys_, ranks_, slots_);
+    auto part = std::make_shared<SlotPartition>();
+    const unsigned per_rank = sys_->config().dpusPerRank;
+    part->rankSlotBegin.reserve(rank_ids.size() + 1);
+    for (const unsigned r : rank_ids) {
+        const unsigned first = r * per_rank;
+        const unsigned n = sys_->rankSize(r);
+        size_ += n;
+        part->rankSlotBegin.push_back(
+            static_cast<unsigned>(part->slots.size()));
+        const unsigned end = firstSlotAtOrAbove(*sys_, first + n);
+        for (unsigned s = firstSlotAtOrAbove(*sys_, first); s < end; ++s)
+            part->slots.push_back(s);
     }
-    return part_;
+    part->rankSlotBegin.push_back(
+        static_cast<unsigned>(part->slots.size()));
+    part->ranks = std::move(rank_ids);
+    part_ = std::move(part);
 }
 
-const std::shared_ptr<const SlotPartition> &
-PimSystem::allPartition() const
-{
-    if (allPart_ == nullptr) {
-        std::vector<unsigned> ranks(numRanks_);
-        for (unsigned r = 0; r < numRanks_; ++r)
-            ranks[r] = r;
-        std::vector<unsigned> slots(sampleCount());
-        for (unsigned s = 0; s < sampleCount(); ++s)
-            slots[s] = s;
-        allPart_ =
-            buildSlotPartition(*this, std::move(ranks), std::move(slots));
-    }
-    return allPart_;
-}
+// indexOf and memberAt count every member rank before the last as a
+// full dpusPerRank: only the system's last rank can be short, and it
+// sorts last in any rank list.
 
 unsigned
 DpuSet::indexOf(unsigned global) const
 {
     PIM_ASSERT(contains(global), "DPU ", global,
                " is not a member of this set");
-    switch (kind_) {
-      case Kind::All:
-        return global;
-      case Kind::Rank:
-        return global - rank_ * sys_->config().dpusPerRank;
-      case Kind::Ranks: {
-        // Members are implicit: sum the sizes of earlier member ranks,
-        // then add the offset inside the owning rank.
-        const unsigned r = sys_->rankOf(global);
-        unsigned before = 0;
-        for (const unsigned m : ranks_) {
-            if (m == r)
-                break;
-            before += sys_->rankSize(m);
-        }
-        return before + (global - r * sys_->config().dpusPerRank);
-      }
-    }
-    return 0;
+    const unsigned per_rank = sys_->config().dpusPerRank;
+    const auto pos = std::lower_bound(ranks().begin(), ranks().end(),
+                                      global / per_rank)
+        - ranks().begin();
+    return static_cast<unsigned>(pos) * per_rank + global % per_rank;
 }
 
 unsigned
@@ -149,54 +91,30 @@ DpuSet::memberAt(unsigned idx) const
 {
     PIM_ASSERT(idx < size_, "member index ", idx,
                " out of range for a set of ", size_, " DPUs");
-    switch (kind_) {
-      case Kind::All:
-        return idx;
-      case Kind::Rank:
-        return rank_ * sys_->config().dpusPerRank + idx;
-      case Kind::Ranks: {
-        unsigned rest = idx;
-        for (const unsigned r : ranks_) {
-            const unsigned n = sys_->rankSize(r);
-            if (rest < n)
-                return r * sys_->config().dpusPerRank + rest;
-            rest -= n;
-        }
-        break;
-      }
-    }
-    return 0; // unreachable: idx < size_
+    const unsigned per_rank = sys_->config().dpusPerRank;
+    return ranks()[idx / per_rank] * per_rank + idx % per_rank;
 }
 
 std::pair<DpuSet, DpuSet>
 DpuSet::partitionRanks(double fraction) const
 {
-    const unsigned n = static_cast<unsigned>(ranks_.size());
+    const unsigned n = static_cast<unsigned>(ranks().size());
     PIM_ASSERT(n >= 2, "cannot partition a set of ", n, " rank(s)");
     const auto want = static_cast<long>(
         std::lround(fraction * static_cast<double>(n)));
     const unsigned k = static_cast<unsigned>(
         std::clamp<long>(want, 1, n - 1));
-    std::vector<unsigned> head(ranks_.begin(), ranks_.begin() + k);
-    std::vector<unsigned> tail(ranks_.begin() + k, ranks_.end());
-    return {DpuSet(sys_, Kind::Ranks, 0, std::move(head)),
-            DpuSet(sys_, Kind::Ranks, 0, std::move(tail))};
+    std::vector<unsigned> head(ranks().begin(), ranks().begin() + k);
+    std::vector<unsigned> tail(ranks().begin() + k, ranks().end());
+    return {DpuSet(sys_, std::move(head)), DpuSet(sys_, std::move(tail))};
 }
 
 bool
 DpuSet::contains(unsigned global) const
 {
-    switch (kind_) {
-      case Kind::All:
-        return global < sys_->numDpus();
-      case Kind::Rank:
-        return global < sys_->numDpus() && sys_->rankOf(global) == rank_;
-      case Kind::Ranks:
-        return global < sys_->numDpus()
-            && std::binary_search(ranks_.begin(), ranks_.end(),
-                                  sys_->rankOf(global));
-    }
-    return false;
+    return global < sys_->numDpus()
+        && std::binary_search(ranks().begin(), ranks().end(),
+                              sys_->rankOf(global));
 }
 
 PimSystem::PimSystem(const PimSystemConfig &cfg)
@@ -212,6 +130,9 @@ PimSystem::PimSystem(const PimSystemConfig &cfg)
     dpus_.reserve(sample);
     for (unsigned i = 0; i < sample; ++i)
         dpus_.push_back(std::make_unique<sim::Dpu>(cfg.dpuCfg));
+    std::vector<unsigned> every_rank(numRanks_);
+    std::iota(every_rank.begin(), every_rank.end(), 0u);
+    all_ = DpuSet(this, std::move(every_rank));
 }
 
 unsigned
@@ -249,32 +170,17 @@ PimSystem::globalIndex(unsigned slot) const
 unsigned
 PimSystem::slotOf(unsigned global) const
 {
-    // globalIndex is strictly increasing in the slot, so binary search.
-    const unsigned sample = static_cast<unsigned>(dpus_.size());
-    unsigned lo = 0, hi = sample;
-    while (lo < hi) {
-        const unsigned mid = lo + (hi - lo) / 2;
-        if (globalIndex(mid) < global)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    PIM_ASSERT(lo < sample && globalIndex(lo) == global,
+    const unsigned slot = firstSlotAtOrAbove(*this, global);
+    PIM_ASSERT(slot < sampleCount() && globalIndex(slot) == global,
                "global DPU index ", global, " is not materialized");
-    return lo;
-}
-
-DpuSet
-PimSystem::all() const
-{
-    return DpuSet(this, DpuSet::Kind::All, 0, {});
+    return slot;
 }
 
 DpuSet
 PimSystem::rank(unsigned r) const
 {
     PIM_ASSERT(r < numRanks_, "rank out of range");
-    return DpuSet(this, DpuSet::Kind::Rank, r, {});
+    return DpuSet(this, {r});
 }
 
 DpuSet
@@ -285,7 +191,7 @@ PimSystem::ranks(std::vector<unsigned> rank_ids) const
                    rank_ids.end());
     PIM_ASSERT(!rank_ids.empty(), "empty rank set");
     PIM_ASSERT(rank_ids.back() < numRanks_, "rank id out of range");
-    return DpuSet(this, DpuSet::Kind::Ranks, 0, std::move(rank_ids));
+    return DpuSet(this, std::move(rank_ids));
 }
 
 } // namespace pim::core

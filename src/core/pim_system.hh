@@ -21,6 +21,7 @@
 #define PIM_CORE_PIM_SYSTEM_HH
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -78,14 +79,15 @@ unsigned sampleGlobalIndex(unsigned slot, unsigned sample,
 class PimSystem;
 
 /**
- * Slot→rank partition of a DpuSet, memoized per set and shared (by
- * shared_ptr) with every command enqueued against it. Slots are sorted
- * ascending and globalIndex() is strictly increasing with rankOf()
- * monotone, so a set's sample slots group into one contiguous run per
- * touched rank: the run of ranks[i] is slots[rankSlotBegin[i] ..
- * rankSlotBegin[i+1]) (empty for a touched rank with no materialized
- * member). The command queue's timeline fold walks the runs in one
- * O(slots + ranks) pass instead of rescanning every slot per rank.
+ * The ranks and materialized sample slots of a DpuSet, built once when
+ * the set is made and shared (by shared_ptr) by the set's copies and
+ * every command enqueued against it. Slots are sorted ascending and
+ * globalIndex() is strictly increasing with rankOf() monotone, so a
+ * set's sample slots group into one contiguous run per rank: the run of
+ * ranks[i] is slots[rankSlotBegin[i] .. rankSlotBegin[i+1]) (empty for
+ * a rank with no materialized member). The command queue's timeline
+ * fold walks the runs in one O(slots + ranks) pass instead of
+ * rescanning every slot per rank.
  */
 struct SlotPartition
 {
@@ -97,7 +99,11 @@ struct SlotPartition
     std::vector<unsigned> rankSlotBegin;
 };
 
-/** A selection of DPUs a command is addressed to. */
+/**
+ * A selection of DPUs a command is addressed to: the DPUs of a
+ * non-empty set of ranks (the whole system, one rank, or any subset).
+ * Copies are cheap and share one SlotPartition.
+ */
 class DpuSet
 {
   public:
@@ -131,41 +137,26 @@ class DpuSet
     std::pair<DpuSet, DpuSet> partitionRanks(double fraction) const;
 
     /** Rank ids the set touches, ascending. */
-    const std::vector<unsigned> &ranks() const { return ranks_; }
+    const std::vector<unsigned> &ranks() const { return part_->ranks; }
 
     /** Materialized sample slots belonging to the set, ascending. */
-    const std::vector<unsigned> &slots() const { return slots_; }
+    const std::vector<unsigned> &slots() const { return part_->slots; }
 
-    /**
-     * The set's slot→rank partition, built on first use and memoized
-     * (copies of the set share the memo). The canonical full-system set
-     * returns the PimSystem's one cached instance, so every full-set
-     * command of a run borrows the same partition instead of copying
-     * rank/slot vectors.
-     */
-    const std::shared_ptr<const SlotPartition> &partition() const;
-
-    /** Owning system. */
-    const PimSystem &system() const { return *sys_; }
+    /** The set's ranks and slots with their per-rank slot runs. */
+    const std::shared_ptr<const SlotPartition> &partition() const
+    {
+        return part_;
+    }
 
   private:
     friend class PimSystem;
 
-    enum class Kind { All, Rank, Ranks };
-
-    /** @p rank_ids: Kind::Ranks only, sorted and deduplicated. */
-    DpuSet(const PimSystem *sys, Kind kind, unsigned rank,
-           std::vector<unsigned> rank_ids);
+    /** @p rank_ids: sorted, deduplicated, non-empty, each < numRanks. */
+    DpuSet(const PimSystem *sys, std::vector<unsigned> rank_ids);
 
     const PimSystem *sys_;
-    Kind kind_;
-    unsigned rank_ = 0; ///< Kind::Rank only
     unsigned size_ = 0;
-    std::vector<unsigned> ranks_;
-    std::vector<unsigned> slots_;
-    /** Lazily built partition (see partition()); mutable because the
-     *  memo does not change the set's observable membership. */
-    mutable std::shared_ptr<const SlotPartition> part_;
+    std::shared_ptr<const SlotPartition> part_;
 };
 
 /** The DPU set a command queue executes against. */
@@ -207,21 +198,14 @@ class PimSystem
      */
     unsigned slotOf(unsigned global) const;
 
-    /** The whole system. */
-    DpuSet all() const;
+    /** The whole system (built once; copies share its partition). */
+    DpuSet all() const { return *all_; }
 
     /** One rank. */
     DpuSet rank(unsigned r) const;
 
     /** The DPUs of an arbitrary set of ranks (deduplicated, sorted). */
     DpuSet ranks(std::vector<unsigned> rank_ids) const;
-
-    /**
-     * The cached slot→rank partition of the full system — the one
-     * instance every all()-set command shares (see DpuSet::partition).
-     * Built lazily on first use.
-     */
-    const std::shared_ptr<const SlotPartition> &allPartition() const;
 
     /** Shared host thread pool commands execute on. */
     const ParallelDpuEngine &engine() const { return engine_; }
@@ -239,8 +223,9 @@ class PimSystem
     sim::TransferModel xfer_;
     ParallelDpuEngine engine_;
     std::vector<std::unique_ptr<sim::Dpu>> dpus_;
-    /** Lazily built full-system partition (see allPartition()). */
-    mutable std::shared_ptr<const SlotPartition> allPart_;
+    /** Built once the DPUs are materialized. Every set points back at
+     *  this system, which engine_ keeps non-copyable and non-movable. */
+    std::optional<DpuSet> all_;
 };
 
 } // namespace pim::core

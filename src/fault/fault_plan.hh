@@ -45,9 +45,6 @@ const char *faultKindName(FaultKind kind);
 /** What a fault-aware workload does when its commands fail (irrelevant
  *  without an attached FaultInjector on the queue). */
 enum class FaultPolicy {
-    /** No story: any failed event is a fatal error (the pre-fault
-     *  behavior, and the default for callers that never opted in). */
-    Fatal,
     /** No-recovery baseline: affected work is dropped, dead ranks
      *  shrink the partition, the run keeps going. */
     Drop,

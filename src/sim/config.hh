@@ -22,13 +22,6 @@ struct BuddyCacheConfig
     unsigned bytesPerEntry = 4;
     /** Access latency in PIM core cycles (paper: 1 cycle). */
     uint32_t accessCycles = 1;
-
-    /** Total capacity in bytes. */
-    unsigned
-    capacityBytes() const
-    {
-        return entries * bytesPerEntry;
-    }
 };
 
 /** Static hardware parameters of one DPU. */

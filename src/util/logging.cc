@@ -20,10 +20,4 @@ fatalImpl(const char *file, int line, const std::string &msg)
     std::exit(1);
 }
 
-void
-warnImpl(const char *file, int line, const std::string &msg)
-{
-    std::fprintf(stderr, "warn: %s (%s:%d)\n", msg.c_str(), file, line);
-}
-
 } // namespace pim::util

@@ -6,7 +6,6 @@
  *             aborts so a debugger or core dump can capture state.
  * - fatal():  the *user* asked for something impossible (bad config);
  *             exits with status 1.
- * - warn():   something is suspicious but the run can continue.
  */
 
 #ifndef PIM_UTIL_LOGGING_HH
@@ -23,9 +22,6 @@ namespace pim::util {
 
 /** Print "fatal: <msg>" and exit(1). */
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
-
-/** Print "warn: <msg>" to stderr. */
-void warnImpl(const char *file, int line, const std::string &msg);
 
 namespace detail {
 
@@ -48,10 +44,6 @@ formatParts(Args &&...args)
 
 #define PIM_FATAL(...) \
     ::pim::util::fatalImpl(__FILE__, __LINE__, \
-        ::pim::util::detail::formatParts(__VA_ARGS__))
-
-#define PIM_WARN(...) \
-    ::pim::util::warnImpl(__FILE__, __LINE__, \
         ::pim::util::detail::formatParts(__VA_ARGS__))
 
 /** Invariant check that stays enabled in release builds. */

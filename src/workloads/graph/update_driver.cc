@@ -596,10 +596,6 @@ GraphUpdateTask::Impl::step()
     // The round failed: a rank died mid-round, a shipped slice was
     // permanently corrupted (poisoning the launch through .after), or
     // the launch timed out.
-    if (policy == fault::FaultPolicy::Fatal) {
-        PIM_FATAL("update round ", r, " failed under fault injection "
-                  "(FaultPolicy::Fatal)");
-    }
     if (policy == fault::FaultPolicy::Drop) {
         // No re-execution: the round's insertions are written off.
         ++lostRoundsN;
@@ -625,10 +621,6 @@ GraphUpdateTask::Impl::onRankFailed(unsigned rank, double failSec)
         std::find(partRankIds.begin(), partRankIds.end(), rank);
     PIM_ASSERT(it != partRankIds.end(), "rank ", rank,
                " is not part of this graph partition");
-    if (policy == fault::FaultPolicy::Fatal) {
-        PIM_FATAL("rank ", rank, " failed at t=", failSec,
-                  "s (FaultPolicy::Fatal)");
-    }
     ++failures;
     partRankIds.erase(it);
     // With the last rank gone the partition stays as it was until a

@@ -280,6 +280,9 @@ struct DisaggServingTask::Impl
 
     void step();
     void rebuildParts();
+    /** Bring a fresh allocator and KV manager up on every slot of @p set
+     *  in one launch; kNoEvent for schemes without an allocator. */
+    core::Event launchAllocInit(const core::DpuSet &set, const char *label);
     void onRankFailed(unsigned rank, double failSec);
     void onReplacementGranted(const core::DpuSet &replacement);
 
@@ -384,36 +387,11 @@ DisaggServingTask::Impl::Impl(const ServingScheme &scheme_in,
                "disaggregated serving needs at least two ranks");
     prefillRankIds = parts.first.ranks();
     decodeRankIds = parts.second.ranks();
-    const core::DpuSet &prefill_set = parts.first;
-    const core::DpuSet &decode_set = parts.second;
-    res.prefillRanks =
-        static_cast<unsigned>(prefill_set.ranks().size());
-    res.decodeRanks = static_cast<unsigned>(decode_set.ranks().size());
-    const unsigned prefill_dpus = prefill_set.size();
-    const unsigned decode_dpus = decode_set.size();
-
-    res.maxBatchLimit = batchLimit(scheme, cfg, decode_dpus);
-    PIM_ASSERT(res.maxBatchLimit >= 1,
-               "decode partition too small: zero-request batch limit");
+    rebuildParts();
     res.allocSecPerBlock = scheme.allocator
         ? calibratedAllocLatency(*scheme.allocator, cfg.allocTasklets,
                                  cfg.kvBlockBytes)
         : 0.0;
-
-    perTokenDec = cfg.model.kvBytesPerTokenPerDpu(decode_dpus);
-    perTokenPre = cfg.model.kvBytesPerTokenPerDpu(prefill_dpus);
-    blocksPerToken =
-        static_cast<double>(perTokenDec) / cfg.kvBlockBytes;
-
-    // One prefill wave's prompts live transiently in the prefill-rank
-    // heaps until the next wave releases them; bound the wave so a
-    // whole wave fits.
-    const alloc::PimMallocConfig heap_cfg;
-    promptBytesPre = perTokenPre * cfg.promptTokens;
-    maxPrefillBatch = std::max<unsigned>(
-        1,
-        static_cast<unsigned>(heap_cfg.heapBytes * 95 / 100
-                              / std::max<uint64_t>(promptBytesPre, 1)));
 
     arrivals = arrivalTimes(cfg);
 
@@ -433,23 +411,29 @@ DisaggServingTask::Impl::Impl(const ServingScheme &scheme_in,
     // possibly large) init cost lands visibly on the prefill ranks at
     // t=0 instead of being dropped as untimed setup inside a wave.
     slots.resize(sys.sampleCount());
+    launchAllocInit(parts.first, "alloc init");
+}
+
+core::Event
+DisaggServingTask::Impl::launchAllocInit(const core::DpuSet &set,
+                                         const char *label)
+{
+    if (!scheme.allocator)
+        return core::kNoEvent;
     const unsigned tasklets = cfg.allocTasklets;
-    if (scheme.allocator) {
-        queue.launchProgram(
-            prefill_set,
-            [this, tasklets](sim::Dpu &dpu, unsigned global) {
-                PrefillSlot &st = slots[sys.slotOf(global)];
-                core::AllocatorOverrides ov;
-                ov.numTasklets = tasklets;
-                st.allocator =
-                    core::makeAllocator(dpu, *scheme.allocator, ov);
-                st.kv = std::make_unique<KvCacheManager>(
-                    *st.allocator, cfg.kvBlockBytes);
-                dpu.run(1,
-                        [&](sim::Tasklet &t) { st.allocator->init(t); });
-            },
-            {.label = traced ? "alloc init" : "", .tenant = tenant});
-    }
+    return queue.launchProgram(
+        set,
+        [this, tasklets](sim::Dpu &dpu, unsigned global) {
+            PrefillSlot &st = slots[sys.slotOf(global)];
+            core::AllocatorOverrides ov;
+            ov.numTasklets = tasklets;
+            st.allocator = core::makeAllocator(dpu, *scheme.allocator, ov);
+            st.kv = std::make_unique<KvCacheManager>(*st.allocator,
+                                                     cfg.kvBlockBytes);
+            st.prevWaveRequests = 0;
+            dpu.run(1, [&](sim::Tasklet &t) { st.allocator->init(t); });
+        },
+        {.label = traced ? label : "", .tenant = tenant});
 }
 
 void
@@ -566,11 +550,6 @@ DisaggServingTask::Impl::step()
             // plane (drainFailedRanks at clockSeconds) see the death
             // before the wave is relaunched onto the dead rank.
             now = std::max(now, queue.eventSeconds(w.migrated));
-            if (policy == FaultPolicy::Fatal) {
-                PIM_FATAL("prefill wave of ", w.reqs.size(),
-                          " requests failed under fault injection "
-                          "(FaultPolicy::Fatal)");
-            }
             if (policy == FaultPolicy::Drop)
                 lostReqs += static_cast<unsigned>(w.reqs.size());
             else
@@ -655,11 +634,6 @@ DisaggServingTask::Impl::step()
         // untrusted and its requests are shed. Either way the
         // double-buffer chain restarts from scratch so one failed
         // ship cannot poison every later step.
-        if (policy == FaultPolicy::Fatal) {
-            PIM_FATAL("decode step ", stepIdx - 1, " (batch ",
-                      active.size(), ") failed under fault injection "
-                      "(FaultPolicy::Fatal)");
-        }
         lostStepsN += static_cast<unsigned>(active.size());
         if (policy == FaultPolicy::Drop) {
             lostReqs += static_cast<unsigned>(active.size());
@@ -717,6 +691,9 @@ DisaggServingTask::Impl::rebuildParts()
     perTokenPre = cfg.model.kvBytesPerTokenPerDpu(prefill_dpus);
     blocksPerToken =
         static_cast<double>(perTokenDec) / cfg.kvBlockBytes;
+    // One prefill wave's prompts live transiently in the prefill-rank
+    // heaps until the next wave releases them; bound the wave so a
+    // whole wave fits.
     const alloc::PimMallocConfig heap_cfg;
     promptBytesPre = perTokenPre * cfg.promptTokens;
     maxPrefillBatch = std::max<unsigned>(
@@ -725,8 +702,7 @@ DisaggServingTask::Impl::rebuildParts()
                               / std::max<uint64_t>(promptBytesPre, 1)));
     res.maxBatchLimit = batchLimit(scheme, cfg, decode_dpus);
     PIM_ASSERT(res.maxBatchLimit >= 1,
-               "decode partition too small after rank loss: "
-               "zero-request batch limit");
+               "decode partition too small: zero-request batch limit");
 }
 
 void
@@ -740,10 +716,6 @@ DisaggServingTask::Impl::onRankFailed(unsigned rank, double failSec)
         != decodeRankIds.end();
     PIM_ASSERT(was_prefill || was_decode, "rank ", rank,
                " is not part of this serving partition");
-    if (policy == FaultPolicy::Fatal) {
-        PIM_FATAL("rank ", rank, " failed at t=", failSec,
-                  "s (FaultPolicy::Fatal)");
-    }
     ++failures;
     std::erase(prefillRankIds, rank);
     std::erase(decodeRankIds, rank);
@@ -806,31 +778,12 @@ DisaggServingTask::Impl::onReplacementGranted(
                          .tenant = tenant});
 
     core::Event landed = core::kNoEvent;
-    const unsigned tasklets = cfg.allocTasklets;
     if (fail.wasPrefill) {
         // A prefill rank holds only transient prompt KV (re-created by
         // the re-queued waves), so recovery is bringing the fresh
         // rank's allocator state up — the same deployment-time launch
         // the constructor issues.
-        if (scheme.allocator) {
-            landed = queue.launchProgram(
-                replacement,
-                [this, tasklets](sim::Dpu &dpu, unsigned global) {
-                    PrefillSlot &st = slots[sys.slotOf(global)];
-                    core::AllocatorOverrides ov;
-                    ov.numTasklets = tasklets;
-                    st.allocator =
-                        core::makeAllocator(dpu, *scheme.allocator, ov);
-                    st.kv = std::make_unique<KvCacheManager>(
-                        *st.allocator, cfg.kvBlockBytes);
-                    st.prevWaveRequests = 0;
-                    dpu.run(1, [&](sim::Tasklet &t) {
-                        st.allocator->init(t);
-                    });
-                },
-                {.label = traced ? "recover:alloc init" : "",
-                 .tenant = tenant});
-        }
+        landed = launchAllocInit(replacement, "recover:alloc init");
     } else {
         // A decode rank held one shard of every resident context: the
         // active batch's full contexts plus the prompts of waves whose

@@ -68,7 +68,7 @@ struct ServingEngineConfig
      * Worker threads simulating prefill DPUs (0 = PIM_SIM_THREADS env,
      * else hardware concurrency). Results are thread-count invariant.
      */
-    unsigned simThreads = 1;
+    unsigned simThreads = 0;
 
     /**
      * Fault injection for the standalone Disaggregated run: when

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/command_queue.hh"
@@ -156,6 +158,35 @@ TEST(DpuSet, IndexOfAndMemberAtRoundTrip)
     EXPECT_EQ(rs.indexOf(64), 0u);
     EXPECT_EQ(rs.indexOf(192), 64u);
     EXPECT_EQ(rs.memberAt(64), 192u);
+
+    // A short last rank in a sampled system: 130 DPUs over 64-wide
+    // ranks (rank 2 holds 2 DPUs), 16 of them materialized. Walk every
+    // DPU in ascending order; members must number 0, 1, 2, ...
+    PimSystem ragged(smallSystem(130, 64, 16));
+    const std::vector<std::pair<DpuSet, std::vector<unsigned>>> cases = {
+        {ragged.all(), {0, 1, 2}},
+        {ragged.rank(0), {0}},
+        {ragged.rank(2), {2}},
+        {ragged.ranks({0, 2}), {0, 2}},
+        {ragged.ranks({1, 2}), {1, 2}},
+    };
+    for (const auto &[set, want_ranks] : cases) {
+        EXPECT_EQ(set.ranks(), want_ranks);
+        unsigned members = 0;
+        for (unsigned g = 0; g < ragged.numDpus(); ++g) {
+            const bool member =
+                std::find(want_ranks.begin(), want_ranks.end(),
+                          ragged.rankOf(g))
+                != want_ranks.end();
+            EXPECT_EQ(set.contains(g), member) << g;
+            if (!member)
+                continue;
+            EXPECT_EQ(set.memberAt(members), g);
+            EXPECT_EQ(set.indexOf(g), members) << g;
+            ++members;
+        }
+        EXPECT_EQ(members, set.size());
+    }
 }
 
 TEST(DpuSet, PartitionRanksSplitsTheSetsOwnRanks)

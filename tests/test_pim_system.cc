@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
@@ -536,8 +537,6 @@ void
 expectPartitionMatchesSet(const PimSystem &sys, const DpuSet &set)
 {
     const SlotPartition &p = *set.partition();
-    EXPECT_EQ(p.ranks, set.ranks());
-    EXPECT_EQ(p.slots, set.slots());
     ASSERT_EQ(p.rankSlotBegin.size(), p.ranks.size() + 1);
     EXPECT_EQ(p.rankSlotBegin.front(), 0u);
     EXPECT_EQ(p.rankSlotBegin.back(), p.slots.size());
@@ -550,6 +549,18 @@ expectPartitionMatchesSet(const PimSystem &sys, const DpuSet &set)
             EXPECT_EQ(sys.rankOf(sys.globalIndex(p.slots[j])),
                       p.ranks[ri]);
     }
+    // Every sample slot of a member rank is in the set, in order.
+    EXPECT_TRUE(std::is_sorted(p.slots.begin(), p.slots.end()));
+    size_t members = 0;
+    for (unsigned s = 0; s < sys.sampleCount(); ++s) {
+        if (!std::binary_search(p.ranks.begin(), p.ranks.end(),
+                                sys.rankOf(sys.globalIndex(s))))
+            continue;
+        ++members;
+        EXPECT_TRUE(std::binary_search(p.slots.begin(), p.slots.end(), s))
+            << s;
+    }
+    EXPECT_EQ(p.slots.size(), members);
 }
 
 } // namespace
@@ -569,16 +580,18 @@ TEST(SlotPartitionCache, RunsCoverRaggedTailAndRankSets)
     expectPartitionMatchesSet(full, full.ranks({0, 2}));
 }
 
-TEST(SlotPartitionCache, MemoizedPerSetAndSharedForFullSystem)
+TEST(SlotPartitionCache, SharedByCopiesAndFullSystem)
 {
     PimSystem sys(smallSystem(256, 64, 32));
     const DpuSet sub = sys.ranks({0, 1});
-    // Repeated partition() calls on one set return the same instance.
+    // Repeated partition() calls and copies of one set share one
+    // instance.
     EXPECT_EQ(sub.partition().get(), sub.partition().get());
-    // Every full-system set shares the system-wide cached partition.
-    EXPECT_EQ(sys.all().partition().get(), sys.allPartition().get());
+    const DpuSet copy = sub;
+    EXPECT_EQ(copy.partition().get(), sub.partition().get());
+    // Every full-system set shares the system's one partition.
     EXPECT_EQ(sys.all().partition().get(), sys.all().partition().get());
-    // Distinct subset sets memoize independently but agree on content.
+    // Distinct sets over the same ranks agree on content.
     const DpuSet twin = sys.ranks({0, 1});
     EXPECT_NE(sub.partition().get(), twin.partition().get());
     EXPECT_EQ(sub.partition()->slots, twin.partition()->slots);
