@@ -43,6 +43,16 @@ TEST(GraphGen, Deterministic)
         EXPECT_EQ(a.edges[i].src, b.edges[i].src);
         EXPECT_EQ(a.edges[i].dst, b.edges[i].dst);
     }
+    // Golden FNV-1a hash of the edge stream: a generator change that
+    // moves a single endpoint shows here.
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const auto &e : a.edges) {
+        for (const uint32_t v : {e.src, e.dst}) {
+            h ^= v;
+            h *= 0x100000001b3ull;
+        }
+    }
+    EXPECT_EQ(h, 3690420123093927251ull);
 }
 
 TEST(GraphGen, NodesInRangeNoSelfLoops)

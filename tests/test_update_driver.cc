@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pim_system.hh"
 #include "workloads/graph/update_driver.hh"
 
 using namespace pim;
@@ -48,23 +49,29 @@ TEST(UpdateDriver, OneRoundMatchesTheSingleLaunchFingerprints)
 {
     // A one-round run is a build launch plus one update launch. These
     // integers were produced when build and update shared one launch;
-    // splitting them must not move a cycle or a byte.
+    // splitting them must not move a cycle or a byte. The sampleDpus = 0
+    // rows simulate every shard of the system, so they also pin how the
+    // dataset is dealt into shards.
     struct Golden
     {
         StructureKind structure;
+        unsigned sampleDpus;
         uint64_t maxCycles;
         uint64_t taskletCycles;
         uint64_t trafficBytes;
         uint64_t mallocs;
     };
     const Golden goldens[] = {
-        {StructureKind::StaticCsr, 1036462, 8291696, 1287936, 0},
-        {StructureKind::LinkedList, 150658, 1205264, 10248, 320},
-        {StructureKind::VarArray, 21744, 173952, 11392, 25},
+        {StructureKind::StaticCsr, 1, 1036462, 8291696, 1287936, 0},
+        {StructureKind::LinkedList, 1, 150658, 1205264, 10248, 320},
+        {StructureKind::VarArray, 1, 21744, 173952, 11392, 25},
+        {StructureKind::LinkedList, 0, 210660, 10278224, 96216, 3000},
+        {StructureKind::VarArray, 0, 28288, 1253184, 108160, 239},
     };
     for (const Golden &g : goldens) {
-        const GraphUpdateConfig cfg =
+        GraphUpdateConfig cfg =
             smallCfg(g.structure, core::AllocatorKind::PimMallocHwSw);
+        cfg.sampleDpus = g.sampleDpus;
         const auto r = runGraphUpdate(cfg);
         EXPECT_EQ(r.updateSeconds, cfg.dpuCfg.cyclesToSeconds(g.maxCycles));
         EXPECT_EQ(r.breakdown.total(), g.taskletCycles);
@@ -73,6 +80,31 @@ TEST(UpdateDriver, OneRoundMatchesTheSingleLaunchFingerprints)
         // The round boundary adds one launch overhead to the wall time.
         EXPECT_GT(r.wallSeconds, r.updateSeconds);
     }
+}
+
+TEST(UpdateDriver, PartitionShardsOverItsOwnDpus)
+{
+    // A 12-DPU system in ranks of 4 with the task on ranks {1, 2}: the
+    // dataset is sharded over the partition's 8 DPUs by their dense
+    // indexOf order, so shard j runs on global DPU j + 4. The integers
+    // are those of the 8-DPU, sampleDpus = 0 LinkedList fingerprint.
+    core::PimSystemConfig scfg;
+    scfg.numDpus = 12;
+    scfg.dpusPerRank = 4;
+    core::PimSystem sys(scfg);
+    core::CommandQueue queue(sys);
+    core::Session session(queue);
+    const GraphUpdateConfig cfg = smallCfg(
+        StructureKind::LinkedList, core::AllocatorKind::PimMallocHwSw);
+    GraphUpdateTask task(cfg, queue, sys.ranks({1, 2}));
+    session.add("graph", task);
+    session.run();
+    const auto r = task.result();
+    EXPECT_EQ(r.updateEdgesTotal, 3000u);
+    EXPECT_EQ(r.updateSeconds, cfg.dpuCfg.cyclesToSeconds(210660));
+    EXPECT_EQ(r.breakdown.total(), 10278224u);
+    EXPECT_EQ(r.traffic.totalBytes(), 96216u);
+    EXPECT_EQ(r.allocStats.mallocCalls, 3000u);
 }
 
 TEST(UpdateDriver, StaticCsrNeedsNoAllocator)
