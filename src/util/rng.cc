@@ -111,21 +111,28 @@ Rng::exponential(double rate)
 uint64_t
 Rng::zipf(uint64_t n, double s)
 {
+    return ZipfSampler(n, s)(*this);
+}
+
+ZipfSampler::ZipfSampler(uint64_t n, double s) : n_(n)
+{
     PIM_ASSERT(n > 0, "zipf needs a positive range");
-    if (n == 1)
-        return 0;
-    // Inverse-CDF against the continuous bounded Pareto approximation of
-    // the Zipf distribution; exact enough for degree-sequence shaping.
     if (s == 1.0)
         s = 1.0 + 1e-9;
-    const double one_minus_s = 1.0 - s;
-    const double h_n = (std::pow(static_cast<double>(n), one_minus_s) - 1.0)
-        / one_minus_s;
-    const double u = uniformReal();
-    const double x = std::pow(u * h_n * one_minus_s + 1.0, 1.0 / one_minus_s);
+    oneMinusS_ = 1.0 - s;
+    hN_ = (std::pow(static_cast<double>(n), oneMinusS_) - 1.0) / oneMinusS_;
+}
+
+uint64_t
+ZipfSampler::operator()(Rng &rng) const
+{
+    if (n_ == 1)
+        return 0;
+    const double u = rng.uniformReal();
+    const double x = std::pow(u * hN_ * oneMinusS_ + 1.0, 1.0 / oneMinusS_);
     uint64_t k = static_cast<uint64_t>(x);
-    if (k >= n)
-        k = n - 1;
+    if (k >= n_)
+        k = n_ - 1;
     return k;
 }
 

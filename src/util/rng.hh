@@ -59,10 +59,9 @@ class Rng
     double exponential(double rate);
 
     /**
-     * Zipf-like integer in [0, n) with exponent s, used by the synthetic
-     * power-law graph generator. Implemented via inverse-CDF on a
-     * precomputed table-free approximation (rejection-free, O(1) after an
-     * O(1) harmonic estimate), adequate for workload shaping.
+     * Zipf-like integer in [0, n) with exponent s: one draw of
+     * ZipfSampler(n, s). A loop drawing many values builds the sampler
+     * once instead.
      */
     uint64_t zipf(uint64_t n, double s);
 
@@ -93,6 +92,27 @@ class Rng
 
   private:
     uint64_t s_[4];
+};
+
+/**
+ * Zipf-like integers in [0, n) with exponent s, used by the synthetic
+ * power-law graph generator. Inverse-CDF against the continuous bounded
+ * Pareto approximation of the Zipf distribution (rejection-free, one
+ * uniform draw per value), adequate for workload shaping. The harmonic
+ * normaliser is computed once, at construction.
+ */
+class ZipfSampler
+{
+  public:
+    ZipfSampler(uint64_t n, double s);
+
+    /** Next value, drawn from @p rng. */
+    uint64_t operator()(Rng &rng) const;
+
+  private:
+    uint64_t n_;
+    double oneMinusS_;
+    double hN_;
 };
 
 } // namespace pim::util

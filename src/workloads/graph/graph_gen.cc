@@ -24,14 +24,14 @@ generateGraph(const GraphGenConfig &cfg)
         perm[i] = i;
     rng.shuffle(perm);
 
+    const util::ZipfSampler zipf(cfg.numNodes, cfg.skew);
     std::vector<uint32_t> degree(cfg.numNodes, 0);
     uint64_t produced = 0;
     uint64_t attempts = 0;
     const uint64_t max_attempts = cfg.numEdges * 4 + 1000;
     while (produced < cfg.numEdges && attempts < max_attempts) {
         ++attempts;
-        const uint32_t src =
-            perm[rng.zipf(cfg.numNodes, cfg.skew)];
+        const uint32_t src = perm[zipf(rng)];
         if (degree[src] >= cfg.maxDegree)
             continue;
         uint32_t dst =

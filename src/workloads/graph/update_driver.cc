@@ -4,7 +4,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "alloc/allocator.hh"
 #include "core/pim_system.hh"
@@ -46,37 +45,6 @@ struct Shard
     std::vector<Edge> baseEdges;   ///< src remapped to local ids
     std::vector<Edge> updateEdges; ///< src remapped to local ids
 };
-
-Shard
-buildShard(const UpdateWorkload &w, unsigned dpu, unsigned num_dpus)
-{
-    Shard s;
-    std::unordered_map<uint32_t, uint32_t> local;
-    auto localId = [&](uint32_t u) {
-        auto it = local.find(u);
-        if (it != local.end())
-            return it->second;
-        const uint32_t id = static_cast<uint32_t>(local.size());
-        local.emplace(u, id);
-        return id;
-    };
-    // Register every shard-owned node first so ids are stable and the
-    // table covers nodes that only appear in the update stream.
-    for (uint32_t u = 0; u < w.numNodes; ++u) {
-        if (shardOf(u, num_dpus) == dpu)
-            localId(u);
-    }
-    s.numLocalNodes = static_cast<uint32_t>(local.size());
-    for (const auto &e : w.baseEdges) {
-        if (shardOf(e.src, num_dpus) == dpu)
-            s.baseEdges.push_back({localId(e.src), e.dst});
-    }
-    for (const auto &e : w.updateEdges) {
-        if (shardOf(e.src, num_dpus) == dpu)
-            s.updateEdges.push_back({localId(e.src), e.dst});
-    }
-    return s;
-}
 
 /** The truncated update split of @p cfg's dataset. */
 UpdateWorkload
@@ -149,9 +117,9 @@ mergeOutcomes(GraphUpdateResult &out, const GraphUpdateConfig &cfg,
 
 /**
  * The full state of one streaming graph-update experiment between
- * step() calls: the per-slot shard/allocator/graph built by the untimed
- * launch, the per-shard round-slice bookkeeping, and the accumulated
- * per-shard outcomes.
+ * step() calls: the per-slot shard dealt by the constructor and the
+ * allocator/graph built by the untimed launch, the per-shard
+ * round-slice bookkeeping, and the accumulated per-shard outcomes.
  */
 struct GraphUpdateTask::Impl
 {
@@ -184,7 +152,6 @@ struct GraphUpdateTask::Impl
     unsigned numShards;   ///< = part.size(): logical dataset shards
     unsigned rounds;      ///< total update rounds (>= 1)
     unsigned round = 0;   ///< rounds enqueued so far
-    UpdateWorkload w;     ///< owned: launch bodies run at drain time
     /** Update edges owned by each logical shard (scatter byte counts
      *  of shipped rounds derive from the per-round slice of these). */
     std::vector<uint64_t> shardEdgeCounts;
@@ -259,11 +226,10 @@ GraphUpdateTask::Impl::Impl(const GraphUpdateConfig &cfg_in,
     : cfg(cfg_in), queue(q), sys(q.system()), tenant(tenant_in),
       traced(q.recorder() != nullptr), part(partition),
       numShards(partition.size()),
-      rounds(std::max(1u, cfg_in.updateRounds)), w(buildWorkload(cfg_in)),
+      rounds(std::max(1u, cfg_in.updateRounds)),
       policy(cfg_in.faultPolicy), partAtBuild(partition)
 {
     PIM_ASSERT(numShards >= 1, "need at least one DPU in the partition");
-    res.updateEdgesTotal = w.updateEdges.size();
 
     met = queue.metricsRegistry();
     if (met != nullptr) {
@@ -271,10 +237,6 @@ GraphUpdateTask::Impl::Impl(const GraphUpdateConfig &cfg_in,
         if (cfg.sloRoundSec > 0.0)
             met->slo().declare("graph.round", cfg.sloRoundSec);
     }
-
-    shardEdgeCounts.assign(numShards, 0);
-    for (const auto &e : w.updateEdges)
-        ++shardEdgeCounts[shardOf(e.src, numShards)];
 
     slots.resize(sys.sampleCount());
     outcomes.resize(sys.sampleCount());
@@ -287,23 +249,47 @@ GraphUpdateTask::Impl::Impl(const GraphUpdateConfig &cfg_in,
     // Shard ids are frozen here: a replacement rank joining `part`
     // later must not re-deal the dataset.
     slotShardIdx.assign(sys.sampleCount(), -1);
+    std::vector<Shard *> dealt(numShards, nullptr);
     for (const unsigned slot : partAtBuild.slots()) {
-        slotShardIdx[slot] = static_cast<int>(
-            partAtBuild.indexOf(sys.globalIndex(slot)));
+        const unsigned j = partAtBuild.indexOf(sys.globalIndex(slot));
+        slotShardIdx[slot] = static_cast<int>(j);
+        dealt[j] = &slots[slot].shard;
+    }
+
+    // Deal the dataset into the materialized shards, one pass per
+    // stream, and keep no copy of it. Shard ids are the partition's dense
+    // indexOf order, so a partition run shards the dataset over its own
+    // DPUs exactly like a whole-system run over all of them. A node's local
+    // id is its rank among its shard's nodes in ascending id order
+    // (nodes that only appear in the update stream included); edges keep
+    // stream order within their shard, and every logical shard's update
+    // edges are counted on the way.
+    const UpdateWorkload w = buildWorkload(cfg);
+    res.updateEdgesTotal = w.updateEdges.size();
+    std::vector<uint32_t> localId(w.numNodes);
+    for (uint32_t u = 0; u < w.numNodes; ++u) {
+        if (Shard *sh = dealt[shardOf(u, numShards)])
+            localId[u] = sh->numLocalNodes++;
+    }
+    for (const Edge &e : w.baseEdges) {
+        if (Shard *sh = dealt[shardOf(e.src, numShards)])
+            sh->baseEdges.push_back({localId[e.src], e.dst});
+    }
+    shardEdgeCounts.assign(numShards, 0);
+    for (const Edge &e : w.updateEdges) {
+        const unsigned j = shardOf(e.src, numShards);
+        ++shardEdgeCounts[j];
+        if (Shard *sh = dealt[j])
+            sh->updateEdges.push_back({localId[e.src], e.dst});
     }
 
     // Untimed deployment launch: every sampled partition DPU builds its
     // shard's pre-update graph (allocator init + parallel build), then
-    // arms the measured-phase counters. Shard ids are the partition's
-    // dense indexOf order, so a partition run shards the dataset over
-    // its own DPUs exactly like a whole-system run over all of them.
+    // arms the measured-phase counters.
     buildEvt = queue.launchProgram(
         part,
         [this](sim::Dpu &dpu, unsigned dpu_idx) {
-            const unsigned slot = sys.slotOf(dpu_idx);
-            SlotState &st = slots[slot];
-            st.shard = buildShard(
-                w, static_cast<unsigned>(slotShardIdx[slot]), numShards);
+            SlotState &st = slots[sys.slotOf(dpu_idx)];
             if (st.shard.numLocalNodes == 0)
                 return;
             st.active = true;

@@ -174,9 +174,12 @@ GraphUpdateResult runGraphUpdate(const GraphUpdateConfig &cfg);
 /**
  * The graph-update experiment as a core::Stepper on an externally owned
  * CommandQueue and rank partition. Construction shards the dataset
- * across the partition's logical DPUs (dense DpuSet::indexOf order) and
- * enqueues the untimed build launch; each step() enqueues one update
- * round (optionally preceded by its double-buffered edge shipment) and
+ * across the partition's logical DPUs (dense DpuSet::indexOf order): it
+ * deals the dataset once into the materialized shards, in time that
+ * grows with the dataset and not with the partition, and keeps no copy
+ * of it. It then enqueues the untimed build launch of each shard's
+ * allocator and pre-update graph. Each step() enqueues one update round
+ * (optionally preceded by its double-buffered edge shipment) and
  * advances the task clock to the round's completion. runGraphUpdate is
  * this task over all ranks of a fresh system.
  *
