@@ -4,13 +4,16 @@
  * clock-ordered co-scheduling, spare-rank grants, the fault wiring
  * (rank death -> quarantine -> owner notified -> replacement requested
  * only when the stepper waits for one), finished tenants returning their
- * grants, the fatal when no replacement is left, and a real two-tenant
- * co-run that stays bit-identical across simulation thread counts.
+ * grants, waiting replacements granted in failure order, the fatal when
+ * no replacement is left, and a real two-tenant co-run that stays
+ * bit-identical across simulation thread counts.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/command_queue.hh"
@@ -125,6 +128,39 @@ oneDeathAtOneSecond(unsigned lo, unsigned hi)
         return d;
     }
     ADD_FAILURE() << "no single-death scenario found";
+    return {};
+}
+
+/** A rank-death spec and seed that kill rank 2 at 1 s and rank 1
+ *  before 2 s, and no other rank before 4 s. */
+std::pair<fault::FaultSpec, uint64_t>
+rankTwoThenRankOneDie()
+{
+    fault::FaultSpec probe;
+    probe.rankMtbfSec = 1.0;
+    for (uint64_t seed = 1; seed < 2000; ++seed) {
+        // A rank dies at its first scheduled failure.
+        std::vector<fault::FaultEvent> deaths;
+        for (const fault::FaultEvent &e :
+             fault::FaultPlan(probe, seed, 4)
+                 .eventsOfKind(fault::FaultKind::RankFail)) {
+            if (std::none_of(deaths.begin(), deaths.end(),
+                             [&](const fault::FaultEvent &d) {
+                                 return d.rank == e.rank;
+                             }))
+                deaths.push_back(e);
+        }
+        if (deaths.size() < 2 || deaths[0].rank != 2 || deaths[1].rank != 1)
+            continue;
+        const double mtbf = 1.0 / deaths[0].atSec;
+        if (deaths[1].atSec * mtbf >= 2.0
+            || (deaths.size() > 2 && deaths[2].atSec * mtbf < 4.0))
+            continue;
+        fault::FaultSpec spec;
+        spec.rankMtbfSec = mtbf;
+        return {spec, seed};
+    }
+    ADD_FAILURE() << "no two-death scenario found";
     return {};
 }
 
@@ -253,6 +289,40 @@ TEST(Session, FinishedTenantsGrantServesAsReplacement)
     EXPECT_TRUE(a.failed.empty());
     EXPECT_EQ(b.failed, std::vector<unsigned>{d.victim});
     EXPECT_EQ(b.granted, std::vector<unsigned>{0});
+}
+
+TEST(Session, WaitingReplacementsAreGrantedInFailureOrder)
+{
+    // No spare: rank 2 (c's) and then rank 1 (b's) die during a's only
+    // step, so both replacement requests wait. a's release then grants
+    // its ranks in failure order, lowest rank first.
+    const auto [spec, seed] = rankTwoThenRankOneDie();
+    PimSystem sys(fourRanks());
+    CommandQueue queue(sys);
+    telemetry::Registry met;
+    queue.attachMetrics(&met);
+    Session session(queue, spec, seed);
+    RankScheduler &sched = session.scheduler();
+    sched.acquireRanks(1, "a"); // rank 0
+    sched.acquireRanks(1, "b"); // rank 1
+    sched.acquireRanks(1, "c"); // rank 2
+    sched.acquireRanks(1, "a"); // rank 3
+    std::vector<std::string> log;
+    FakeStepper a("a", 1, 2.0, true, log);
+    FakeStepper b("b", 4, 0.75, true, log);
+    FakeStepper c("c", 4, 0.75, true, log);
+    session.add("a", a);
+    session.add("b", b);
+    session.add("c", c);
+    session.run();
+    EXPECT_TRUE(a.failed.empty());
+    EXPECT_EQ(b.failed, std::vector<unsigned>{1});
+    EXPECT_EQ(c.failed, std::vector<unsigned>{2});
+    EXPECT_EQ(c.granted, std::vector<unsigned>{0});
+    EXPECT_EQ(b.granted, std::vector<unsigned>{3});
+    EXPECT_EQ(met.counter("ranks.waits").value(), 2u);
+    EXPECT_TRUE(b.done());
+    EXPECT_TRUE(c.done());
 }
 
 TEST(Session, CountsIntoTheQueueRegistry)
