@@ -54,13 +54,13 @@ constexpr double kNeverMtbfSec = 1e30;
 struct Point
 {
     double mtbfSec;     ///< rank-failure MTBF (kNeverMtbfSec = none)
-    FaultPolicy policy;
+    fault::FaultPolicy policy;
     ServingResult r;
 };
 
 ServingResult
 runPoint(const ServingConfig &base, const util::BenchKnobs &knobs,
-         const fault::FaultSpec &extra, double mtbf, FaultPolicy policy,
+         const fault::FaultSpec &extra, double mtbf, fault::FaultPolicy policy,
          unsigned spare_ranks, telemetry::Registry *metrics)
 {
     ServingEngineConfig ecfg;
@@ -88,6 +88,12 @@ mtbfLabel(double mtbf)
 {
     return mtbf >= kNeverMtbfSec ? "none"
                                  : util::Table::num(mtbf, 1) + " s";
+}
+
+const char *
+policyName(fault::FaultPolicy policy)
+{
+    return policy == fault::FaultPolicy::Recover ? "Recover" : "Drop";
 }
 
 } // namespace
@@ -130,15 +136,15 @@ main(int argc, char **argv)
     trace::ObserverSet obs(/*trace=*/false, knobs.wantsMetrics());
 
     const ServingResult ref = runPoint(base, knobs, extra, kNeverMtbfSec,
-                                       FaultPolicy::Recover, spare_ranks,
+                                       fault::FaultPolicy::Recover, spare_ranks,
                                        obs.add("reference").metrics);
 
     std::vector<Point> points;
     for (const double mtbf : sweep) {
-        for (const FaultPolicy policy :
-             {FaultPolicy::Recover, FaultPolicy::Drop}) {
-            const std::string name = mtbfLabel(mtbf) + "/"
-                + (policy == FaultPolicy::Recover ? "Recover" : "Drop");
+        for (const fault::FaultPolicy policy :
+             {fault::FaultPolicy::Recover, fault::FaultPolicy::Drop}) {
+            const std::string name =
+                mtbfLabel(mtbf) + "/" + policyName(policy);
             points.push_back({mtbf, policy,
                               runPoint(base, knobs, extra, mtbf, policy,
                                        spare_ranks,
@@ -170,8 +176,7 @@ main(int argc, char **argv)
     };
     addRow("reference", kNeverMtbfSec, ref);
     for (const Point &p : points)
-        addRow(p.policy == FaultPolicy::Recover ? "Recover" : "Drop",
-               p.mtbfSec, p.r);
+        addRow(policyName(p.policy), p.mtbfSec, p.r);
     tbl.print(std::cout);
     std::cout
         << "\nExpected shape: Recover completes every request at every "
@@ -215,8 +220,7 @@ main(int argc, char **argv)
             emit("reference", kNeverMtbfSec, ref);
             j.key("sweep").beginArray();
             for (const Point &p : points)
-                emit(p.policy == FaultPolicy::Recover ? "Recover" : "Drop",
-                     p.mtbfSec, p.r);
+                emit(policyName(p.policy), p.mtbfSec, p.r);
             j.endArray();
         };
         if (!telemetry::writeBenchJson(

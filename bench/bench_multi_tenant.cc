@@ -133,6 +133,8 @@ struct CoRunOutcome
     workloads::llm::ServingResult serving;
     workloads::graph::GraphUpdateResult graph;
     double joinedMakespanSec = 0.0;
+    /** Ranks the graph tenant was granted at the start. */
+    size_t graphRanks = 0;
 };
 
 /** Both tenants co-resident on one system/queue. One registry holds
@@ -161,6 +163,7 @@ runCoTenant(const TenantSetup &s, const trace::TraceProcess &obs)
     run.session.add("graph", graph);
 
     CoRunOutcome out;
+    out.graphRanks = graph_part.ranks().size();
     out.joinedMakespanSec = run.session.run();
     out.serving = serving.result();
     out.graph = graph.result();
@@ -310,15 +313,9 @@ main(int argc, char **argv)
     addSloRow("SLO attainment: graph round (%)", solo_g_obs.metrics,
               "graph.round");
     tbl.print(std::cout);
-    const unsigned total_ranks = (s.dpus + 63) / 64;
-    const unsigned graph_ranks = total_ranks - s.servingRanks
-        - (s.faultSpec.rankMtbfSec > 0.0
-               && total_ranks > s.servingRanks + 1
-           ? 1u
-           : 0u);
     std::cout << "\nPartitions: serving " << co.serving.prefillRanks
               << "+" << co.serving.decodeRanks << " ranks (prefill+"
-              << "decode), graph " << graph_ranks
+              << "decode), graph " << co.graphRanks
               << " ranks; joined co-run makespan "
               << co.joinedMakespanSec
               << " s.\nExpected shape: the DPU-cycle update throughput "

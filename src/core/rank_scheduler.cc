@@ -61,22 +61,11 @@ RankScheduler::releaseAll(const std::string &tenant)
             ++released;
         }
     }
-    if (released > 0) {
-        if (met_ != nullptr) {
-            met_->counter("ranks.releases").add();
-            met_->gauge("ranks.free").set(freeRankCount());
-        }
-        serveWaiting();
+    if (released > 0 && met_ != nullptr) {
+        met_->counter("ranks.releases").add();
+        met_->gauge("ranks.free").set(freeRankCount());
     }
     return released;
-}
-
-void
-RankScheduler::onRevoke(const std::string &tenant,
-                        std::function<void(unsigned)> cb)
-{
-    PIM_ASSERT(!tenant.empty(), "onRevoke needs a tenant name");
-    revokeCbs_[tenant] = std::move(cb);
 }
 
 std::string
@@ -92,11 +81,6 @@ RankScheduler::quarantine(unsigned rank)
         met_->counter("ranks.quarantines").add();
         met_->gauge("ranks.free").set(freeRankCount());
     }
-    if (!prev.empty()) {
-        auto it = revokeCbs_.find(prev);
-        if (it != revokeCbs_.end() && it->second)
-            it->second(rank);
-    }
     return prev;
 }
 
@@ -105,44 +89,6 @@ RankScheduler::quarantined(unsigned rank) const
 {
     PIM_ASSERT(rank < owner_.size(), "rank out of range");
     return quarantined_[rank];
-}
-
-void
-RankScheduler::requestRanks(unsigned n, const std::string &tenant,
-                            std::function<void(DpuSet)> cb)
-{
-    PIM_ASSERT(!tenant.empty(), "rank request needs a tenant name");
-    PIM_ASSERT(n >= 1, "cannot request zero ranks");
-    PIM_ASSERT(cb != nullptr, "rank request needs a grant callback");
-    waiting_.push_back(Request{n, tenant, std::move(cb)});
-    serveWaiting();
-    // Still queued after a serve pass = the request parked (strict
-    // FIFO: a non-empty queue means everything behind the head waits).
-    if (met_ != nullptr && !waiting_.empty())
-        met_->counter("ranks.waits").add();
-}
-
-void
-RankScheduler::serveWaiting()
-{
-    // Strict FIFO: the head request blocks everything behind it until
-    // it can be granted, which keeps grant order deterministic. Grant
-    // callbacks may release or request ranks — re-entry collapses into
-    // the outermost loop via the serving_ guard.
-    if (serving_)
-        return;
-    serving_ = true;
-    while (!waiting_.empty()) {
-        Request &head = waiting_.front();
-        std::optional<DpuSet> grant = tryAcquireRanks(head.n,
-                                                      head.tenant);
-        if (!grant)
-            break;
-        std::function<void(DpuSet)> cb = std::move(head.cb);
-        waiting_.pop_front();
-        cb(*std::move(grant));
-    }
-    serving_ = false;
 }
 
 unsigned

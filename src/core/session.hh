@@ -13,15 +13,18 @@
  * The session also owns the fault wiring: with a FaultSpec enabled it
  * builds the FaultInjector and attaches it to the queue. With rank
  * deaths in play, after every step it quarantines the ranks whose
- * scheduled death the stepped clock has reached, tells the owning
- * stepper, requests one replacement rank for each stepper that then
- * waits for one, and returns finished tenants' grants to the free pool.
+ * scheduled death the stepped clock has reached and tells each owner.
+ * An owner that waits for a replacement joins one first-in first-out
+ * list, whose head is granted one free rank whenever one exists: right
+ * after a failure, and after a finished tenant returns its grant to the
+ * free pool. The RankScheduler only records who owns which rank.
  */
 
 #ifndef PIM_CORE_SESSION_HH
 #define PIM_CORE_SESSION_HH
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,22 +60,20 @@ class Stepper
     virtual double clockSeconds() const = 0;
 
     /** Enqueue the next step and wait for it (event-driven). Never
-     *  called after done(), nor while waitingReplacement(). */
+     *  called after done(), nor while a replacement is outstanding. */
     virtual void step() = 0;
 
     /**
      * @p rank, part of this stepper's partition, died at simulated time
      * @p failSec. Under fault::FaultPolicy::Drop the stepper sheds the
-     * affected work and shrinks; under Recover it pauses
-     * (waitingReplacement()) until onReplacementGranted().
+     * affected work and shrinks; under Recover it pauses until
+     * onReplacementGranted().
+     * @return true if the stepper now waits for a replacement rank.
      */
-    virtual void onRankFailed(unsigned rank, double failSec) = 0;
+    virtual bool onRankFailed(unsigned rank, double failSec) = 0;
 
     /** A single-rank replacement for the oldest outstanding failure. */
     virtual void onReplacementGranted(const DpuSet &replacement) = 0;
-
-    /** True while the stepper cannot progress without a replacement. */
-    virtual bool waitingReplacement() const = 0;
 };
 
 /** Co-scheduling driver of Steppers on one CommandQueue. */
@@ -81,7 +82,8 @@ class Session
   public:
     /**
      * Observers attach to @p queue before the session is built: the
-     * session counts its rank scheduler's decisions into the queue's
+     * session counts its rank scheduler's decisions, and the
+     * replacement requests that wait ("ranks.waits"), into the queue's
      * registry and, once run() has joined the queue, exports the fault
      * statistics there too. run() is fatal if the queue's registry
      * changed in between.
@@ -112,7 +114,8 @@ class Session
                        unsigned minRanks);
 
     /** Drive @p task as scheduler tenant @p tenant (its grant's owner
-     *  name). The task must outlive the session. */
+     *  name, unique in the session). The task must outlive the
+     *  session. */
     void add(const std::string &tenant, Stepper &task);
 
     /**
@@ -129,12 +132,19 @@ class Session
         Stepper *task;
     };
 
+    /** Grant the waiting tenants one free rank each, oldest failure
+     *  first, until the free pool runs dry. */
+    void grantWaiting();
+
     CommandQueue &queue_;
     RankScheduler sched_;
     std::unique_ptr<fault::FaultInjector> inj_;
     /** The queue's registry when the session was built. */
     telemetry::Registry *met_;
     std::vector<Tenant> tenants_;
+    /** One entry per failure still waiting for its replacement, in
+     *  failure order. */
+    std::deque<Tenant> waiting_;
 };
 
 } // namespace pim::core

@@ -38,6 +38,10 @@ namespace {
 /** MRAM offset of the node tables (clear of the 32 MB allocator heap). */
 constexpr sim::MramAddr kTableBase = 48u << 20;
 
+/** Fraction of the dataset's edges held back as the update stream (the
+ *  paper's 1/3). */
+constexpr double kNewFraction = 1.0 / 3.0;
+
 /** Shard-local view of the workload for one DPU. */
 struct Shard
 {
@@ -51,7 +55,7 @@ UpdateWorkload
 buildWorkload(const GraphUpdateConfig &cfg)
 {
     const GraphDataset dataset = generateGraph(cfg.gen);
-    UpdateWorkload w = splitForUpdate(dataset, cfg.newFraction, cfg.seed);
+    UpdateWorkload w = splitForUpdate(dataset, kNewFraction, cfg.seed);
     if (cfg.maxUpdateEdges > 0 && w.updateEdges.size() > cfg.maxUpdateEdges)
         w.updateEdges.resize(cfg.maxUpdateEdges);
     return w;
@@ -176,7 +180,6 @@ struct GraphUpdateTask::Impl
     fault::FaultPolicy policy;
     core::DpuSet partAtBuild;        ///< frozen shard-id mapping
     std::vector<unsigned> partRankIds;
-    std::vector<int> slotShardIdx;   ///< frozen at build; -1 = not ours
     std::vector<ShardOutcome> pending; ///< staged round in flight
     bool parked = false;             ///< last round failed, unresolved
     unsigned parkedR = 0;
@@ -203,11 +206,10 @@ struct GraphUpdateTask::Impl
     };
     std::deque<PendingFail> pendingFails;
     std::vector<double> unrepairedFailSecs; ///< never repaired (Drop)
-    std::vector<bool> deadShard;   ///< logical shards lost (Drop)
     /** Current home member (global DPU index) of each logical shard:
      *  its build member until the hosting rank dies, then the
-     *  replacement member (Recover) or -1 (Drop). Scatter byte counts
-     *  of shipped rounds follow the shard here. */
+     *  replacement member (Recover) or -1 (Drop: the shard is lost).
+     *  Scatter byte counts of shipped rounds follow the shard here. */
     std::vector<long> shardHome;
     unsigned failures = 0;
     unsigned recovered = 0;
@@ -241,20 +243,16 @@ GraphUpdateTask::Impl::Impl(const GraphUpdateConfig &cfg_in,
     slots.resize(sys.sampleCount());
     outcomes.resize(sys.sampleCount());
     pending.resize(sys.sampleCount());
-    deadShard.assign(numShards, false);
     shardHome.resize(numShards);
     for (unsigned j = 0; j < numShards; ++j)
         shardHome[j] = partAtBuild.memberAt(j);
     partRankIds = partition.ranks();
     // Shard ids are frozen here: a replacement rank joining `part`
     // later must not re-deal the dataset.
-    slotShardIdx.assign(sys.sampleCount(), -1);
     std::vector<Shard *> dealt(numShards, nullptr);
-    for (const unsigned slot : partAtBuild.slots()) {
-        const unsigned j = partAtBuild.indexOf(sys.globalIndex(slot));
-        slotShardIdx[slot] = static_cast<int>(j);
-        dealt[j] = &slots[slot].shard;
-    }
+    for (const unsigned slot : partAtBuild.slots())
+        dealt[partAtBuild.indexOf(sys.globalIndex(slot))] =
+            &slots[slot].shard;
 
     // Deal the dataset into the materialized shards, one pass per
     // stream, and keep no copy of it. Shard ids are the partition's dense
@@ -586,7 +584,7 @@ GraphUpdateTask::Impl::step()
         // No re-execution: the round's insertions are written off.
         ++lostRoundsN;
         for (unsigned j = 0; j < numShards; ++j) {
-            if (!deadShard[j])
+            if (shardHome[j] >= 0)
                 lostEdgesN += sliceEdges(j, r);
         }
         for (ShardOutcome &pc : pending)
@@ -625,9 +623,6 @@ GraphUpdateTask::Impl::onRankFailed(unsigned rank, double failSec)
         for (unsigned i = 0; i < dead_set.size(); ++i) {
             const unsigned shard_idx =
                 partAtBuild.indexOf(dead_set.memberAt(i));
-            if (deadShard[shard_idx])
-                continue;
-            deadShard[shard_idx] = true;
             shardHome[shard_idx] = -1;
             const uint64_t c = shardEdgeCounts[shard_idx];
             lostEdgesN += c - static_cast<uint64_t>(round) * c / rounds;
@@ -670,7 +665,7 @@ GraphUpdateTask::Impl::onRankFailed(unsigned rank, double failSec)
             oc.metadataBytes = st.allocator->metadataBytes();
         }
         const unsigned shard_idx =
-            static_cast<unsigned>(slotShardIdx[slot]);
+            partAtBuild.indexOf(sys.globalIndex(slot));
         const uint64_t c = shardEdgeCounts[shard_idx];
         const uint64_t processed =
             static_cast<uint64_t>(round) * c / rounds;
@@ -787,22 +782,17 @@ GraphUpdateTask::step()
     impl_->step();
 }
 
-void
+bool
 GraphUpdateTask::onRankFailed(unsigned rank, double failSec)
 {
     impl_->onRankFailed(rank, failSec);
+    return !impl_->pendingFails.empty();
 }
 
 void
 GraphUpdateTask::onReplacementGranted(const core::DpuSet &replacement)
 {
     impl_->onReplacementGranted(replacement);
-}
-
-bool
-GraphUpdateTask::waitingReplacement() const
-{
-    return !impl_->pendingFails.empty();
 }
 
 GraphUpdateResult

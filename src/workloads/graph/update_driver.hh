@@ -57,8 +57,6 @@ struct GraphUpdateConfig
     unsigned tasklets = 16;
     /** Dataset generator parameters. */
     GraphGenConfig gen{};
-    /** Fraction of edges forming the update stream (paper: 1/3). */
-    double newFraction = 1.0 / 3.0;
     /** Truncate the update stream to this many edges (0 = all). Used by
      *  the Fig 3(c) experiment, which fixes the update count while the
      *  pre-update graph grows. */
@@ -212,7 +210,7 @@ class GraphUpdateTask : public core::Stepper
 
     /** Drop loses the dead rank's shards and their un-inserted edges;
      *  Recover pauses until a replacement is granted. */
-    void onRankFailed(unsigned rank, double failSec) override;
+    bool onRankFailed(unsigned rank, double failSec) override;
 
     /**
      * The dead rank's shard state is restored onto the replacement
@@ -221,8 +219,6 @@ class GraphUpdateTask : public core::Stepper
      * re-executes there as timed launches.
      */
     void onReplacementGranted(const core::DpuSet &replacement) override;
-
-    bool waitingReplacement() const override;
 
     /** Metrics of the completed experiment (valid once done()). */
     GraphUpdateResult result() const;

@@ -339,7 +339,7 @@ struct DisaggServingTask::Impl
     // unchanged — unless the queue has a fault::FaultInjector
     // attached). The partition is re-derived from these rank-id lists
     // whenever a rank leaves (death) or joins (replacement grant).
-    FaultPolicy policy;
+    fault::FaultPolicy policy;
     std::vector<unsigned> prefillRankIds;
     std::vector<unsigned> decodeRankIds;
     /** One rank death awaiting its replacement grant (Recover). */
@@ -550,7 +550,7 @@ DisaggServingTask::Impl::step()
             // plane (drainFailedRanks at clockSeconds) see the death
             // before the wave is relaunched onto the dead rank.
             now = std::max(now, queue.eventSeconds(w.migrated));
-            if (policy == FaultPolicy::Drop)
+            if (policy == fault::FaultPolicy::Drop)
                 lostReqs += static_cast<unsigned>(w.reqs.size());
             else
                 waiting.insert(waiting.begin(), w.reqs.begin(),
@@ -635,7 +635,7 @@ DisaggServingTask::Impl::step()
         // double-buffer chain restarts from scratch so one failed
         // ship cannot poison every later step.
         lostStepsN += static_cast<unsigned>(active.size());
-        if (policy == FaultPolicy::Drop) {
+        if (policy == fault::FaultPolicy::Drop) {
             lostReqs += static_cast<unsigned>(active.size());
             active.clear();
         }
@@ -720,10 +720,10 @@ DisaggServingTask::Impl::onRankFailed(unsigned rank, double failSec)
     std::erase(prefillRankIds, rank);
     std::erase(decodeRankIds, rank);
 
-    if (policy == FaultPolicy::Recover) {
-        // Pause (waitingReplacement) until the control plane grants a
-        // replacement; the affected waves/steps surface as failed
-        // events and re-queue through the step() paths above.
+    if (policy == fault::FaultPolicy::Recover) {
+        // Pause until the control plane grants a replacement; the
+        // affected waves/steps surface as failed events and re-queue
+        // through the step() paths above.
         pendingFails.push_back({rank, failSec, was_prefill});
         return;
     }
@@ -857,22 +857,17 @@ DisaggServingTask::step()
     impl_->step();
 }
 
-void
+bool
 DisaggServingTask::onRankFailed(unsigned rank, double failSec)
 {
     impl_->onRankFailed(rank, failSec);
+    return !impl_->pendingFails.empty();
 }
 
 void
 DisaggServingTask::onReplacementGranted(const core::DpuSet &replacement)
 {
     impl_->onReplacementGranted(replacement);
-}
-
-bool
-DisaggServingTask::waitingReplacement() const
-{
-    return !impl_->pendingFails.empty();
 }
 
 ServingResult

@@ -45,10 +45,6 @@ enum class ServingMode {
     Disaggregated, ///< rank-partitioned prefill/decode pipeline
 };
 
-/** What a disaggregated pipeline does when commands fail under fault
- *  injection (shared across fault-aware workloads; see fault::FaultPolicy). */
-using FaultPolicy = fault::FaultPolicy;
-
 /** Engine parameters on top of the shared serving trace config. */
 struct ServingEngineConfig
 {
@@ -82,7 +78,7 @@ struct ServingEngineConfig
      */
     fault::FaultSpec faultSpec{};
     uint64_t faultSeed = 23;
-    FaultPolicy faultPolicy = FaultPolicy::Recover;
+    fault::FaultPolicy faultPolicy = fault::FaultPolicy::Recover;
     unsigned spareRanks = 1;
 };
 
@@ -159,14 +155,12 @@ class DisaggServingTask : public core::Stepper
 
     /** Drop sheds the affected requests and shrinks; Recover pauses
      *  until a replacement is granted. */
-    void onRankFailed(unsigned rank, double failSec) override;
+    bool onRankFailed(unsigned rank, double failSec) override;
 
     /** The replacement re-joins the side that lost a rank, prefill
      *  state is re-initialized and the affected KV re-shipped via the
      *  double-buffered path. */
     void onReplacementGranted(const core::DpuSet &replacement) override;
-
-    bool waitingReplacement() const override;
 
     /**
      * Metrics of the completed trace (valid once done()). makespanSec

@@ -587,22 +587,17 @@ TEST(QueueAfterDeathTest, GarbageSelfAndForwardReferencesAreFatal)
 }
 
 // ---------------------------------------------------------------------
-// RankScheduler: quarantine, waiting queue, teardown
+// RankScheduler: quarantine, teardown
 // ---------------------------------------------------------------------
 
-TEST(RankSchedulerFaults, QuarantineRevokesOwnedRankAndNotifies)
+TEST(RankSchedulerFaults, QuarantineRevokesOwnedRankAndNamesTheOwner)
 {
     PimSystem sys(smallSystem(256, 64)); // 4 ranks
     RankScheduler sched(sys);
     const DpuSet grant = sched.acquireRanks(2, "serving");
-    std::vector<unsigned> revoked;
-    sched.onRevoke("serving",
-                   [&](unsigned r) { revoked.push_back(r); });
 
     const unsigned victim = grant.ranks().front();
     EXPECT_EQ(sched.quarantine(victim), "serving");
-    ASSERT_EQ(revoked.size(), 1u);
-    EXPECT_EQ(revoked[0], victim);
     EXPECT_TRUE(sched.quarantined(victim));
     EXPECT_EQ(sched.ownerOf(victim), "");
     // The quarantined rank is out of circulation: the free pool lost
@@ -613,15 +608,16 @@ TEST(RankSchedulerFaults, QuarantineRevokesOwnedRankAndNotifies)
         EXPECT_NE(r, victim);
 }
 
-TEST(RankSchedulerFaults, QuarantineFreeRankHasNoOwnerToNotify)
+TEST(RankSchedulerFaults, QuarantineFreeRankHasNoOwner)
 {
     PimSystem sys(smallSystem(256, 64));
     RankScheduler sched(sys);
-    bool fired = false;
-    sched.onRevoke("serving", [&](unsigned) { fired = true; });
+    sched.acquireRanks(2, "serving");
     EXPECT_EQ(sched.quarantine(3), "");
-    EXPECT_FALSE(fired);
-    EXPECT_EQ(sched.freeRankCount(), 3u);
+    EXPECT_TRUE(sched.quarantined(3));
+    EXPECT_EQ(sched.freeRankCount(), 1u);
+    EXPECT_EQ(sched.ownerOf(0), "serving");
+    EXPECT_EQ(sched.ownerOf(1), "serving");
 }
 
 TEST(RankSchedulerFaultsDeathTest, DoubleQuarantineIsFatal)
@@ -630,49 +626,6 @@ TEST(RankSchedulerFaultsDeathTest, DoubleQuarantineIsFatal)
     RankScheduler sched(sys);
     sched.quarantine(1);
     EXPECT_DEATH(sched.quarantine(1), "already quarantined");
-}
-
-TEST(RankSchedulerFaults, WaitingQueueIsStrictFifo)
-{
-    PimSystem sys(smallSystem(256, 64)); // 4 ranks
-    RankScheduler sched(sys);
-    // One tenant per rank, so each releaseAll frees exactly one rank.
-    for (unsigned r = 0; r < 4; ++r)
-        sched.acquireRanks(1, "hog" + std::to_string(r));
-
-    std::vector<std::pair<std::string, unsigned>> grants;
-    // big (2 ranks) queues ahead of small (1 rank): strict FIFO makes
-    // the small request wait even when one free rank could serve it.
-    sched.requestRanks(2, "big", [&](DpuSet s) {
-        grants.emplace_back("big", s.ranks().size());
-    });
-    sched.requestRanks(1, "small", [&](DpuSet s) {
-        grants.emplace_back("small", s.ranks().size());
-    });
-    EXPECT_EQ(sched.pendingRequests(), 2u);
-
-    sched.releaseAll("hog0");
-    EXPECT_TRUE(grants.empty()); // big still short, small must wait
-    sched.releaseAll("hog1");
-    ASSERT_EQ(grants.size(), 1u);
-    EXPECT_EQ(grants[0].first, "big");
-    sched.releaseAll("hog2");
-    ASSERT_EQ(grants.size(), 2u);
-    EXPECT_EQ(grants[1].first, "small");
-    EXPECT_EQ(sched.pendingRequests(), 0u);
-}
-
-TEST(RankSchedulerFaults, ImmediateGrantWhenPoolSuffices)
-{
-    PimSystem sys(smallSystem(256, 64));
-    RankScheduler sched(sys);
-    bool granted = false;
-    sched.requestRanks(2, "eager", [&](DpuSet s) {
-        granted = true;
-        EXPECT_EQ(s.ranks().size(), 2u);
-    });
-    EXPECT_TRUE(granted); // callback ran before requestRanks returned
-    EXPECT_EQ(sched.pendingRequests(), 0u);
 }
 
 TEST(RankSchedulerFaults, ReleaseAllIsIdempotent)
@@ -752,7 +705,7 @@ singleDeathScenario(double target_sec, double quiet_until_sec,
 constexpr double kNeverMtbfSec = 1e30;
 
 ServingResult
-runFaultyServing(double mtbf, uint64_t seed, FaultPolicy policy,
+runFaultyServing(double mtbf, uint64_t seed, fault::FaultPolicy policy,
                  unsigned sim_threads = 1)
 {
     ServingEngineConfig ecfg = faultDisagg(sim_threads);
@@ -789,7 +742,7 @@ TEST(ServingFaults, RecoverCompletesEverythingDropShedsRequests)
 {
     // Reference run on the same 4-rank partition, no failures.
     const ServingResult ref =
-        runFaultyServing(kNeverMtbfSec, 7, FaultPolicy::Recover);
+        runFaultyServing(kNeverMtbfSec, 7, fault::FaultPolicy::Recover);
     ASSERT_GT(ref.makespanSec, 0.0);
     EXPECT_EQ(ref.completedRequests, 16u);
     EXPECT_EQ(ref.rankFailures, 0u);
@@ -802,7 +755,7 @@ TEST(ServingFaults, RecoverCompletesEverythingDropShedsRequests)
     ASSERT_GT(scn.mtbf, 0.0);
 
     const ServingResult rec =
-        runFaultyServing(scn.mtbf, scn.seed, FaultPolicy::Recover);
+        runFaultyServing(scn.mtbf, scn.seed, fault::FaultPolicy::Recover);
     EXPECT_EQ(rec.rankFailures, 1u);
     EXPECT_EQ(rec.completedRequests, 16u);
     EXPECT_EQ(rec.lostRequests, 0u);
@@ -812,7 +765,7 @@ TEST(ServingFaults, RecoverCompletesEverythingDropShedsRequests)
     EXPECT_GE(rec.makespanSec, ref.makespanSec); // recovery is not free
 
     const ServingResult drop =
-        runFaultyServing(scn.mtbf, scn.seed, FaultPolicy::Drop);
+        runFaultyServing(scn.mtbf, scn.seed, fault::FaultPolicy::Drop);
     EXPECT_EQ(drop.rankFailures, 1u);
     EXPECT_GT(drop.lostRequests, 0u);
     EXPECT_EQ(drop.completedRequests + drop.lostRequests, 16u);
@@ -823,17 +776,17 @@ TEST(ServingFaults, RecoverCompletesEverythingDropShedsRequests)
 TEST(ServingFaults, InjectedFaultsBitIdenticalAcrossSimThreads)
 {
     const ServingResult ref =
-        runFaultyServing(kNeverMtbfSec, 7, FaultPolicy::Recover);
+        runFaultyServing(kNeverMtbfSec, 7, fault::FaultPolicy::Recover);
     const Scenario scn = singleDeathScenario(
         0.5 * ref.makespanSec, 3.0 * ref.makespanSec, 8, 1, 3);
     ASSERT_GT(scn.mtbf, 0.0);
 
     const ServingResult t1 =
-        runFaultyServing(scn.mtbf, scn.seed, FaultPolicy::Recover, 1);
+        runFaultyServing(scn.mtbf, scn.seed, fault::FaultPolicy::Recover, 1);
     const ServingResult t4 =
-        runFaultyServing(scn.mtbf, scn.seed, FaultPolicy::Recover, 4);
+        runFaultyServing(scn.mtbf, scn.seed, fault::FaultPolicy::Recover, 4);
     const ServingResult t7 =
-        runFaultyServing(scn.mtbf, scn.seed, FaultPolicy::Recover, 7);
+        runFaultyServing(scn.mtbf, scn.seed, fault::FaultPolicy::Recover, 7);
     ASSERT_EQ(t1.rankFailures, 1u); // the scenario actually fired
     expectIdenticalWithFaults(t1, t4);
     expectIdenticalWithFaults(t1, t7);
@@ -848,7 +801,7 @@ TEST(ServingFaults, KvReshipBytesVisibleInTenantOccupancy)
                              ServingResult &res,
                              trace::OccupancyReport &rep) {
         ServingEngineConfig ecfg = faultDisagg();
-        ecfg.faultPolicy = FaultPolicy::Recover;
+        ecfg.faultPolicy = fault::FaultPolicy::Recover;
         PimSystemConfig scfg;
         scfg.numDpus = ecfg.base.numDpus;
         PimSystem sys(scfg);

@@ -2,11 +2,11 @@
  * @file
  * Tests for core::Session, the one driver loop behind every stepper:
  * clock-ordered co-scheduling, spare-rank grants, the fault wiring
- * (rank death -> quarantine -> owner notified -> replacement requested
+ * (rank death -> quarantine -> owner notified -> replacement granted
  * only when the stepper waits for one), finished tenants returning their
- * grants, waiting replacements granted in failure order, the fatal when
- * no replacement is left, and a real two-tenant co-run that stays
- * bit-identical across simulation thread counts.
+ * grants, waiting replacements granted in failure order, unique tenant
+ * names, the fatal when no replacement is left, and a real two-tenant
+ * co-run that stays bit-identical across simulation thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -61,18 +61,19 @@ class FakeStepper : public Stepper
     void
     step() override
     {
-        ASSERT_FALSE(waitingReplacement());
+        ASSERT_EQ(waiting_, 0u);
         ++stepped_;
         clock_ += dt_;
         log_.push_back(name_);
     }
 
-    void
+    bool
     onRankFailed(unsigned rank, double) override
     {
         failed.push_back(rank);
         if (recover_)
             ++waiting_;
+        return recover_;
     }
 
     void
@@ -82,8 +83,6 @@ class FakeStepper : public Stepper
         --waiting_;
         granted.push_back(replacement.ranks().front());
     }
-
-    bool waitingReplacement() const override { return waiting_ > 0; }
 
     std::vector<unsigned> failed;
     std::vector<unsigned> granted;
@@ -360,6 +359,24 @@ TEST(SessionDeathTest, RegistryAttachedAfterTheSessionIsFatal)
             session.run();
         },
         "registry changed after the session was built");
+}
+
+TEST(SessionDeathTest, DuplicateTenantNameIsFatal)
+{
+    // The name owns a grant: a second stepper under it would release
+    // the first one's ranks when either finished.
+    EXPECT_DEATH(
+        {
+            PimSystem sys(fourRanks());
+            CommandQueue queue(sys);
+            Session session(queue);
+            std::vector<std::string> log;
+            FakeStepper a("a", 1, 1.0, true, log);
+            FakeStepper b("b", 1, 1.0, true, log);
+            session.add("t", a);
+            session.add("t", b);
+        },
+        "tenant 't' is already in the session");
 }
 
 TEST(SessionDeathTest, DeathWithNoFreeReplacementIsFatal)
