@@ -980,3 +980,36 @@ TEST(GraphFaults, InjectedFaultsBitIdenticalAcrossSimThreads)
     EXPECT_EQ(a.mttrMeanSec, b.mttrMeanSec);
     EXPECT_EQ(a.availability, b.availability);
 }
+
+TEST(GraphFaults, PoisonedRoundReExecutesWithoutARankDeath)
+{
+    // Transfer faults only, each permanent on its first attempt: a
+    // corrupted shipped slice poisons its round's launch, and the task
+    // holds the staged results and re-runs the round as one timed launch
+    // on the next step. No rank dies, so nothing is restored.
+    const GraphUpdateResult ref = runGraphUpdate(faultGraphCfg());
+    ASSERT_GT(ref.wallSeconds, 0.0);
+
+    std::vector<GraphUpdateResult> runs;
+    for (const unsigned threads : {1u, 4u}) {
+        GraphUpdateConfig cfg = faultGraphCfg(threads);
+        cfg.faultSpec.transferMtbfSec = 0.2 * ref.wallSeconds;
+        cfg.faultSpec.maxTransferAttempts = 1;
+        // The default 120 s horizon would schedule millions of
+        // transfer faults the rounds never reach.
+        cfg.faultSpec.horizonSec = 4.0 * ref.wallSeconds;
+        runs.push_back(runGraphUpdate(cfg));
+    }
+    for (const GraphUpdateResult &r : runs) {
+        EXPECT_EQ(r.reExecutedRounds, 5u);
+        EXPECT_EQ(r.rankFailures, 0u);
+        EXPECT_EQ(r.restoreBytes, 0u);
+        EXPECT_EQ(r.lostEdges, 0u);
+        EXPECT_EQ(r.availability, 1.0);
+        // A failed round's results are committed exactly once.
+        EXPECT_EQ(r.updateSeconds, ref.updateSeconds);
+        EXPECT_EQ(r.millionEdgesPerSec, ref.millionEdgesPerSec);
+        EXPECT_EQ(r.allocStats.mallocCalls, ref.allocStats.mallocCalls);
+    }
+    EXPECT_EQ(runs[0].wallSeconds, runs[1].wallSeconds);
+}
