@@ -54,8 +54,6 @@ CommandQueue::attachRecorder(trace::Recorder *rec)
     drain();
     rec_ = rec;
     traceEpoch_ = 0.0;
-    if (rec_ != nullptr)
-        rec_->setRankCount(sys_.numRanks());
 }
 
 void

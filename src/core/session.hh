@@ -65,9 +65,10 @@ class Stepper
 
     /**
      * @p rank, part of this stepper's partition, died at simulated time
-     * @p failSec. Under fault::FaultPolicy::Drop the stepper sheds the
-     * affected work and shrinks; under Recover it pauses until
-     * onReplacementGranted().
+     * @p failSec. A recovering stepper (the graph update always, the
+     * serving pipeline under fault::FaultPolicy::Recover) pauses until
+     * onReplacementGranted(); the serving pipeline under Drop sheds the
+     * affected work and shrinks onto its surviving ranks.
      * @return true if the stepper now waits for a replacement rank.
      */
     virtual bool onRankFailed(unsigned rank, double failSec) = 0;

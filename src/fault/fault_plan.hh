@@ -42,11 +42,13 @@ enum class FaultKind {
 /** Printable name of a fault kind ("rank-fail", ...). */
 const char *faultKindName(FaultKind kind);
 
-/** What a fault-aware workload does when its commands fail (irrelevant
- *  without an attached FaultInjector on the queue). */
+/** What the serving pipeline (llm::DisaggServingTask) does when its
+ *  commands fail (irrelevant without an attached FaultInjector on the
+ *  queue). The graph update has no policy: it always recovers. */
 enum class FaultPolicy {
-    /** No-recovery baseline: affected work is dropped, dead ranks
-     *  shrink the partition, the run keeps going. */
+    /** No-recovery baseline (bench_fault_tolerance's reference):
+     *  affected work is dropped, dead ranks shrink the partition, the
+     *  run keeps going. */
     Drop,
     /** Full recovery: replacement ranks re-join the partition, lost
      *  state is restored over the bus, and the affected work re-runs

@@ -94,9 +94,6 @@ class Dpu
     /** WRAM bytes currently reserved. */
     uint32_t wramUsed() const { return wramUsed_; }
 
-    /** Release all WRAM reservations (between experiments). */
-    void wramReset() { wramUsed_ = 0; }
-
     /** Clear traffic counters and buddy-cache statistics. */
     void resetStats();
 

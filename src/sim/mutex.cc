@@ -122,17 +122,6 @@ SimMutex::lockQueue(Tasklet &t)
     }
 }
 
-bool
-SimMutex::tryLock(Tasklet &t)
-{
-    t.execute(kAttemptInstrs, CycleKind::Run);
-    if (locked_)
-        return false;
-    locked_ = true;
-    ++acquisitions_;
-    return true;
-}
-
 void
 SimMutex::unlock(Tasklet &t)
 {

@@ -104,9 +104,6 @@ class SimMutex
      */
     void lock(Tasklet &t);
 
-    /** Try to acquire without waiting. @return true on success. */
-    bool tryLock(Tasklet &t);
-
     /**
      * Release the lock. @pre held. In Queue mode this advances every
      * parked waiter's virtual spin schedule past the release point and

@@ -56,20 +56,6 @@ Recorder::isResourceLane(int lane) const
     return customResource_[idx];
 }
 
-void
-Recorder::setRankCount(unsigned n)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    rankCount_ = std::max(rankCount_, n);
-}
-
-unsigned
-Recorder::rankCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return rankCount_;
-}
-
 size_t
 Recorder::spanCount() const
 {

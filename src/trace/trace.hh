@@ -131,10 +131,6 @@ class Recorder
      */
     bool isResourceLane(int lane) const;
 
-    /** Rank lanes the producer may use (for display; grows monotonically). */
-    void setRankCount(unsigned n);
-    unsigned rankCount() const;
-
     /**
      * Recorded spans, in record order. Not safe to call while other
      * threads are still recording.
@@ -169,7 +165,6 @@ class Recorder
     std::vector<std::string> customNames_;
     /** Parallel to customNames_: true = counts as a resource lane. */
     std::vector<bool> customResource_;
-    unsigned rankCount_ = 0;
 };
 
 } // namespace pim::trace

@@ -77,7 +77,7 @@ struct ShardOutcome
 /** Sequential merge in shard order — identical to the former
  *  single-threaded loop, for any worker count. */
 void
-mergeOutcomes(GraphUpdateResult &out, const GraphUpdateConfig &cfg,
+mergeOutcomes(GraphUpdateResult &out, const sim::DpuConfig &dpuCfg,
               const std::vector<ShardOutcome> &outcomes)
 {
     uint64_t max_cycles = 0;
@@ -107,13 +107,13 @@ mergeOutcomes(GraphUpdateResult &out, const GraphUpdateConfig &cfg,
         }
     }
 
-    out.updateSeconds = cfg.dpuCfg.cyclesToSeconds(max_cycles);
+    out.updateSeconds = dpuCfg.cyclesToSeconds(max_cycles);
     if (out.updateSeconds > 0) {
         out.millionEdgesPerSec =
             static_cast<double>(out.updateEdgesTotal)
             / out.updateSeconds / 1e6;
     }
-    out.avgAllocLatencyUs = cfg.dpuCfg.cyclesToMicros(
+    out.avgAllocLatencyUs = dpuCfg.cyclesToMicros(
         static_cast<uint64_t>(out.allocStats.latency.mean()));
 }
 
@@ -175,16 +175,14 @@ struct GraphUpdateTask::Impl
     // fault::FaultInjector attached). Round bodies stage their
     // outcomes in `pending`; a round commits only once its event is
     // known to have succeeded, so a failed round's measurements never
-    // leak into the result before the round has re-executed (Recover)
-    // or been written off (Drop).
-    fault::FaultPolicy policy;
+    // leak into the result before the round has re-executed.
     core::DpuSet partAtBuild;        ///< frozen shard-id mapping
     std::vector<unsigned> partRankIds;
     std::vector<ShardOutcome> pending; ///< staged round in flight
     bool parked = false;             ///< last round failed, unresolved
     unsigned parkedR = 0;
     core::Event restoreEvt = core::kNoEvent;
-    /** A shard whose home rank died (Recover): its functional state is
+    /** A shard whose home rank died: its functional state is
      *  frozen at the host-side checkpoint and its remaining slices
      *  re-execute on the replacement as timed launches at the per-edge
      *  rate measured before the death. */
@@ -196,7 +194,7 @@ struct GraphUpdateTask::Impl
         std::optional<core::DpuSet> home; ///< set at replacement grant
     };
     std::vector<MigratedShard> migrated;
-    /** One rank death awaiting its replacement grant (Recover). */
+    /** One rank death awaiting its replacement grant. */
     struct PendingFail
     {
         unsigned rank;
@@ -205,17 +203,14 @@ struct GraphUpdateTask::Impl
         uint64_t residentBytesPerDpu = 0;
     };
     std::deque<PendingFail> pendingFails;
-    std::vector<double> unrepairedFailSecs; ///< never repaired (Drop)
     /** Current home member (global DPU index) of each logical shard:
      *  its build member until the hosting rank dies, then the
-     *  replacement member (Recover) or -1 (Drop: the shard is lost).
-     *  Scatter byte counts of shipped rounds follow the shard here. */
-    std::vector<long> shardHome;
+     *  replacement member. Scatter byte counts of shipped rounds follow
+     *  the shard here. */
+    std::vector<unsigned> shardHome;
     unsigned failures = 0;
     unsigned recovered = 0;
     unsigned reExec = 0;
-    unsigned lostRoundsN = 0;
-    uint64_t lostEdgesN = 0;
     uint64_t restoreBytesN = 0;
     double mttrSum = 0.0;
     double downtime = 0.0;
@@ -228,8 +223,7 @@ GraphUpdateTask::Impl::Impl(const GraphUpdateConfig &cfg_in,
     : cfg(cfg_in), queue(q), sys(q.system()), tenant(tenant_in),
       traced(q.recorder() != nullptr), part(partition),
       numShards(partition.size()),
-      rounds(std::max(1u, cfg_in.updateRounds)),
-      policy(cfg_in.faultPolicy), partAtBuild(partition)
+      rounds(std::max(1u, cfg_in.updateRounds)), partAtBuild(partition)
 {
     PIM_ASSERT(numShards >= 1, "need at least one DPU in the partition");
 
@@ -416,7 +410,8 @@ GraphUpdateTask::Impl::resolveParkedRetry()
     if (cyc > 0.0) {
         retry = queue.launchTimed(
             part,
-            cfg.dpuCfg.cyclesToSeconds(static_cast<uint64_t>(cyc)),
+            sys.config().dpuCfg.cyclesToSeconds(
+                static_cast<uint64_t>(cyc)),
             {.after = restoreEvt,
              .label = traced ? "recover:redo r" + std::to_string(parkedR)
                              : std::string(),
@@ -473,15 +468,12 @@ GraphUpdateTask::Impl::step()
     if (cfg.shipUpdates) {
         // Byte counts index positions of the *current* partition: a
         // recovered partition swapped the dead rank's members for the
-        // replacement's, and a Drop partition shrank. Each surviving
-        // shard's slice ships to the member that hosts it now.
+        // replacement's. Each shard's slice ships to the member that
+        // hosts it now.
         std::vector<uint64_t> bytes(part.size(), 0);
-        for (unsigned j = 0; j < numShards; ++j) {
-            if (shardHome[j] < 0)
-                continue; // lost with its rank (Drop)
-            bytes[part.indexOf(static_cast<unsigned>(shardHome[j]))] +=
+        for (unsigned j = 0; j < numShards; ++j)
+            bytes[part.indexOf(shardHome[j])] +=
                 sliceEdges(j, r) * sizeof(Edge);
-        }
         ship = queue.memcpyScatterBufferedAsync(
             part, std::move(bytes), core::CopyDirection::HostToPim,
             {.label = traced ? "updates r" + std::to_string(r)
@@ -544,7 +536,7 @@ GraphUpdateTask::Impl::step()
          .tenant = tenant});
     ++round;
 
-    // Migrated shards (Recover): their slices of this round run on the
+    // Migrated shards: their slices of this round run on the
     // replacement ranks as timed launches at the measured per-edge
     // rate, ordered after the shipment like the main launch.
     std::vector<core::Event> extras;
@@ -554,7 +546,7 @@ GraphUpdateTask::Impl::step()
             continue;
         extras.push_back(queue.launchTimed(
             *m.home,
-            cfg.dpuCfg.cyclesToSeconds(static_cast<uint64_t>(
+            sys.config().dpuCfg.cyclesToSeconds(static_cast<uint64_t>(
                 m.perEdgeCycles * static_cast<double>(k))),
             {.after = ship,
              .label = traced ? "update r" + std::to_string(r)
@@ -579,21 +571,10 @@ GraphUpdateTask::Impl::step()
 
     // The round failed: a rank died mid-round, a shipped slice was
     // permanently corrupted (poisoning the launch through .after), or
-    // the launch timed out.
-    if (policy == fault::FaultPolicy::Drop) {
-        // No re-execution: the round's insertions are written off.
-        ++lostRoundsN;
-        for (unsigned j = 0; j < numShards; ++j) {
-            if (shardHome[j] >= 0)
-                lostEdgesN += sliceEdges(j, r);
-        }
-        for (ShardOutcome &pc : pending)
-            pc = ShardOutcome{};
-        return;
-    }
-    // Recover: park the staged round; it re-executes once the driver
-    // has quarantined any dead rank and a replacement has joined (or
-    // immediately next step, for a transient/timeout failure).
+    // the launch timed out. Park the staged round; it re-executes once
+    // the driver has quarantined any dead rank and a replacement has
+    // joined (or immediately next step, for a transient/timeout
+    // failure).
     parked = true;
     parkedR = r;
 }
@@ -608,51 +589,19 @@ GraphUpdateTask::Impl::onRankFailed(unsigned rank, double failSec)
     ++failures;
     partRankIds.erase(it);
     // With the last rank gone the partition stays as it was until a
-    // replacement joins (Recover) or the task ends (Drop): an empty
-    // rank list is no DpuSet.
+    // replacement joins: an empty rank list is no DpuSet.
     if (!partRankIds.empty())
         part = sys.ranks(partRankIds);
 
-    const core::DpuSet dead_set = sys.ranks({rank});
-
-    if (policy == fault::FaultPolicy::Drop) {
-        // The dead rank's shards — and every update edge they had not
-        // ingested yet — are gone; the partition shrinks onto the
-        // survivors.
-        unrepairedFailSecs.push_back(failSec);
-        for (unsigned i = 0; i < dead_set.size(); ++i) {
-            const unsigned shard_idx =
-                partAtBuild.indexOf(dead_set.memberAt(i));
-            shardHome[shard_idx] = -1;
-            const uint64_t c = shardEdgeCounts[shard_idx];
-            lostEdgesN += c - static_cast<uint64_t>(round) * c / rounds;
-        }
-        for (const unsigned slot : dead_set.slots()) {
-            SlotState &st = slots[slot];
-            if (!st.active)
-                continue;
-            st.graph.reset();
-            st.allocator.reset();
-            st.active = false;
-            pending[slot] = ShardOutcome{};
-        }
-        if (partRankIds.empty()) {
-            // Every shard is gone (their edges are written off above):
-            // the remaining rounds are lost and the task is finished.
-            lostRoundsN += rounds - round;
-            round = rounds;
-        }
-        return;
-    }
-
-    // Recover: freeze each dead sampled shard at its host-side
-    // checkpoint — harvest the allocator stats now (the re-executed
-    // rounds are timed-only, so this is the shard's final functional
-    // state) and measure the per-edge rate its remaining slices will
-    // be charged at — then pause until a replacement rank is granted.
+    // Freeze each dead sampled shard at its host-side checkpoint —
+    // harvest the allocator stats now (the re-executed rounds are
+    // timed-only, so this is the shard's final functional state) and
+    // measure the per-edge rate its remaining slices will be charged
+    // at — then pause until a replacement rank is granted.
     PendingFail fail{rank, failSec, {}, 0};
     uint64_t resident_sum = 0;
     unsigned resident_n = 0;
+    const core::DpuSet dead_set = sys.ranks({rank});
     for (const unsigned slot : dead_set.slots()) {
         SlotState &st = slots[slot];
         if (!st.active)
@@ -733,13 +682,10 @@ GraphUpdateTask::Impl::onReplacementGranted(
     // the replacement member at the same within-rank offset, so shipped
     // rounds keep scattering its slice to the member that runs it.
     const core::DpuSet dead_set = sys.ranks({fail.rank});
-    for (unsigned j = 0; j < numShards; ++j) {
-        if (shardHome[j] < 0)
-            continue;
-        const unsigned home = static_cast<unsigned>(shardHome[j]);
+    for (unsigned &home : shardHome) {
         if (dead_set.contains(home))
-            shardHome[j] = replacement.memberAt(
-                dead_set.indexOf(home) % replacement.size());
+            home = replacement.memberAt(dead_set.indexOf(home)
+                                        % replacement.size());
     }
 
     const double repaired = std::max(
@@ -786,7 +732,7 @@ bool
 GraphUpdateTask::onRankFailed(unsigned rank, double failSec)
 {
     impl_->onRankFailed(rank, failSec);
-    return !impl_->pendingFails.empty();
+    return true;
 }
 
 void
@@ -800,31 +746,17 @@ GraphUpdateTask::result() const
 {
     PIM_ASSERT(done(), "result() before the last update round");
     GraphUpdateResult out = impl_->res;
-    mergeOutcomes(out, impl_->cfg, impl_->outcomes);
+    mergeOutcomes(out, impl_->sys.config().dpuCfg, impl_->outcomes);
     out.wallSeconds = std::max(0.0, impl_->now - impl_->buildDoneSec);
     out.rankFailures = impl_->failures;
     out.reExecutedRounds = impl_->reExec;
-    out.lostRounds = impl_->lostRoundsN;
-    out.lostEdges = impl_->lostEdgesN;
     out.restoreBytes = impl_->restoreBytesN;
     out.mttrMeanSec = impl_->recovered > 0
         ? impl_->mttrSum / impl_->recovered
         : 0.0;
-    double down = impl_->downtime;
-    for (const double fail_sec : impl_->unrepairedFailSecs)
-        down += std::max(0.0, impl_->now - fail_sec);
     out.availability = out.wallSeconds > 0.0
-        ? std::clamp(1.0 - down / out.wallSeconds, 0.0, 1.0)
+        ? std::clamp(1.0 - impl_->downtime / out.wallSeconds, 0.0, 1.0)
         : 1.0;
-    if (out.lostEdges > 0 && out.updateSeconds > 0) {
-        // Throughput counts only the edges actually ingested.
-        const uint64_t kept = out.updateEdgesTotal
-                > out.lostEdges
-            ? out.updateEdgesTotal - out.lostEdges
-            : 0;
-        out.millionEdgesPerSec =
-            static_cast<double>(kept) / out.updateSeconds / 1e6;
-    }
     return out;
 }
 
@@ -839,7 +771,6 @@ runGraphUpdate(const GraphUpdateConfig &cfg)
     core::PimSystemConfig scfg;
     scfg.numDpus = cfg.numDpus;
     scfg.sampleDpus = cfg.sampleDpus;
-    scfg.dpuCfg = cfg.dpuCfg;
     scfg.simThreads = cfg.simThreads;
     core::PimSystem sys(scfg);
     core::CommandQueue queue(sys);
@@ -851,8 +782,8 @@ runGraphUpdate(const GraphUpdateConfig &cfg)
     core::Session session(queue, cfg.faultSpec, cfg.faultSeed);
     core::DpuSet part = sys.all();
     if (session.rankFaults()) {
-        // Hold spare ranks back so a dead rank's replacement exists.
-        part = session.acquireRest("graph", cfg.spareRanks, 1);
+        // Hold one rank back so a dead rank's replacement exists.
+        part = session.acquireRest("graph", 1, 1);
     }
     GraphUpdateTask task(cfg, queue, part);
     session.add("graph", task);

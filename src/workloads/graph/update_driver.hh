@@ -18,7 +18,6 @@
 #include "core/command_queue.hh"
 #include "core/session.hh"
 #include "fault/fault_plan.hh"
-#include "sim/config.hh"
 #include "sim/types.hh"
 #include "workloads/graph/graph_gen.hh"
 
@@ -63,8 +62,6 @@ struct GraphUpdateConfig
     uint64_t maxUpdateEdges = 0;
     /** Record per-allocation events (Fig 17(b,c)). */
     bool traceEvents = false;
-    /** DPU hardware parameters. */
-    sim::DpuConfig dpuCfg{};
     /**
      * Number of update rounds the stream is split into: every shard
      * inserts its edges in R slices, each slice a separate launch on
@@ -107,18 +104,18 @@ struct GraphUpdateConfig
     /** Round-latency SLO target in seconds (0 = no SLO declared). */
     double sloRoundSec = 0.0;
     /**
-     * Fault injection (opt-in): when faultSpec.enabled(),
-     * runGraphUpdate runs its task in a core::Session built from
-     * (faultSpec, faultSeed), which holds spareRanks back from the
-     * task's grant when rank failures are in play so replacements
-     * exist. Disabled by default; the fault-free path is byte-identical
-     * to the pre-fault driver. (Co-tenant GraphUpdateTask callers hand
-     * the fault knobs to their own Session and only set faultPolicy.)
+     * Fault injection (opt-in): runGraphUpdate runs its task in a
+     * core::Session built from (faultSpec, faultSeed), which holds one
+     * rank back from the task's grant when rank failures are in play so
+     * a replacement exists. The task always recovers: a failed round
+     * re-executes, and a dead rank's shards are restored onto the
+     * replacement. Disabled by default; the fault-free path is
+     * byte-identical to the pre-fault driver. (Co-tenant
+     * GraphUpdateTask callers hand the fault knobs to their own
+     * Session.)
      */
     fault::FaultSpec faultSpec{};
     uint64_t faultSeed = 29;
-    fault::FaultPolicy faultPolicy = fault::FaultPolicy::Recover;
-    unsigned spareRanks = 1;
 };
 
 /** Aggregated outcome of the update phase. */
@@ -152,12 +149,13 @@ struct GraphUpdateResult
 
     /** Fault injection (all zero/ideal in a fault-free run). */
     unsigned rankFailures = 0;    ///< rank deaths inside this partition
-    unsigned reExecutedRounds = 0; ///< failed rounds re-run (Recover)
-    unsigned lostRounds = 0;      ///< failed rounds never re-run (Drop)
-    uint64_t lostEdges = 0;       ///< update edges lost with them (Drop)
+    unsigned reExecutedRounds = 0; ///< failed rounds re-run
+    /** Always 0: the task loses no update edge. Kept only because
+     *  perfbench reads it. */
+    uint64_t lostEdges = 0;
     uint64_t restoreBytes = 0;    ///< shard state restored to replacements
     /** Mean time-to-repair: rank death -> replacement granted and the
-     *  shard restore landed (recovered failures only). */
+     *  shard restore landed. */
     double mttrMeanSec = 0.0;
     /** 1 - (time some failure was unrepaired) / update wall time. */
     double availability = 1.0;
@@ -208,8 +206,8 @@ class GraphUpdateTask : public core::Stepper
     /** Enqueue the next update round and wait for it. */
     void step() override;
 
-    /** Drop loses the dead rank's shards and their un-inserted edges;
-     *  Recover pauses until a replacement is granted. */
+    /** Checkpoints the dead rank's shards and pauses until a
+     *  replacement is granted: always returns true. */
     bool onRankFailed(unsigned rank, double failSec) override;
 
     /**

@@ -123,8 +123,6 @@ TEST(Dpu, WramReserveBudget)
     EXPECT_EQ(dpu.wramReserve(512), 0u);
     EXPECT_EQ(dpu.wramReserve(256), 512u);
     EXPECT_EQ(dpu.wramUsed(), 768u);
-    dpu.wramReset();
-    EXPECT_EQ(dpu.wramUsed(), 0u);
 }
 
 TEST(DpuDeath, WramOverflowPanics)

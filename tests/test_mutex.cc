@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the simulated lock: exclusion, busy-wait accounting,
- * contention statistics, and tryLock semantics, in both the Spin oracle
- * and the parked-waiter Queue mode.
+ * Tests for the simulated lock: exclusion, busy-wait accounting and
+ * contention statistics, in both the Spin oracle and the parked-waiter
+ * Queue mode.
  */
 
 #include <gtest/gtest.h>
@@ -78,19 +78,6 @@ TEST_P(Mutex, NoContentionNoBusyWait)
         }
     });
     EXPECT_EQ(dpu.lastBreakdown().of(CycleKind::BusyWait), 0u);
-}
-
-TEST_P(Mutex, TryLock)
-{
-    Dpu dpu;
-    SimMutex m(GetParam());
-    dpu.run(1, [&](Tasklet &t) {
-        EXPECT_TRUE(m.tryLock(t));
-        EXPECT_FALSE(m.tryLock(t)); // already held
-        m.unlock(t);
-        EXPECT_TRUE(m.tryLock(t));
-        m.unlock(t);
-    });
 }
 
 TEST_P(Mutex, BusyWaitGrowsWithThreads)

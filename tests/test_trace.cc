@@ -50,7 +50,6 @@ mkSpan(int lane, const char *name, double t0, double t1,
 TEST(Recorder, RecordsAndOrdersLanes)
 {
     Recorder rec;
-    rec.setRankCount(3);
     const int custom = rec.customLane("dpu0/t0");
     rec.record(mkSpan(rankLane(2), "b", 0.0, 1.0));
     rec.record(mkSpan(kHostLane, "a", 0.0, 0.5));
@@ -259,7 +258,6 @@ TEST(QueueTracing, CommandsEmitSpansOnTheirLanes)
     Recorder rec;
     q.attachRecorder(&rec);
     EXPECT_EQ(q.recorder(), &rec);
-    EXPECT_EQ(rec.rankCount(), sys.numRanks());
 
     q.memcpyAsync(sys.all(), 1 << 20, core::CopyDirection::HostToPim,
                   {.label = "feed"});
@@ -759,7 +757,6 @@ TEST(ChromeTrace, ServingCaptureParsesAsValidTraceEventJson)
 TEST(Occupancy, ReportEmitsValidJson)
 {
     Recorder rec;
-    rec.setRankCount(2);
     rec.record(mkSpan(kHostLane, "h", 0.0, 1.0));
     rec.record(mkSpan(rankLane(0), "l", 0.5, 3.0));
     rec.record(mkSpan(rankLane(1), "l", 0.5, 1.5));

@@ -73,7 +73,8 @@ TEST(UpdateDriver, OneRoundMatchesTheSingleLaunchFingerprints)
             smallCfg(g.structure, core::AllocatorKind::PimMallocHwSw);
         cfg.sampleDpus = g.sampleDpus;
         const auto r = runGraphUpdate(cfg);
-        EXPECT_EQ(r.updateSeconds, cfg.dpuCfg.cyclesToSeconds(g.maxCycles));
+        EXPECT_EQ(r.updateSeconds,
+                  sim::DpuConfig{}.cyclesToSeconds(g.maxCycles));
         EXPECT_EQ(r.breakdown.total(), g.taskletCycles);
         EXPECT_EQ(r.traffic.totalBytes(), g.trafficBytes);
         EXPECT_EQ(r.allocStats.mallocCalls, g.mallocs);
@@ -101,7 +102,7 @@ TEST(UpdateDriver, PartitionShardsOverItsOwnDpus)
     session.run();
     const auto r = task.result();
     EXPECT_EQ(r.updateEdgesTotal, 3000u);
-    EXPECT_EQ(r.updateSeconds, cfg.dpuCfg.cyclesToSeconds(210660));
+    EXPECT_EQ(r.updateSeconds, sim::DpuConfig{}.cyclesToSeconds(210660));
     EXPECT_EQ(r.breakdown.total(), 10278224u);
     EXPECT_EQ(r.traffic.totalBytes(), 96216u);
     EXPECT_EQ(r.allocStats.mallocCalls, 3000u);
