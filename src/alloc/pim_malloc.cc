@@ -15,9 +15,8 @@ PimMallocAllocator::PimMallocAllocator(sim::Dpu &dpu,
                    && cfg.numTasklets <= dpu.config().maxTasklets,
                "invalid tasklet count ", cfg.numTasklets);
     const uint32_t nodes = BuddyTree::nodesFor(cfg.heapBytes, cfg.spanBytes);
-    store_ = makeMetadataStore(dpu, cfg.metadata, cfg.base, nodes,
-                               cfg.swBufferBytes);
-    const sim::MramAddr heap_base = cfg.base + store_->bytes();
+    store_ = makeMetadataStore(dpu, cfg.metadata, nodes, cfg.swBufferBytes);
+    const sim::MramAddr heap_base = store_->bytes();
     PIM_ASSERT(static_cast<uint64_t>(heap_base) + cfg.heapBytes
                    <= dpu.mram().size(),
                "PIM-malloc heap does not fit in MRAM");

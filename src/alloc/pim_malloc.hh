@@ -34,8 +34,6 @@ namespace pim::alloc {
 /** Configuration of a PIM-malloc instance (one per DPU). */
 struct PimMallocConfig
 {
-    /** MRAM byte offset where metadata + heap are placed. */
-    sim::MramAddr base = 0;
     /** Heap capacity (paper: 32 MB). */
     uint32_t heapBytes = 32u << 20;
     /** Backend buddy minimum block == thread-cache span (paper: 4 KB). */

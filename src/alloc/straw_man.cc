@@ -6,17 +6,17 @@
 namespace pim::alloc {
 
 std::unique_ptr<MetadataStore>
-makeMetadataStore(sim::Dpu &dpu, MetadataMode mode, sim::MramAddr base,
-                  uint32_t num_nodes, uint32_t sw_buffer_bytes)
+makeMetadataStore(sim::Dpu &dpu, MetadataMode mode, uint32_t num_nodes,
+                  uint32_t sw_buffer_bytes)
 {
     switch (mode) {
       case MetadataMode::Direct:
-        return std::make_unique<DirectStore>(dpu, base, num_nodes);
+        return std::make_unique<DirectStore>(dpu, 0, num_nodes);
       case MetadataMode::SwBuffer:
-        return std::make_unique<SwBufferStore>(dpu, base, num_nodes,
+        return std::make_unique<SwBufferStore>(dpu, 0, num_nodes,
                                                sw_buffer_bytes);
       case MetadataMode::HwCache:
-        return std::make_unique<HwCacheStore>(dpu, base, num_nodes);
+        return std::make_unique<HwCacheStore>(dpu, 0, num_nodes);
     }
     PIM_PANIC("unknown metadata mode");
 }
@@ -25,9 +25,8 @@ StrawManAllocator::StrawManAllocator(sim::Dpu &dpu, const StrawManConfig &cfg)
     : dpu_(dpu), cfg_(cfg)
 {
     const uint32_t nodes = BuddyTree::nodesFor(cfg.heapBytes, cfg.minBlock);
-    store_ = makeMetadataStore(dpu, cfg.metadata, cfg.base, nodes,
-                               cfg.swBufferBytes);
-    const sim::MramAddr heap_base = cfg.base + store_->bytes();
+    store_ = makeMetadataStore(dpu, cfg.metadata, nodes, cfg.swBufferBytes);
+    const sim::MramAddr heap_base = store_->bytes();
     PIM_ASSERT(static_cast<uint64_t>(heap_base) + cfg.heapBytes
                    <= dpu.mram().size(),
                "straw-man heap does not fit in MRAM");

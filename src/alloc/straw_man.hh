@@ -33,8 +33,6 @@ enum class MetadataMode : uint8_t {
 /** Configuration of the straw-man allocator. */
 struct StrawManConfig
 {
-    /** MRAM byte offset where metadata + heap are placed. */
-    sim::MramAddr base = 0;
     /** Heap capacity (paper: 32 MB). */
     uint32_t heapBytes = 32u << 20;
     /** Minimum (de)allocation size (paper: 32 B). */
@@ -84,10 +82,11 @@ class StrawManAllocator : public Allocator
     std::unordered_map<sim::MramAddr, uint32_t> liveRequests_;
 };
 
-/** Build the metadata store selected by @p mode (shared with PimMalloc). */
+/** Build the metadata store selected by @p mode at MRAM offset 0 (shared
+ *  with PimMalloc); the heap follows it. */
 std::unique_ptr<MetadataStore>
-makeMetadataStore(sim::Dpu &dpu, MetadataMode mode, sim::MramAddr base,
-                  uint32_t num_nodes, uint32_t sw_buffer_bytes);
+makeMetadataStore(sim::Dpu &dpu, MetadataMode mode, uint32_t num_nodes,
+                  uint32_t sw_buffer_bytes);
 
 } // namespace pim::alloc
 

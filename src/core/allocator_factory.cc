@@ -43,8 +43,6 @@ makeAllocator(sim::Dpu &dpu, AllocatorKind kind,
         alloc::StrawManConfig cfg;
         if (overrides.heapBytes)
             cfg.heapBytes = overrides.heapBytes;
-        if (overrides.minBlock)
-            cfg.minBlock = overrides.minBlock;
         if (overrides.swBufferBytes)
             cfg.swBufferBytes = overrides.swBufferBytes;
         return std::make_unique<alloc::StrawManAllocator>(dpu, cfg);

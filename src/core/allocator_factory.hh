@@ -51,8 +51,6 @@ struct AllocatorOverrides
 {
     /** Heap size; 0 keeps the paper default (32 MB). */
     uint32_t heapBytes = 0;
-    /** Straw-man minimum block; 0 keeps the paper default (32 B). */
-    uint32_t minBlock = 0;
     /** Tasklets the allocator serves. */
     unsigned numTasklets = 16;
     /** SW metadata buffer bytes; 0 keeps the default (2 KB). */

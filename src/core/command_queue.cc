@@ -406,6 +406,7 @@ CommandQueue::launch(const DpuSet &set, unsigned tasklets,
                      std::function<void(sim::Tasklet &, unsigned)> body,
                      const CommandOptions &opts)
 {
+    PIM_ASSERT(body, "empty launch body");
     return launchProgram(
         set,
         [tasklets, body = std::move(body)](sim::Dpu &dpu,
@@ -425,6 +426,7 @@ CommandQueue::launchProgram(const DpuSet &set, LaunchFn program,
     // (cf. PimSystemConfig::samplePerRank for rank-granular targets).
     PIM_ASSERT(!set.slots().empty(),
                "launch target contains no materialized DPU");
+    PIM_ASSERT(program, "empty launch program");
     Command cmd;
     cmd.type = Command::Type::Launch;
     cmd.program = std::move(program);

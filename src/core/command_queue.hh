@@ -89,7 +89,6 @@
 #include <vector>
 
 #include "core/pim_system.hh"
-#include "util/small_function.hh"
 
 namespace pim::trace {
 class Recorder;
@@ -151,13 +150,13 @@ struct CommandOptions
 };
 
 /**
- * A launch-body callable. SmallFunction with 64 bytes of inline
- * storage: the composed closure launch() builds (a tasklet count plus a
- * moved std::function body) fits without the per-enqueue heap
- * allocation std::function's 16-byte buffer would force; larger
- * closures still work via the heap fallback.
+ * A launch-body callable: receives each materialized DPU of the target
+ * set and its global index. std::function keeps small closures inline
+ * (libstdc++: up to 16 bytes, enough for the drivers' `[this]`-style
+ * task bodies); launch()'s composed closure and larger captures cost
+ * one heap allocation per command.
  */
-using LaunchFn = util::SmallFunction<void(sim::Dpu &, unsigned), 64>;
+using LaunchFn = std::function<void(sim::Dpu &, unsigned)>;
 
 /** The co-processor command queue of one PimSystem. */
 class CommandQueue
@@ -244,8 +243,8 @@ class CommandQueue
      * every DPU of @p set; the body receives the tasklet context and
      * the DPU's global index, and must not touch state shared between
      * DPUs. The host pays only the launch-issue overhead; the target
-     * ranks are busy for their slowest member's makespan. @return
-     * completion event.
+     * ranks are busy for their slowest member's makespan. An empty
+     * @p body is fatal at enqueue. @return completion event.
      */
     Event launch(const DpuSet &set, unsigned tasklets,
                  std::function<void(sim::Tasklet &, unsigned)> body,
@@ -257,7 +256,8 @@ class CommandQueue
      * and drives it directly (Dpu::run, any number of phases). The
      * launch's cost on a rank is the max over its members' final
      * Dpu::lastElapsedCycles() — phases before the last run are setup
-     * and not charged. @return completion event.
+     * and not charged. An empty @p program is fatal at enqueue (a
+     * launch with no body is launchTimed). @return completion event.
      */
     Event launchProgram(const DpuSet &set, LaunchFn program,
                         const CommandOptions &opts = {});

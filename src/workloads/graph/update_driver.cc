@@ -137,6 +137,8 @@ struct GraphUpdateTask::Impl
     void onRankFailed(unsigned rank, double failSec);
     void onReplacementGranted(const core::DpuSet &replacement);
     uint64_t sliceEdges(unsigned shardIdx, unsigned r) const;
+    core::Event shipSlice(unsigned r, core::Event after,
+                          const char *label);
 
     /** Persistent per-sample-slot shard state across rounds. */
     struct SlotState
@@ -162,7 +164,6 @@ struct GraphUpdateTask::Impl
     std::vector<SlotState> slots;
     std::vector<ShardOutcome> outcomes;
     core::Event buildEvt = core::kNoEvent;
-    core::Event lastRoundEvt = core::kNoEvent;
     double buildDoneSec = 0.0;
     double now = 0.0;
     GraphUpdateResult res; ///< updateEdgesTotal filled up front
@@ -181,6 +182,9 @@ struct GraphUpdateTask::Impl
     std::vector<ShardOutcome> pending; ///< staged round in flight
     bool parked = false;             ///< last round failed, unresolved
     unsigned parkedR = 0;
+    /** The parked round's latest shipment failed: its slice never
+     *  landed and must ship again before the redo. */
+    bool parkedSliceLost = false;
     core::Event restoreEvt = core::kNoEvent;
     /** A shard whose home rank died: its functional state is
      *  frozen at the host-side checkpoint and its remaining slices
@@ -346,6 +350,24 @@ GraphUpdateTask::Impl::sliceEdges(unsigned shardIdx, unsigned r) const
         - static_cast<uint64_t>(r) * c / rounds;
 }
 
+core::Event
+GraphUpdateTask::Impl::shipSlice(unsigned r, core::Event after,
+                                 const char *label)
+{
+    // Byte counts index positions of the *current* partition: a
+    // recovered partition swapped the dead rank's members for the
+    // replacement's. Each shard's slice ships to the member that hosts
+    // it now.
+    std::vector<uint64_t> bytes(part.size(), 0);
+    for (unsigned j = 0; j < numShards; ++j)
+        bytes[part.indexOf(shardHome[j])] += sliceEdges(j, r) * sizeof(Edge);
+    return queue.memcpyScatterBufferedAsync(
+        part, std::move(bytes), core::CopyDirection::HostToPim,
+        {.after = after,
+         .label = traced ? label + std::to_string(r) : std::string(),
+         .tenant = tenant});
+}
+
 void
 GraphUpdateTask::Impl::commitPending(unsigned r)
 {
@@ -396,8 +418,14 @@ GraphUpdateTask::Impl::resolveParkedRetry()
 {
     // Re-execute the failed round on the (possibly repaired)
     // partition, modeled as one timed launch of the staged cost,
-    // ordered after any pending shard restore. The staged outcomes
-    // commit only now — the round's work lands exactly once.
+    // ordered after any pending shard restore. A failed shipment
+    // delivered nothing, so the round's slice first ships again to the
+    // shards' current homes (after the restore) and the redo orders
+    // after it. The staged outcomes commit only now — the round's work
+    // lands exactly once.
+    const core::Event reship = parkedSliceLost
+        ? shipSlice(parkedR, restoreEvt, "recover:updates r")
+        : core::kNoEvent;
     double cyc = 0.0;
     for (const ShardOutcome &pc : pending)
         cyc = std::max(cyc, static_cast<double>(pc.cycles));
@@ -406,22 +434,27 @@ GraphUpdateTask::Impl::resolveParkedRetry()
                                 * static_cast<double>(
                                     sliceEdges(m.shardIdx, parkedR)));
     }
-    core::Event retry = core::kNoEvent;
+    core::Event retry = reship;
     if (cyc > 0.0) {
         retry = queue.launchTimed(
             part,
             sys.config().dpuCfg.cyclesToSeconds(
                 static_cast<uint64_t>(cyc)),
-            {.after = restoreEvt,
+            {.after = reship != core::kNoEvent ? reship : restoreEvt,
              .label = traced ? "recover:redo r" + std::to_string(parkedR)
                              : std::string(),
              .tenant = tenant});
+    }
+    if (retry != core::kNoEvent) {
         restoreEvt = core::kNoEvent;
-        const double t = queue.eventSeconds(retry);
-        now = std::max(now, t);
-        if (queue.eventFailed(retry))
-            return; // still parked: another fault hit the retry itself
-        lastRoundEvt = retry;
+        now = std::max(now, queue.eventSeconds(retry));
+        if (queue.eventFailed(retry)) {
+            // Still parked: another fault hit the retry itself. A slice
+            // lost again ships again on the next step.
+            parkedSliceLost =
+                reship != core::kNoEvent && queue.eventFailed(reship);
+            return;
+        }
     }
     observeRound(parkedR, now);
     commitPending(parkedR);
@@ -464,25 +497,12 @@ GraphUpdateTask::Impl::step()
     // owning DPUs; the round's launch orders after the shipment so the
     // data has landed, while the double-buffered transfer leaves the
     // previous round's compute running.
-    core::Event ship = core::kNoEvent;
-    if (cfg.shipUpdates) {
-        // Byte counts index positions of the *current* partition: a
-        // recovered partition swapped the dead rank's members for the
-        // replacement's. Each shard's slice ships to the member that
-        // hosts it now.
-        std::vector<uint64_t> bytes(part.size(), 0);
-        for (unsigned j = 0; j < numShards; ++j)
-            bytes[part.indexOf(shardHome[j])] +=
-                sliceEdges(j, r) * sizeof(Edge);
-        ship = queue.memcpyScatterBufferedAsync(
-            part, std::move(bytes), core::CopyDirection::HostToPim,
-            {.label = traced ? "updates r" + std::to_string(r)
-                             : std::string(),
-             .tenant = tenant});
-    }
+    const core::Event ship = cfg.shipUpdates
+        ? shipSlice(r, core::kNoEvent, "updates r")
+        : core::kNoEvent;
 
     const bool last = (r + 1 == rounds);
-    lastRoundEvt = queue.launchProgram(
+    const core::Event launched = queue.launchProgram(
         part,
         [this, r, last](sim::Dpu &dpu, unsigned dpu_idx) {
             const unsigned slot = sys.slotOf(dpu_idx);
@@ -556,8 +576,8 @@ GraphUpdateTask::Impl::step()
     }
 
     const bool faults = queue.faultInjector() != nullptr;
-    double t = queue.eventSeconds(lastRoundEvt);
-    bool failed = faults && queue.eventFailed(lastRoundEvt);
+    double t = queue.eventSeconds(launched);
+    bool failed = faults && queue.eventFailed(launched);
     for (const core::Event e : extras) {
         t = std::max(t, queue.eventSeconds(e));
         failed = failed || (faults && queue.eventFailed(e));
@@ -574,9 +594,11 @@ GraphUpdateTask::Impl::step()
     // the launch timed out. Park the staged round; it re-executes once
     // the driver has quarantined any dead rank and a replacement has
     // joined (or immediately next step, for a transient/timeout
-    // failure).
+    // failure). Only a failed shipment loses the slice; a round that
+    // died or timed out after it landed re-runs on the data in place.
     parked = true;
     parkedR = r;
+    parkedSliceLost = ship != core::kNoEvent && queue.eventFailed(ship);
 }
 
 void

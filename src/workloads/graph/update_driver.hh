@@ -108,7 +108,8 @@ struct GraphUpdateConfig
      * core::Session built from (faultSpec, faultSeed), which holds one
      * rank back from the task's grant when rank failures are in play so
      * a replacement exists. The task always recovers: a failed round
-     * re-executes, and a dead rank's shards are restored onto the
+     * re-executes (after shipping its slice again if its shipment
+     * failed), and a dead rank's shards are restored onto the
      * replacement. Disabled by default; the fault-free path is
      * byte-identical to the pre-fault driver. (Co-tenant
      * GraphUpdateTask callers hand the fault knobs to their own
@@ -203,7 +204,13 @@ class GraphUpdateTask : public core::Stepper
     /** Completion time of the task's latest round. */
     double clockSeconds() const override;
 
-    /** Enqueue the next update round and wait for it. */
+    /**
+     * Enqueue the next update round and wait for it. A failed round is
+     * parked and re-executed by the next step as one timed launch; if
+     * its shipment failed, the slice never landed and ships again to
+     * the shards' current homes first ("recover:updates r<R>"), with
+     * the redo ordered after it. A retry that fails again stays parked.
+     */
     void step() override;
 
     /** Checkpoints the dead rank's shards and pauses until a

@@ -25,6 +25,7 @@
 #include "core/session.hh"
 #include "fault/fault_plan.hh"
 #include "fault/injector.hh"
+#include "telemetry/registry.hh"
 #include "trace/occupancy.hh"
 #include "trace/trace.hh"
 #include "util/rng.hh"
@@ -958,12 +959,14 @@ TEST(GraphFaults, PoisonedRoundReExecutesWithoutARankDeath)
 {
     // Transfer faults only, each permanent on its first attempt: a
     // corrupted shipped slice poisons its round's launch, and the task
-    // holds the staged results and re-runs the round as one timed launch
-    // on the next step. No rank dies, so nothing is restored.
+    // holds the staged results, ships the lost slice again and re-runs
+    // the round as one timed launch on the next step. No rank dies, so
+    // nothing is restored.
     const GraphUpdateResult ref = runGraphUpdate(faultGraphCfg());
     ASSERT_GT(ref.wallSeconds, 0.0);
 
     std::vector<GraphUpdateResult> runs;
+    std::vector<uint64_t> bus_bytes;
     for (const unsigned threads : {1u, 4u}) {
         GraphUpdateConfig cfg = faultGraphCfg(threads);
         cfg.faultSpec.transferMtbfSec = 0.2 * ref.wallSeconds;
@@ -971,9 +974,17 @@ TEST(GraphFaults, PoisonedRoundReExecutesWithoutARankDeath)
         // The default 120 s horizon would schedule millions of
         // transfer faults the rounds never reach.
         cfg.faultSpec.horizonSec = 4.0 * ref.wallSeconds;
+        telemetry::Registry met;
+        cfg.metrics = &met;
         runs.push_back(runGraphUpdate(cfg));
+        bus_bytes.push_back(met.counter("queue.bus_bytes").value());
     }
-    for (const GraphUpdateResult &r : runs) {
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const GraphUpdateResult &r = runs[i];
+        // Every slice (8 B per edge) lands exactly once, and re-sending
+        // the lost ones costs bus time the fault-free run never paid.
+        EXPECT_EQ(bus_bytes[i], 8 * r.updateEdgesTotal);
+        EXPECT_GT(r.wallSeconds, ref.wallSeconds);
         EXPECT_EQ(r.reExecutedRounds, 5u);
         EXPECT_EQ(r.rankFailures, 0u);
         EXPECT_EQ(r.restoreBytes, 0u);

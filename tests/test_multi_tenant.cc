@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the multi-tenant scheduler layer of the command-queue
- * runtime: eventSeconds fail-fast on never-enqueued handles,
- * RankScheduler acquire/release/contention, per-tenant host lanes,
- * DpuSet partition helpers, and per-tenant occupancy attribution and
- * thread-count determinism of a co-tenant run.
+ * runtime: eventSeconds fail-fast on never-enqueued handles, launch
+ * fail-fast on empty bodies, RankScheduler acquire/release/contention,
+ * per-tenant host lanes, DpuSet partition helpers, and per-tenant
+ * occupancy attribution and thread-count determinism of a co-tenant
+ * run.
  */
 
 #include <gtest/gtest.h>
@@ -61,6 +62,24 @@ TEST(EventSecondsDeathTest, FatalOnDefaultAndNeverEnqueuedHandles)
     // classic stale handle: nothing was ever enqueued here.
     EXPECT_DEATH(q.eventSeconds(0), "never enqueued");
     EXPECT_DEATH(q.eventSeconds(42), "never enqueued");
+}
+
+// An empty body is refused when it is enqueued, not when a tasklet
+// calls it mid-drain, and a launch that would run nothing is never
+// charged.
+TEST(LaunchBodyDeathTest, EmptyProgramIsFatalAtEnqueue)
+{
+    PimSystem sys(smallSystem(64, 64, 1));
+    CommandQueue q(sys);
+    EXPECT_DEATH(q.launchProgram(sys.all(), nullptr),
+                 "empty launch program");
+}
+
+TEST(LaunchBodyDeathTest, EmptyTaskletBodyIsFatalAtEnqueue)
+{
+    PimSystem sys(smallSystem(64, 64, 1));
+    CommandQueue q(sys);
+    EXPECT_DEATH(q.launch(sys.all(), 4, {}), "empty launch body");
 }
 
 // ---------------------------------------------------------------------
