@@ -57,8 +57,9 @@ class Dpu
      * Every tasklet calls @p body by reference, and the tasklets,
      * fibers and stacks come from the host thread's launch context
      * (scheduler.hh), so a steady-state launch allocates nothing. A
-     * body may run another DPU; that nested launch takes its own
-     * context.
+     * one-tasklet launch runs @p body on the caller's stack, without a
+     * fiber. A body may run another DPU; that nested launch takes its
+     * own context.
      */
     uint64_t run(unsigned num_tasklets,
                  const std::function<void(Tasklet &)> &body);

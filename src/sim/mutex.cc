@@ -142,12 +142,21 @@ SimMutex::unlock(Tasklet &t)
         for (size_t i = 0; i < waiters_.size(); ++i) {
             Waiter &w = waiters_[i];
             while (w.nextCheckKey < release_key) {
+                uint64_t holds_until = UINT64_MAX;
                 const uint64_t width =
-                    sched.pipelineWidthAt(w.nextCheckKey);
-                w.nextCheckKey +=
+                    sched.pipelineWidthAt(w.nextCheckKey, &holds_until);
+                const uint64_t step =
                     (batchInstrs(w.batchIdx) * width) << Tasklet::kIdBits;
-                ++w.batchIdx;
-                ++elided_;
+                // Once the backoff is capped, every re-check before the
+                // release and before the width can next change (a
+                // finish) is the same step: take them in one division.
+                uint64_t n = 1;
+                const uint64_t limit = std::min(release_key, holds_until);
+                if (w.batchIdx >= kCappedBatchIdx && limit > w.nextCheckKey)
+                    n = (limit - w.nextCheckKey + step - 1) / step;
+                w.nextCheckKey += n * step;
+                w.batchIdx += static_cast<uint32_t>(n);
+                elided_ += n;
             }
             if (w.nextCheckKey < winner_key) {
                 winner_key = w.nextCheckKey;

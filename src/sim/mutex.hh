@@ -24,7 +24,11 @@
  *    *virtual* spin schedule analytically and wakes exactly the waiter
  *    whose next re-check is the first one after the release — the same
  *    waiter, at the same clock, with the same accumulated BusyWait
- *    cycles the spin model would produce. A woken waiter re-validates
+ *    cycles the spin model would produce. Once a waiter's backoff is
+ *    capped, its re-checks before the release and before the next
+ *    finish (the only place the width can change) are all the same
+ *    batch, so unlock() counts them with one division instead of one
+ *    step each. A woken waiter re-validates
  *    on resume: if a running tasklet grabbed the lock in between
  *    (which the spin model also allows — its re-check would have come
  *    first in (clock, id) election order), it re-parks and its virtual
@@ -107,7 +111,9 @@ class SimMutex
     /**
      * Release the lock. @pre held. In Queue mode this advances every
      * parked waiter's virtual spin schedule past the release point and
-     * wakes the waiter whose re-check comes first.
+     * wakes the waiter whose re-check comes first. A waiter's capped
+     * batches (kMaxSpinInstrs each) between two width changes advance
+     * in closed form; the uncapped ones step one by one.
      */
     void unlock(Tasklet &t);
 
@@ -154,11 +160,15 @@ class SimMutex
         uint32_t batchIdx;
     };
 
+    /** First backoff batch index that is capped at kMaxSpinInstrs. */
+    static constexpr uint32_t kCappedBatchIdx = 6;
+
     /** Backoff batch @p idx in instructions: 4, 8, ..., capped at 256. */
     static uint64_t
     batchInstrs(uint32_t idx)
     {
-        return idx >= 6 ? kMaxSpinInstrs : (kAttemptInstrs << idx);
+        return idx >= kCappedBatchIdx ? kMaxSpinInstrs
+                                      : (kAttemptInstrs << idx);
     }
 
     void lockSpin(Tasklet &t);

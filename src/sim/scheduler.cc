@@ -40,19 +40,28 @@ TaskletScheduler::spawn(const std::function<void(Tasklet &)> &body)
     PIM_ASSERT(id < (1u << Tasklet::kIdBits),
                "election-key packing supports at most ",
                1u << Tasklet::kIdBits, " tasklets");
-    // The entry captures two words, so it fits std::function's inline
-    // buffer: re-arming a pooled fiber allocates nothing.
-    std::function<void()> entry = [this, id] { runTasklet(id); };
     if (id < ctx_.tasklets.size()) {
-        ctx_.fibers[id]->rearm(std::move(entry));
         ctx_.bodies[id] = &body;
     } else {
         ctx_.tasklets.push_back(std::unique_ptr<Tasklet>(new Tasklet));
-        ctx_.fibers.push_back(std::make_unique<Fiber>(std::move(entry)));
         ctx_.bodies.push_back(&body);
     }
     ctx_.tasklets[id]->rearm(dpu_, *this, id);
     ++count_;
+}
+
+void
+TaskletScheduler::armFibers()
+{
+    for (unsigned id = 0; id < count_; ++id) {
+        // The entry captures two words, so it fits std::function's
+        // inline buffer: re-arming a pooled fiber allocates nothing.
+        std::function<void()> entry = [this, id] { runTasklet(id); };
+        if (id < ctx_.fibers.size())
+            ctx_.fibers[id]->rearm(std::move(entry));
+        else
+            ctx_.fibers.push_back(std::make_unique<Fiber>(std::move(entry)));
+    }
 }
 
 const Tasklet &
@@ -85,10 +94,21 @@ TaskletScheduler::runToCompletion()
     active_ = count_;
     ctx_.finishKeys.clear();
     ctx_.finishKeys.reserve(count_);
-    if (policy_ == Policy::Horizon)
-        runHorizon();
-    else
-        runNaive();
+    if (policy_ == Policy::Horizon && count_ == 1) {
+        // A lone tasklet never loses an election, so its horizon stays
+        // at UINT64_MAX and no charge can switch: run the body right
+        // here on the caller's stack. Parking it is still fatal, since
+        // the heap it would hand control to is empty (every run
+        // leaves it so).
+        runTasklet(0);
+        --active_;
+    } else {
+        armFibers();
+        if (policy_ == Policy::Horizon)
+            runHorizon();
+        else
+            runNaive();
+    }
     PIM_ASSERT(active_ == 0, active_,
                " tasklet(s) still parked at the end of the launch — "
                "deadlock (a lock was never released?)");
@@ -96,13 +116,19 @@ TaskletScheduler::runToCompletion()
 }
 
 uint64_t
-TaskletScheduler::pipelineWidthAt(uint64_t key) const
+TaskletScheduler::pipelineWidthAt(uint64_t key, uint64_t *holds_until) const
 {
     // Small linear scan: at most one entry per tasklet (<= 24), and
     // wakers only call this on the contended path.
     unsigned finished = 0;
-    for (const uint64_t fk : ctx_.finishKeys)
+    uint64_t next_finish = UINT64_MAX;
+    for (const uint64_t fk : ctx_.finishKeys) {
         finished += fk < key ? 1u : 0u;
+        if (fk >= key && fk < next_finish)
+            next_finish = fk;
+    }
+    if (holds_until != nullptr)
+        *holds_until = next_finish;
     const uint64_t unfinished = count_ - finished;
     const uint64_t interval = dpu_.config().pipelineIssueInterval;
     return unfinished > interval ? unfinished : interval;

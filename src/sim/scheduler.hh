@@ -2,12 +2,12 @@
  * @file
  * Deterministic cooperative scheduler for the tasklets of one DPU.
  *
- * Tasklets run on fibers; control returns here whenever the running
- * tasklet can no longer be the next one to run. The scheduler always
- * runs the unfinished tasklet with the smallest virtual clock (ties
- * broken by id), which makes the interleaving — and therefore every
- * experiment — fully deterministic while still exhibiting realistic
- * contention dynamics.
+ * Tasklets run on fibers (a lone tasklet runs off-fiber, see below);
+ * control returns here whenever the running tasklet can no longer be
+ * the next one to run. The scheduler always runs the unfinished
+ * tasklet with the smallest virtual clock (ties broken by id), which
+ * makes the interleaving — and therefore every experiment — fully
+ * deterministic while still exhibiting realistic contention dynamics.
  *
  * Two scheduling policies produce bit-identical simulations:
  *
@@ -39,13 +39,22 @@
  * (finish history), so wakers can reconstruct the pipeline width that
  * was in effect at any past virtual instant (pipelineWidthAt()).
  *
+ * Lone tasklets: under Horizon a launch of one tasklet can never lose
+ * an election (there is nobody to lose to), so runToCompletion() calls
+ * its body directly on the caller's stack, with no fiber re-arm, resume
+ * or trampoline. Parking it is fatal exactly as on a fiber. The
+ * NaiveReference oracle still runs a lone tasklet on a fiber, which is
+ * what the off-fiber path is tested against.
+ *
  * Launch contexts: a launch needs tasklets, fibers with their stacks,
  * and the heap and finish-history vectors. Each host thread keeps these
  * in a launch context that outlives the scheduler: the constructor
  * checks the thread's idle context out, spawn() re-arms its pooled
- * tasklets and fibers in place (growing the pool only past its largest
- * launch so far), and the destructor returns it. A steady-state launch
- * therefore makes no heap allocation and maps no stack. A scheduler
+ * tasklets in place, runToCompletion() re-arms pooled fibers for
+ * launches of two or more tasklets (each pool grows only past its
+ * largest launch so far), and the destructor returns the context. A
+ * steady-state launch therefore makes no heap allocation and maps no
+ * stack. A scheduler
  * built while the thread's context is checked out — a Dpu::run issued
  * from inside a tasklet body, or a caller holding two schedulers —
  * takes a second context, so nested launches never share tasklets or
@@ -137,16 +146,21 @@ class TaskletScheduler
      * tasklets) — in effect at virtual instant @p key, reconstructed
      * from the finish history of the current launch. Only valid for
      * keys at or before the running tasklet's position (later finishes
-     * are not known yet).
+     * are not known yet). If @p holds_until is given, it receives the
+     * first finish key at or after @p key (UINT64_MAX if none so far):
+     * the width is the same at every key in [key, *holds_until), which
+     * lets a waker step many equal backoff batches in one division.
      */
-    uint64_t pipelineWidthAt(uint64_t key) const;
+    uint64_t pipelineWidthAt(uint64_t key,
+                             uint64_t *holds_until = nullptr) const;
 
   private:
     friend class Tasklet;
 
     /**
      * The reusable state of a launch; index i of each vector belongs to
-     * tasklet i. Pooled entries past the launch's count_ are idle.
+     * tasklet i. Pooled entries past the launch's count_ are idle, and
+     * the fiber pool only grows for launches of two or more tasklets.
      */
     struct Context
     {
@@ -176,6 +190,9 @@ class TaskletScheduler
 
     /** Fiber entry of tasklet @p id: run its body, record the finish. */
     void runTasklet(unsigned id);
+
+    /** Re-arm a pooled fiber (growing the pool) for each tasklet. */
+    void armFibers();
 
     void runHorizon();
     void runNaive();

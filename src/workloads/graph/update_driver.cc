@@ -623,6 +623,10 @@ GraphUpdateTask::Impl::onRankFailed(unsigned rank, double failSec)
     PendingFail fail{rank, failSec, {}, 0};
     uint64_t resident_sum = 0;
     unsigned resident_n = 0;
+    // A parked round whose shipment failed never landed its slice; the
+    // re-ship delivers it after the restore, so the checkpoint holds
+    // only the rounds before it.
+    const unsigned landed = parked && parkedSliceLost ? parkedR : round;
     const core::DpuSet dead_set = sys.ranks({rank});
     for (const unsigned slot : dead_set.slots()) {
         SlotState &st = slots[slot];
@@ -646,7 +650,7 @@ GraphUpdateTask::Impl::onRankFailed(unsigned rank, double failSec)
             : 0.0;
         const uint64_t local = st.shard.updateEdges.size();
         const uint64_t local_processed =
-            static_cast<uint64_t>(round) * local / rounds;
+            static_cast<uint64_t>(landed) * local / rounds;
         resident_sum += st.shard.numLocalNodes * 8ull
             + (st.shard.baseEdges.size() + local_processed)
                 * sizeof(Edge);

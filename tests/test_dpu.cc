@@ -3,7 +3,7 @@
  * DPU-level tests: configuration defaults, launch mechanics, repeated
  * launches, time conversion, and the per-thread launch context (no
  * allocation in steady state, reuse equal to a fresh context, nested
- * launches).
+ * launches, one-tasklet launches equal to the fiber oracle).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "sim/dpu.hh"
 #include "sim/mutex.hh"
+#include "sim/scheduler.hh"
 
 using namespace pim::sim;
 
@@ -334,4 +335,116 @@ TEST(DpuLaunchContext, NestedLaunchMatchesSequentialLaunches)
         SCOPED_TRACE("nested launch");
         expectSameLaunch(inner, seq_inner);
     }
+}
+
+namespace {
+
+/** What a one-tasklet launch leaves behind on its DPU. */
+struct LoneRecord
+{
+    uint64_t clock = 0;
+    uint64_t events = 0;
+    CycleBreakdown breakdown;
+    uint64_t elapsed = 0;
+    TrafficStats traffic;
+    uint64_t acquisitions = 0;
+    uint64_t parked = 0;
+    LaunchRecord nested;
+};
+
+/**
+ * Run one tasklet on @p dpu that charges every way a tasklet can
+ * (instructions, raw stalls, DMA both ways), takes and releases an
+ * uncontended queue-mode lock, and launches 16 contending tasklets on
+ * @p nested_dpu from inside its body. @p oracle runs it on a
+ * NaiveReference scheduler with one spawn instead of Dpu::run.
+ */
+LoneRecord
+loneLaunch(Dpu &dpu, Dpu &nested_dpu, bool oracle)
+{
+    SimMutex mutex(SimMutex::Mode::Queue);
+    LoneRecord r;
+    dpu.mram().write<uint64_t>(kCounterAddr, 5);
+    const std::function<void(Tasklet &)> body = [&](Tasklet &t) {
+        t.execute(7);
+        t.stall(13, CycleKind::IdleEtc);
+        const auto v = t.mramRead<uint64_t>(kCounterAddr);
+        mutex.lock(t);
+        t.mramWrite<uint64_t>(kCounterAddr, v + 1);
+        t.execute(3, CycleKind::BusyWait);
+        mutex.unlock(t);
+        r.nested = contendedLaunch(nested_dpu, 16);
+        t.dmaRead(kCounterAddr + 64, 256, TrafficClass::Metadata);
+        t.dmaWrite(kCounterAddr + 512, 40, TrafficClass::Metadata);
+        t.execute(1);
+        r.clock = t.clock();
+        r.events = t.simEvents();
+        r.breakdown = t.breakdown();
+    };
+    if (oracle) {
+        TaskletScheduler sched(dpu,
+                               TaskletScheduler::Policy::NaiveReference);
+        sched.spawn(body);
+        sched.runToCompletion();
+        r.elapsed = sched.elapsedCycles();
+    } else {
+        r.elapsed = dpu.run(1, body);
+        EXPECT_EQ(dpu.lastSimEvents(), r.events);
+        EXPECT_EQ(dpu.lastBreakdown().cycles, r.breakdown.cycles);
+    }
+    r.traffic = dpu.traffic();
+    r.acquisitions = mutex.acquisitions();
+    r.parked = mutex.parkedCount();
+    EXPECT_EQ(dpu.mram().read<uint64_t>(kCounterAddr), 6u);
+    return r;
+}
+
+} // namespace
+
+TEST(DpuLaunchContext, LoneTaskletMatchesFiberOracle)
+{
+    Dpu dpu;
+    Dpu nested_dpu;
+    Dpu oracle_dpu;
+    Dpu oracle_nested_dpu;
+    const LoneRecord lone = loneLaunch(dpu, nested_dpu, false);
+    const LoneRecord ref = loneLaunch(oracle_dpu, oracle_nested_dpu, true);
+
+    EXPECT_EQ(lone.clock, ref.clock);
+    EXPECT_EQ(lone.events, ref.events);
+    EXPECT_EQ(lone.breakdown.cycles, ref.breakdown.cycles);
+    EXPECT_EQ(lone.elapsed, ref.elapsed);
+    EXPECT_EQ(lone.elapsed, lone.clock);
+    EXPECT_EQ(lone.traffic.dataReadBytes, ref.traffic.dataReadBytes);
+    EXPECT_EQ(lone.traffic.dataWriteBytes, ref.traffic.dataWriteBytes);
+    EXPECT_EQ(lone.traffic.metadataReadBytes,
+              ref.traffic.metadataReadBytes);
+    EXPECT_EQ(lone.traffic.metadataWriteBytes,
+              ref.traffic.metadataWriteBytes);
+    EXPECT_EQ(lone.traffic.dmaTransfers, ref.traffic.dmaTransfers);
+    EXPECT_EQ(lone.acquisitions, 1u);
+    EXPECT_EQ(lone.parked, 0u);
+    EXPECT_EQ(lone.acquisitions, ref.acquisitions);
+    EXPECT_EQ(lone.parked, ref.parked);
+    // Every kind of charge happened, and the nested launch contended.
+    for (const CycleKind kind : {CycleKind::Run, CycleKind::BusyWait,
+                                 CycleKind::IdleMemory, CycleKind::IdleEtc})
+        EXPECT_GT(lone.breakdown.of(kind), 0u) << cycleKindName(kind);
+    EXPECT_GT(lone.nested.parked, 0u);
+    SCOPED_TRACE("nested launch");
+    expectSameLaunch(lone.nested, ref.nested);
+}
+
+TEST(DpuLaunchContextDeath, LoneTaskletOnHeldLockIsDeadlockFatal)
+{
+    // An earlier launch left the lock held. A lone tasklet that blocks
+    // on it has nobody to wake it, with or without a fiber.
+    Dpu dpu;
+    SimMutex mutex(SimMutex::Mode::Queue);
+    dpu.run(1, [&](Tasklet &t) { mutex.lock(t); });
+    ASSERT_TRUE(mutex.held());
+    EXPECT_DEATH(dpu.run(1, [&](Tasklet &t) {
+        mutex.lock(t);
+        mutex.unlock(t);
+    }), "deadlock");
 }

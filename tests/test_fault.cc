@@ -934,6 +934,76 @@ TEST(GraphFaults, LosingTheLastRankRecoversOnTheSpare)
     EXPECT_GT(rec.restoreBytes, 0u);
 }
 
+TEST(GraphFaults, LostShipmentIsReShippedNotRestored)
+{
+    // Paced rounds leave the bus idle between one round's launch and
+    // the next round's shipment. A rank that dies in that gap is dead
+    // when the shipment starts, so the shipment fails and poisons its
+    // launch: the parked round's slice never landed anywhere. The
+    // restore must then carry only the rounds before it; the re-ship
+    // delivers the parked round's slice to the replacement.
+    const auto paced = [](double mtbf, uint64_t seed,
+                          trace::Recorder *rec) {
+        GraphUpdateConfig cfg = faultGraphCfg();
+        cfg.roundIntervalSec = 40e-6;
+        cfg.faultSpec.rankMtbfSec = mtbf;
+        cfg.faultSeed = seed;
+        cfg.recorder = rec;
+        return runGraphUpdate(cfg);
+    };
+    const GraphUpdateResult ref = paced(kNeverMtbfSec, 29, nullptr);
+    // The gap after round 1's launch, on rank 2: it hosts sampled
+    // DPU 128 (samples are DPUs 0 and 128 of 256).
+    const Scenario scn = singleDeathScenario(
+        0.4 * ref.wallSeconds, 4.0 * ref.wallSeconds, 4, 2, 2);
+    ASSERT_GT(scn.mtbf, 0.0);
+    trace::Recorder rec;
+    const GraphUpdateResult r = paced(scn.mtbf, scn.seed, &rec);
+    ASSERT_EQ(r.rankFailures, 1u);
+
+    unsigned reships = 0;
+    unsigned lost_round = 0;
+    for (const trace::Span &s : rec.spans()) {
+        const std::string prefix = "recover:updates r";
+        if (s.name.compare(0, prefix.size(), prefix) == 0) {
+            ++reships;
+            lost_round = static_cast<unsigned>(
+                std::stoul(s.name.substr(prefix.size())));
+        }
+    }
+    ASSERT_EQ(reships, 1u) << "the scenario must lose one shipment";
+    EXPECT_EQ(lost_round, 2u);
+    EXPECT_EQ(r.reExecutedRounds, 1u);
+    EXPECT_EQ(r.lostEdges, 0u);
+    EXPECT_EQ(r.updateEdgesTotal, ref.updateEdgesTotal);
+
+    // The restore, from the dead shard's sizes: the graph owns ranks
+    // 0-2, so shard ids are DPU indices 0..191 and DPU 128 holds shard
+    // 128. Its checkpoint is 8 B per node plus every base edge and the
+    // update edges of the rounds before the lost one, shipped to each
+    // of the replacement rank's 64 DPUs.
+    const GraphUpdateConfig cfg = faultGraphCfg();
+    const workloads::graph::UpdateWorkload w =
+        workloads::graph::splitForUpdate(
+            workloads::graph::generateGraph(cfg.gen), 1.0 / 3.0, cfg.seed);
+    constexpr unsigned kShards = 192;
+    constexpr unsigned kDeadShard = 128;
+    uint64_t nodes = 0;
+    uint64_t base = 0;
+    uint64_t updates = 0;
+    for (uint32_t u = 0; u < w.numNodes; ++u)
+        nodes += workloads::graph::shardOf(u, kShards) == kDeadShard;
+    for (const workloads::graph::Edge &e : w.baseEdges)
+        base += workloads::graph::shardOf(e.src, kShards) == kDeadShard;
+    for (const workloads::graph::Edge &e : w.updateEdges)
+        updates += workloads::graph::shardOf(e.src, kShards) == kDeadShard;
+    ASSERT_GT(updates, 0u);
+    const uint64_t landed = lost_round * updates / cfg.updateRounds;
+    EXPECT_EQ(r.restoreBytes,
+              64 * (8 * nodes
+                    + sizeof(workloads::graph::Edge) * (base + landed)));
+}
+
 TEST(GraphFaults, InjectedFaultsBitIdenticalAcrossSimThreads)
 {
     const GraphUpdateResult ref = runFaultyGraph(kNeverMtbfSec, 29);

@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "telemetry/registry.hh"
 #include "workloads/microbench.hh"
 
 using namespace pim;
@@ -125,9 +126,13 @@ TEST(Microbench, ParkedMutexMatchesSpinOracle)
                 cfg.tasklets = 16;
                 cfg.allocSize = size;
                 cfg.freeEachAlloc = free_each;
+                telemetry::Registry spin_met;
+                cfg.metrics = &spin_met;
                 sim::SimMutex::setDefaultMode(sim::SimMutex::Mode::Spin);
                 const auto spin = runMicrobench(cfg);
                 sim::SimMutex::setDefaultMode(prod);
+                telemetry::Registry queue_met;
+                cfg.metrics = &queue_met;
                 const auto queue = runMicrobench(cfg);
 
                 EXPECT_EQ(queue.elapsedCycles, spin.elapsedCycles);
@@ -164,6 +169,11 @@ TEST(Microbench, ParkedMutexMatchesSpinOracle)
                 EXPECT_EQ(queue.mutexStats.contended,
                           spin.mutexStats.contended);
                 EXPECT_EQ(spin.mutexStats.elidedSpinEvents, 0u);
+                // Every elided re-check stands for exactly one spin
+                // charge, at whatever pipeline width it fell.
+                EXPECT_EQ(queue_met.counter("queue.sim_events").value()
+                              + queue.mutexStats.elidedSpinEvents,
+                          spin_met.counter("queue.sim_events").value());
                 elided += queue.mutexStats.elidedSpinEvents;
             }
         }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/dpu.hh"
 #include "sim/mutex.hh"
 
@@ -161,6 +163,75 @@ TEST(MutexQueue, BusyWaitMatchesSpinExactly)
                          dpu.lastBreakdown().of(CycleKind::BusyWait)};
     };
     EXPECT_EQ(run(SimMutex::Mode::Spin), run(SimMutex::Mode::Queue));
+}
+
+TEST(MutexQueue, CappedWaitAcrossFinishesMatchesSpin)
+{
+    // Tasklet 0 holds the lock for ~20,000 instructions while tasklets
+    // 1 and 2 wait on it, so each wait runs through dozens of capped
+    // 256-instruction batches. Tasklets 3..15 never touch the lock and
+    // finish one by one during the wait, so the pipeline width the
+    // waiters' re-checks pay drops from 16 to the issue interval (11)
+    // part-way through each wait.
+    struct Outcome
+    {
+        std::vector<uint64_t> clocks;
+        std::vector<CycleBreakdown> breakdowns;
+        uint64_t elapsed = 0;
+        uint64_t events = 0;
+        uint64_t elided = 0;
+        uint64_t contended = 0;
+    };
+    auto run = [](SimMutex::Mode mode) {
+        Dpu dpu;
+        SimMutex m(mode);
+        Outcome o;
+        o.clocks.resize(16);
+        o.breakdowns.resize(16);
+        dpu.run(16, [&](Tasklet &t) {
+            if (t.id() == 0) {
+                m.lock(t);
+                for (int i = 0; i < 40; ++i)
+                    t.execute(500);
+                m.unlock(t);
+            } else if (t.id() <= 2) {
+                t.execute(3 * t.id());
+                for (int i = 0; i < 2; ++i) {
+                    m.lock(t);
+                    t.execute(10 + t.id());
+                    m.unlock(t);
+                    t.execute(2);
+                }
+            } else {
+                t.execute(400 * t.id());
+            }
+            o.clocks[t.id()] = t.clock();
+            o.breakdowns[t.id()] = t.breakdown();
+        });
+        o.elapsed = dpu.lastElapsedCycles();
+        o.events = dpu.lastSimEvents();
+        o.elided = m.elidedSpinEvents();
+        o.contended = m.contendedAcquisitions();
+        return o;
+    };
+    const Outcome spin = run(SimMutex::Mode::Spin);
+    const Outcome queue = run(SimMutex::Mode::Queue);
+
+    // The scenario is what it claims: the lock holder runs past every
+    // finish of tasklets 3..15, and the waiters re-checked many times.
+    for (unsigned k = 3; k < 16; ++k)
+        EXPECT_LT(spin.clocks[k], spin.clocks[0]) << "tasklet " << k;
+    EXPECT_GE(spin.contended, 2u);
+    EXPECT_GT(queue.elided, 100u);
+
+    EXPECT_EQ(queue.clocks, spin.clocks);
+    for (size_t i = 0; i < spin.breakdowns.size(); ++i)
+        EXPECT_EQ(queue.breakdowns[i].cycles, spin.breakdowns[i].cycles)
+            << "tasklet " << i;
+    EXPECT_EQ(queue.elapsed, spin.elapsed);
+    EXPECT_EQ(queue.contended, spin.contended);
+    EXPECT_EQ(spin.elided, 0u);
+    EXPECT_EQ(queue.events + queue.elided, spin.events);
 }
 
 TEST(MutexQueue, UncontendedNeverParks)
