@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <vector>
 
 #include "alloc/pim_malloc.hh"
 #include "sim/dpu.hh"
@@ -302,6 +304,72 @@ TEST(PimMalloc, HwVariantPopulatesBuddyCache)
     });
     EXPECT_GT(dpu.buddyCache().stats().lookups, 0u);
     EXPECT_GT(dpu.buddyCache().stats().hitRate(), 0.5);
+}
+
+TEST(PimMalloc, MissHeavyChurnMatchesGolden)
+{
+    // Sixteen tasklets grow the 512 B class to 38..113 spans each, so
+    // most refills follow a thread-cache miss that walks every span of
+    // the class, and the five shortest tasklets finish while the
+    // others are mid-walk (the pipeline width drops from 16 toward 11).
+    // Tasklet k mallocs 300 + 40k blocks, frees every third, then
+    // mallocs 100 more. Every simulated number is pinned: a change to
+    // how the walk is charged or executed must leave them all alone.
+    sim::Dpu dpu;
+    PimMallocConfig cfg;
+    cfg.numTasklets = 16;
+    PimMallocAllocator a(dpu, cfg);
+    dpu.run(1, [&](sim::Tasklet &t) { a.init(t); });
+    a.stats().resetCounters();
+
+    std::array<uint64_t, 16> clocks{}, events{};
+    std::array<std::vector<sim::MramAddr>, 16> addrs;
+    dpu.run(16, [&](sim::Tasklet &t) {
+        auto &mine = addrs[t.id()];
+        const unsigned n = 300 + 40 * t.id();
+        for (unsigned i = 0; i < n; ++i)
+            mine.push_back(a.malloc(t, 512));
+        for (unsigned i = 2; i < n; i += 3)
+            ASSERT_TRUE(a.free(t, mine[i]));
+        for (unsigned i = 0; i < 100; ++i)
+            mine.push_back(a.malloc(t, 512));
+        clocks[t.id()] = t.clock();
+        events[t.id()] = t.simEvents();
+    });
+
+    uint64_t h = 1469598103934665603ull; // FNV-1a over the addresses
+    for (const auto &mine : addrs) {
+        for (const sim::MramAddr p : mine) {
+            ASSERT_NE(p, sim::kNullAddr);
+            for (int i = 0; i < 4; ++i) {
+                h ^= (p >> (8 * i)) & 0xff;
+                h *= 1099511628211ull;
+            }
+        }
+    }
+    EXPECT_EQ(h, 0x5786289649f24afdull) << std::hex << h;
+
+    EXPECT_EQ(clocks, (std::array<uint64_t, 16>{
+                          11566180, 7681888, 9824698, 14415042, 14211312,
+                          15417976, 14860268, 18162222, 18334560, 17270010,
+                          16980756, 18291982, 18050846, 18405796, 18435452,
+                          18525154}));
+    EXPECT_EQ(events, (std::array<uint64_t, 16>{
+                          5831, 6587, 7476, 8455, 9430, 10391, 11287, 12318,
+                          13262, 14262, 15474, 16553, 17710, 18800, 19948,
+                          21214}));
+    const auto &bd = dpu.lastBreakdown();
+    EXPECT_EQ(bd.of(sim::CycleKind::Run), 21394466u);
+    EXPECT_EQ(bd.of(sim::CycleKind::BusyWait), 224500540u);
+    EXPECT_EQ(bd.of(sim::CycleKind::IdleMemory), 4539136u);
+    EXPECT_EQ(bd.of(sim::CycleKind::IdleEtc), 45968322u);
+    const auto &st = a.stats();
+    EXPECT_EQ(st.serviced[size_t(ServiceLevel::Frontend)], 10008u);
+    EXPECT_EQ(st.serviced[size_t(ServiceLevel::Backend)], 1192u);
+    EXPECT_EQ(st.serviced[size_t(ServiceLevel::Bypass)], 0u);
+    EXPECT_EQ(st.cyclesByLevel[size_t(ServiceLevel::Frontend)], 4649128u);
+    EXPECT_EQ(st.cyclesByLevel[size_t(ServiceLevel::Backend)], 244897974u);
+    EXPECT_EQ(st.cyclesByLevel[size_t(ServiceLevel::Bypass)], 0u);
 }
 
 TEST(PimMallocDeath, MallocBeforeInitPanics)

@@ -1,16 +1,18 @@
 /**
  * @file
  * Tests for the per-tasklet thread cache: size-class mapping, bitmap
- * allocation, span install/release, free-path validation, and the WRAM
- * record budget.
+ * allocation, span install/release, free-path validation, the WRAM
+ * record budget, and the charged cost of a miss.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "alloc/thread_cache.hh"
 #include "sim/dpu.hh"
+#include "util/rng.hh"
 
 using namespace pim;
 using namespace pim::alloc;
@@ -178,6 +180,101 @@ TEST_F(ThreadCacheTest, FreeBlocksCountsAcrossSpans)
         cache.tryAlloc(t, 6);
         EXPECT_EQ(cache.freeBlocks(6), 7u);
     });
+}
+
+TEST_F(ThreadCacheTest, MissChargesEveryHop)
+{
+    // A miss on a class of N full spans pays the hit bookkeeping (14
+    // instructions) plus 2 per hop: one for each span and one more for
+    // the head it finds full again, N + 2 charges in all. Alone on the
+    // DPU each instruction costs the 11-cycle issue interval.
+    for (const uint64_t n : {1u, 7u, 64u}) {
+        ThreadCache tc(0, ThreadCacheConfig{});
+        run([&](sim::Tasklet &t) {
+            for (uint64_t i = 0; i < n; ++i)
+                ASSERT_TRUE(tc.installSpan(
+                    t, 7, 0x10000 + static_cast<sim::MramAddr>(i) * 4096));
+            for (uint64_t i = 0; i < 2 * n; ++i) // 2 KB: 2 per span
+                ASSERT_NE(tc.tryAlloc(t, 7), sim::kNullAddr);
+            ASSERT_EQ(tc.freeBlocks(7), 0u);
+            const uint64_t events = t.simEvents();
+            const uint64_t clock = t.clock();
+            EXPECT_EQ(tc.tryAlloc(t, 7), sim::kNullAddr);
+            EXPECT_EQ(t.simEvents() - events, n + 2) << "N = " << n;
+            EXPECT_EQ(t.clock() - clock, (14 + 2 * (n + 1)) * 11)
+                << "N = " << n;
+            EXPECT_EQ(tc.spanCount(7), n);
+        });
+    }
+    // An empty class has no span to hop: the bookkeeping alone.
+    run([&](sim::Tasklet &t) {
+        const uint64_t events = t.simEvents();
+        const uint64_t clock = t.clock();
+        EXPECT_EQ(cache.tryAlloc(t, 3), sim::kNullAddr);
+        EXPECT_EQ(t.simEvents() - events, 1u);
+        EXPECT_EQ(t.clock() - clock, 14u * 11u);
+    });
+}
+
+TEST_F(ThreadCacheTest, MissOnlyWhenClassHasNoFreeBlock)
+{
+    // Seeded install/alloc/free churn over every class, refilling a
+    // class only when it misses (as pimMalloc does). A miss must mean
+    // the class has no free block at all: spans with free blocks are
+    // kept ahead of full ones, so a full head implies a full class.
+    struct Live
+    {
+        sim::MramAddr addr;
+        sim::MramAddr span;
+    };
+    std::vector<std::vector<Live>> live(cache.numClasses());
+    util::Rng rng(2024);
+    sim::MramAddr next_span = 0x10000;
+    uint64_t misses = 0, multi_span_misses = 0, released = 0,
+             last_span_kept = 0;
+    run([&](sim::Tasklet &t) {
+        for (int phase = 0; phase < 12; ++phase) {
+            // Alternate growing and draining phases so classes fill up,
+            // empty spans are released, and classes shrink to one span.
+            const double p_alloc = phase % 2 == 0 ? 0.75 : 0.2;
+            for (int i = 0; i < 2500; ++i) {
+                const unsigned cls =
+                    static_cast<unsigned>(rng.uniformInt(cache.numClasses()));
+                auto &mine = live[cls];
+                if (mine.empty() || rng.bernoulli(p_alloc)) {
+                    sim::MramAddr a = cache.tryAlloc(t, cls);
+                    if (a == sim::kNullAddr) {
+                        ++misses;
+                        multi_span_misses += cache.spanCount(cls) > 1;
+                        ASSERT_EQ(cache.freeBlocks(cls), 0u)
+                            << "miss with free blocks in class " << cls;
+                        ASSERT_TRUE(cache.installSpan(t, cls, next_span));
+                        next_span += 4096;
+                        a = cache.tryAlloc(t, cls);
+                        ASSERT_NE(a, sim::kNullAddr);
+                    }
+                    mine.push_back({a, a & ~sim::MramAddr{4095}});
+                } else {
+                    const size_t idx = rng.uniformInt(mine.size());
+                    const Live b = mine[idx];
+                    mine[idx] = mine.back();
+                    mine.pop_back();
+                    const auto res = cache.free(t, cls, b.span, b.addr);
+                    ASSERT_TRUE(res.ok);
+                    released += res.spanReleased;
+                    last_span_kept += !res.spanReleased
+                        && cache.spanCount(cls) == 1
+                        && cache.freeBlocks(cls)
+                            == 4096 / cache.classSize(cls);
+                }
+            }
+        }
+    });
+    // The churn reached every path the invariant has to survive.
+    EXPECT_GT(misses, 0u);
+    EXPECT_GT(multi_span_misses, 0u);
+    EXPECT_GT(released, 0u);
+    EXPECT_GT(last_span_kept, 0u);
 }
 
 TEST(ThreadCacheConfigDeath, RejectsBadClasses)
