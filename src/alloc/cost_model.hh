@@ -40,6 +40,9 @@ inline constexpr uint64_t kBitmapWordScanInstrs = 4;
 /** Thread cache: fast-path bookkeeping around a hit (list walk, addr). */
 inline constexpr uint64_t kThreadCacheHitInstrs = 14;
 
+/** Thread cache: one hop of the span-list walk (inspect a span, move on). */
+inline constexpr uint64_t kListHopInstrs = 2;
+
 /** Thread cache: install a freshly fetched 4 KB span into a list. */
 inline constexpr uint64_t kSpanInstallInstrs = 24;
 

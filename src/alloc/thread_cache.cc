@@ -56,43 +56,43 @@ ThreadCache::tryAlloc(sim::Tasklet &t, unsigned cls)
     PIM_ASSERT(cls < lists_.size(), "size class out of range");
     t.execute(cost::kThreadCacheHitInstrs);
     auto &list = lists_[cls];
+    if (list.empty())
+        return sim::kNullAddr;
     // Invariant: spans with free blocks are kept ahead of full spans,
-    // so normally only the head needs inspection. Stale full spans at
-    // the head are rotated to the back; a full cycle of rotations means
-    // everything is full.
-    size_t rotations = 0;
-    while (!list.empty() && rotations <= list.size()) {
-        t.execute(2); // list-hop
-        Span &span = list.front();
-        if (span.freeCount == 0) {
-            ++rotations;
-            // splice keeps the node, so index_'s iterator stays valid.
-            list.splice(list.end(), list, list.begin());
-            continue;
-        }
-        // Scan the bitmap one 64-bit word at a time for a set bit.
-        const uint32_t words =
-            (static_cast<uint32_t>(span.totalCount) + 63) / 64;
-        for (uint32_t w = 0; w < words; ++w) {
-            t.execute(cost::kBitmapWordScanInstrs);
-            if (span.bitmap[w] == 0)
-                continue;
-            const uint32_t bit =
-                static_cast<uint32_t>(std::countr_zero(span.bitmap[w]));
-            const uint32_t idx = w * 64 + bit;
-            span.bitmap[w] &= ~(1ull << bit);
-            --span.freeCount;
-            const sim::MramAddr addr =
-                span.base + idx * cfg_.sizeClasses[cls];
-            if (span.freeCount == 0 && list.size() > 1) {
-                // Rotate the now-full span behind the others.
-                list.splice(list.end(), list, list.begin());
-            }
-            return addr;
-        }
-        PIM_PANIC("span free count disagrees with its bitmap");
+    // so a full head means every span of the class is full. The
+    // modelled walk still hops every span and then the head again,
+    // rotating the head to the back at each hop. N + 1 such rotations
+    // of an N-span list leave it rotated by one, so rotate once (splice
+    // keeps the node, so index_'s iterator stays valid) and charge the
+    // N + 1 hops in one batch. Rotating first keeps the invariant if
+    // another tasklet frees into this class while the walk is switched
+    // out: its span still lands at the front, for the next call.
+    if (list.front().freeCount == 0) {
+        list.splice(list.end(), list, list.begin());
+        t.executeRepeated(cost::kListHopInstrs, list.size() + 1);
+        return sim::kNullAddr;
     }
-    return sim::kNullAddr;
+    t.execute(cost::kListHopInstrs);
+    Span &span = list.front();
+    // Scan the bitmap one 64-bit word at a time for a set bit.
+    const uint32_t words = (static_cast<uint32_t>(span.totalCount) + 63) / 64;
+    for (uint32_t w = 0; w < words; ++w) {
+        t.execute(cost::kBitmapWordScanInstrs);
+        if (span.bitmap[w] == 0)
+            continue;
+        const uint32_t bit =
+            static_cast<uint32_t>(std::countr_zero(span.bitmap[w]));
+        const uint32_t idx = w * 64 + bit;
+        span.bitmap[w] &= ~(1ull << bit);
+        --span.freeCount;
+        const sim::MramAddr addr = span.base + idx * cfg_.sizeClasses[cls];
+        if (span.freeCount == 0 && list.size() > 1) {
+            // Rotate the now-full span behind the others.
+            list.splice(list.end(), list, list.begin());
+        }
+        return addr;
+    }
+    PIM_PANIC("span free count disagrees with its bitmap");
 }
 
 bool

@@ -12,11 +12,16 @@
  *
  * Lists keep spans with free sub-blocks at the front: a span that
  * becomes full is rotated to the back, and a full span that receives a
- * free is rotated to the front, so an allocation that hits normally
- * inspects only the head. A miss is not bounded that way: tryAlloc()
- * finds it only after rotating through every span of the class, at
- * 2 instructions per hop, so its cost grows with the spans the class
- * holds (hundreds per class on long serving runs).
+ * free is rotated to the front, so an allocation that hits inspects
+ * only the head. A miss is still charged as a walk that hops through
+ * every span of the class and back to the head, at
+ * cost::kListHopInstrs per hop, so its simulated cost grows with the
+ * spans the class holds (hundreds per class on long serving runs). The
+ * host work per miss is O(1), however: a full head already means a full
+ * class, so tryAlloc() charges the hops in one batch
+ * (sim::Tasklet::executeRepeated) and rotates the list once. The miss
+ * is decided at the head: a block another tasklet frees into the class
+ * while the walk is switched out serves the next call, not this one.
  * Span records themselves are MRAM-resident (Section VI-E accounts
  * them per workload, far beyond the 64 KB scratchpad); only the list
  * heads live in WRAM.

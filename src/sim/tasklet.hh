@@ -2,12 +2,13 @@
  * @file
  * The execution context handed to code running "on" a DPU hardware
  * thread. All simulated work flows through this interface: instruction
- * blocks (execute), MRAM DMA (dmaRead/dmaWrite and the typed helpers),
- * and raw stalls. Each charge advances the tasklet's virtual clock; the
- * tasklet yields to the scheduler only when the charge crosses the
- * scheduler-assigned horizon (the point where another tasklet would win
- * the election), so the common uncontended charge is a branch and two
- * adds with no function call — see scheduler.hh for why this is
+ * blocks (execute, or executeRepeated for a run of equal blocks), MRAM
+ * DMA (dmaRead/dmaWrite and the typed helpers), and raw stalls. Each
+ * charge advances the tasklet's virtual clock; the tasklet yields to
+ * the scheduler only when the charge crosses the scheduler-assigned
+ * horizon (the point where another tasklet would win the election), so
+ * the common uncontended charge is a branch and two adds with no
+ * function call — see scheduler.hh for why this is
  * semantics-preserving.
  */
 
@@ -52,10 +53,42 @@ class Tasklet
     {
         if (instrs == 0)
             return;
-        const uint64_t width =
-            *activeTasklets_ > issueInterval_ ? *activeTasklets_
-                                              : issueInterval_;
-        charge(instrs * width, kind);
+        charge(instrs * pipelineWidth(), kind);
+    }
+
+    /**
+     * Make @p n back-to-back execute(@p instrs, @p kind) charges, with
+     * the clock, simEvents(), breakdown and yield points of n separate
+     * calls, in host work proportional to the horizon crossings rather
+     * than to n. The charges that stay at or below the horizon are
+     * applied in one step (one division); the crossing charge goes
+     * through charge() and may yield, and the pipeline width is read
+     * again after it, since tasklets may have finished meanwhile.
+     */
+    void
+    executeRepeated(uint64_t instrs, uint64_t n,
+                    CycleKind kind = CycleKind::Run)
+    {
+        if (instrs == 0)
+            return;
+        while (n > 0) {
+            const uint64_t cycles = instrs * pipelineWidth();
+            const uint64_t step = cycles << kIdBits;
+            // A clock already past the horizon fits none: the next
+            // charge yields, as execute() would.
+            const uint64_t fit = horizonKey_ > clockKey_
+                ? (horizonKey_ - clockKey_) / step
+                : 0;
+            const uint64_t inline_n = fit < n ? fit : n;
+            clockKey_ += inline_n * step;
+            simEvents_ += inline_n;
+            breakdown_.add(kind, inline_n * cycles);
+            n -= inline_n;
+            if (n == 0)
+                return;
+            charge(cycles, kind); // crosses the horizon
+            --n;
+        }
     }
 
     /** Charge raw cycles without pipeline scaling (e.g. fixed latencies). */
@@ -121,6 +154,14 @@ class Tasklet
      * @p dpu: clock 0, no events, not parked, empty breakdown.
      */
     void rearm(Dpu &dpu, TaskletScheduler &sched, unsigned id);
+
+    /** Cycles per instruction now: max(issue interval, unfinished). */
+    uint64_t
+    pipelineWidth() const
+    {
+        return *activeTasklets_ > issueInterval_ ? *activeTasklets_
+                                                 : issueInterval_;
+    }
 
     /**
      * The hot path of the whole simulator: account @p cycles and yield

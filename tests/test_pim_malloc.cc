@@ -308,13 +308,14 @@ TEST(PimMalloc, HwVariantPopulatesBuddyCache)
 
 TEST(PimMalloc, MissHeavyChurnMatchesGolden)
 {
-    // Sixteen tasklets grow the 512 B class to 38..113 spans each, so
-    // most refills follow a thread-cache miss that walks every span of
-    // the class, and the five shortest tasklets finish while the
-    // others are mid-walk (the pipeline width drops from 16 toward 11).
-    // Tasklet k mallocs 300 + 40k blocks, frees every third, then
-    // mallocs 100 more. Every simulated number is pinned: a change to
-    // how the walk is charged or executed must leave them all alone.
+    // Tasklet k mallocs 300 + 40k blocks of 512 B, frees every third,
+    // then mallocs 100 more. The class grows to 38..113 spans per
+    // tasklet, and each of the 1,192 refills follows a miss that walks
+    // every span of it. The five shortest tasklets finish first,
+    // narrowing the pipeline from 16 toward 11 while 61 missed mallocs
+    // are in flight (one of them inside its walk). Every simulated
+    // number is pinned: a change to how the walk is charged or
+    // executed must leave them all alone.
     sim::Dpu dpu;
     PimMallocConfig cfg;
     cfg.numTasklets = 16;

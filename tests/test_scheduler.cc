@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the deterministic tasklet scheduler and the pipeline cost
- * model: min-clock scheduling, issue-interval scaling, and cycle
- * breakdown accounting.
+ * model: min-clock scheduling, issue-interval scaling, cycle breakdown
+ * accounting, and batched charges (Tasklet::executeRepeated).
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -191,6 +192,146 @@ TEST(Scheduler, HorizonRunAheadSkipsSwitchesNotEvents)
     };
     EXPECT_EQ(run(TaskletScheduler::Policy::Horizon),
               run(TaskletScheduler::Policy::NaiveReference));
+}
+
+namespace {
+
+/** One FNV-1a step over the bytes of a 64-bit word. */
+uint64_t
+fnv1a(uint64_t h, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+struct BatchRun
+{
+    std::vector<uint64_t> clocks = std::vector<uint64_t>(16);
+    std::vector<uint64_t> events = std::vector<uint64_t>(16);
+    std::vector<std::array<uint64_t, kNumCycleKinds>> breakdowns =
+        std::vector<std::array<uint64_t, kNumCycleKinds>>(16);
+    /** Instructions each tasklet executed. */
+    std::vector<uint64_t> instrs = std::vector<uint64_t>(16);
+    /** (id, clock) after every batch, in the order the batches end. */
+    uint64_t trace = 1469598103934665603ull;
+};
+
+void
+expectSameRun(const BatchRun &a, const BatchRun &b)
+{
+    EXPECT_EQ(a.clocks, b.clocks);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.breakdowns, b.breakdowns);
+    EXPECT_EQ(a.trace, b.trace);
+}
+
+/**
+ * Sixteen tasklets charge batches of equal instruction blocks. Tasklets
+ * 0-4 finish after three short batches, so the pipeline width drops
+ * from 16 to 11 while the others are inside long batches that cross
+ * many horizons. @p batched issues each batch as one executeRepeated()
+ * call, otherwise as n execute() calls.
+ */
+BatchRun
+runBatches(bool batched, TaskletScheduler::Policy policy)
+{
+    BatchRun r;
+    const std::function<void(Tasklet &)> body = [&](Tasklet &t) {
+        const unsigned id = t.id();
+        const unsigned batches = id < 5 ? 3 : 10;
+        for (unsigned b = 0; b < batches; ++b) {
+            const uint64_t instrs = 1 + (id + b) % 3;
+            const uint64_t n =
+                id < 5 ? 20 + 7 * id : 150 + 41 * ((5 * id + b) % 7);
+            const CycleKind kind =
+                b % 4 == 3 ? CycleKind::BusyWait : CycleKind::Run;
+            r.instrs[id] += instrs * n;
+            if (batched) {
+                t.executeRepeated(instrs, n, kind);
+            } else {
+                for (uint64_t i = 0; i < n; ++i)
+                    t.execute(instrs, kind);
+            }
+            r.trace = fnv1a(fnv1a(r.trace, id), t.clock());
+            t.stall(3 + id, CycleKind::IdleMemory);
+        }
+        r.clocks[id] = t.clock();
+        r.events[id] = t.simEvents();
+        r.breakdowns[id] = t.breakdown().cycles;
+    };
+    Dpu dpu;
+    if (policy == TaskletScheduler::Policy::Horizon) {
+        dpu.run(16, body);
+    } else {
+        TaskletScheduler sched(dpu, policy);
+        for (int k = 0; k < 16; ++k)
+            sched.spawn(body);
+        sched.runToCompletion();
+    }
+    return r;
+}
+
+} // namespace
+
+TEST(Scheduler, ExecuteRepeatedMatchesSeparateCharges)
+{
+    using Policy = TaskletScheduler::Policy;
+    const BatchRun oracle = runBatches(false, Policy::NaiveReference);
+    {
+        SCOPED_TRACE("batched, naive");
+        expectSameRun(runBatches(true, Policy::NaiveReference), oracle);
+    }
+    {
+        SCOPED_TRACE("separate, horizon");
+        expectSameRun(runBatches(false, Policy::Horizon), oracle);
+    }
+    {
+        SCOPED_TRACE("batched, horizon");
+        expectSameRun(runBatches(true, Policy::Horizon), oracle);
+    }
+    // The early finishers narrowed the pipeline under the long
+    // tasklets: their instructions cost between 11 and 16 cycles each.
+    const auto &bd = oracle.breakdowns[15];
+    const uint64_t exec = bd[size_t(CycleKind::Run)]
+        + bd[size_t(CycleKind::BusyWait)];
+    EXPECT_LT(exec, 16 * oracle.instrs[15]);
+    EXPECT_GT(exec, 11 * oracle.instrs[15]);
+}
+
+TEST(Scheduler, ExecuteRepeatedZeroChargesNothing)
+{
+    Dpu dpu;
+    dpu.run(2, [](Tasklet &t) {
+        t.execute(1);
+        const uint64_t clock = t.clock();
+        const uint64_t events = t.simEvents();
+        const CycleBreakdown bd = t.breakdown();
+        t.executeRepeated(0, 1000);
+        t.executeRepeated(5, 0);
+        t.executeRepeated(0, 0, CycleKind::BusyWait);
+        EXPECT_EQ(t.clock(), clock);
+        EXPECT_EQ(t.simEvents(), events);
+        EXPECT_EQ(t.breakdown().cycles, bd.cycles);
+    });
+    EXPECT_EQ(dpu.lastSimEvents(), 2u);
+}
+
+TEST(Scheduler, ExecuteRepeatedLoneTaskletIsOneStep)
+{
+    // A lone tasklet's horizon is UINT64_MAX, so the whole batch fits
+    // under it and is applied in one step: 10^12 charges finish at once
+    // (charged one by one they would take the host many minutes).
+    constexpr uint64_t n = 1'000'000'000'000;
+    Dpu dpu;
+    dpu.run(1, [](Tasklet &t) {
+        t.executeRepeated(3, n, CycleKind::BusyWait);
+    });
+    EXPECT_EQ(dpu.lastSimEvents(), n);
+    EXPECT_EQ(dpu.lastElapsedCycles(), n * 3 * 11);
+    EXPECT_EQ(dpu.lastBreakdown().of(CycleKind::BusyWait), n * 3 * 11);
 }
 
 TEST(SchedulerDeath, TooManyTaskletsPanics)
