@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "alloc/pim_malloc.hh"
+#include "alloc_churn.hh"
 #include "sim/dpu.hh"
 #include "util/rng.hh"
 
@@ -371,6 +372,122 @@ TEST(PimMalloc, MissHeavyChurnMatchesGolden)
     EXPECT_EQ(st.cyclesByLevel[size_t(ServiceLevel::Frontend)], 4649128u);
     EXPECT_EQ(st.cyclesByLevel[size_t(ServiceLevel::Backend)], 244897974u);
     EXPECT_EQ(st.cyclesByLevel[size_t(ServiceLevel::Bypass)], 0u);
+}
+
+namespace {
+
+/** Everything PimMalloc.AllClassChurnMatchesGolden pins, per variant. */
+struct AllClassChurn
+{
+    std::array<uint64_t, 16> clocks{}, events{};
+    uint64_t mallocs = 0, frees = 0, failures = 0;
+    std::array<uint64_t, 3> serviced{}, cyclesByLevel{};
+    uint64_t reserved = 0, requested = 0, peakReserved = 0,
+             peakRequested = 0;
+    double peakFragmentation = 0;
+    uint64_t threadCacheMetadata = 0, peakSpans = 0;
+    uint64_t addrHash = 0;
+};
+
+AllClassChurn
+runAllClassChurn(MetadataMode mode)
+{
+    sim::Dpu dpu;
+    PimMallocConfig cfg;
+    cfg.metadata = mode;
+    cfg.numTasklets = 16;
+    PimMallocAllocator a(dpu, cfg);
+    dpu.run(1, [&](sim::Tasklet &t) { a.init(t); });
+
+    AllClassChurn r;
+    std::array<std::vector<sim::MramAddr>, 16> live, got;
+    dpu.run(16, [&](sim::Tasklet &t) {
+        test::churn(a, t, 11, live[t.id()], got[t.id()]);
+        r.clocks[t.id()] = t.clock();
+        r.events[t.id()] = t.simEvents();
+    });
+    const auto &st = a.stats();
+    r.mallocs = st.mallocCalls;
+    r.frees = st.freeCalls;
+    r.failures = st.failures;
+    for (size_t l = 0; l < 3; ++l) {
+        r.serviced[l] = st.serviced[l];
+        r.cyclesByLevel[l] = st.cyclesByLevel[l];
+    }
+    r.reserved = st.reservedBytes;
+    r.requested = st.requestedBytes;
+    r.peakReserved = st.peakReservedBytes;
+    r.peakRequested = st.peakRequestedBytes;
+    r.peakFragmentation = st.peakFragmentation;
+    r.threadCacheMetadata = a.threadCacheMetadataBytes();
+    for (unsigned i = 0; i < cfg.numTasklets; ++i)
+        r.peakSpans += a.cache(i).peakSpans();
+    r.addrHash = test::kFnvBasis;
+    for (const auto &mine : got)
+        for (const sim::MramAddr p : mine)
+            test::hashAddr(r.addrHash, p);
+    return r;
+}
+
+} // namespace
+
+TEST(PimMalloc, AllClassChurnMatchesGolden)
+{
+    // 16 tasklets churn over all eight classes and the bypass path
+    // (alloc_churn.hh). Spans fill, rotate, drain and go back to the
+    // buddy, so which span serves each request, and with it every
+    // address and clock, depends on the order each class keeps its
+    // spans in. A change to how the thread caches or the live-block
+    // table store their records must leave every number alone.
+    const AllClassChurn golden[2] = {
+        // PIM-malloc-SW
+        {{51432206, 50710402, 49367494, 49762200, 48133666, 51764182,
+          42443744, 52009646, 46499050, 52187874, 50241942, 49196424,
+          51387410, 51523474, 52228308, 49588854},
+         {24598, 21405, 22941, 23972, 21782, 23349, 23205, 22127, 19826,
+          28994, 26253, 23198, 24540, 23459, 27423, 23192},
+         11441, 11441, 0,
+         {9593, 517, 1331},
+         {5188502, 130424494, 297544562},
+         524288, 0, 5013504, 3509386,
+         1.4250971537471226,
+         6144, 551,
+         0x7ce2400ab1d24165ull},
+        // PIM-malloc-HW/SW
+        {{31146568, 27719322, 31291743, 31474506, 30374028, 30392606,
+          30600102, 30249623, 30298627, 31748863, 29643084, 30975010,
+          31738989, 31013251, 31759865, 30199853},
+         {35496, 33081, 35458, 36089, 31853, 35392, 35745, 32291, 31307,
+          43222, 38770, 38342, 38104, 33608, 42981, 38037},
+         11441, 11441, 0,
+         {9593, 517, 1331},
+         {5199790, 71334043, 197634101},
+         524288, 0, 5050368, 3507416,
+         1.4375756967522531,
+         6144, 551,
+         0x6ac629efaa16cff1ull},
+    };
+    for (const MetadataMode mode :
+         {MetadataMode::SwBuffer, MetadataMode::HwCache}) {
+        SCOPED_TRACE(mode == MetadataMode::SwBuffer ? "SW" : "HW/SW");
+        const AllClassChurn r = runAllClassChurn(mode);
+        const AllClassChurn &g = golden[mode == MetadataMode::HwCache];
+        EXPECT_EQ(r.clocks, g.clocks);
+        EXPECT_EQ(r.events, g.events);
+        EXPECT_EQ(r.mallocs, g.mallocs);
+        EXPECT_EQ(r.frees, g.frees);
+        EXPECT_EQ(r.failures, g.failures);
+        EXPECT_EQ(r.serviced, g.serviced);
+        EXPECT_EQ(r.cyclesByLevel, g.cyclesByLevel);
+        EXPECT_EQ(r.reserved, g.reserved);
+        EXPECT_EQ(r.requested, g.requested);
+        EXPECT_EQ(r.peakReserved, g.peakReserved);
+        EXPECT_EQ(r.peakRequested, g.peakRequested);
+        EXPECT_EQ(r.peakFragmentation, g.peakFragmentation);
+        EXPECT_EQ(r.threadCacheMetadata, g.threadCacheMetadata);
+        EXPECT_EQ(r.peakSpans, g.peakSpans);
+        EXPECT_EQ(r.addrHash, g.addrHash) << std::hex << r.addrHash;
+    }
 }
 
 TEST(PimMallocDeath, MallocBeforeInitPanics)

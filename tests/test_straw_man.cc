@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <vector>
 
 #include "alloc/straw_man.hh"
+#include "alloc_churn.hh"
 #include "sim/dpu.hh"
 
 using namespace pim;
@@ -197,4 +200,33 @@ TEST(StrawMan, InitResetsState)
         // The whole heap is allocatable again after re-init.
         EXPECT_NE(a.malloc(t, 1u << 20), sim::kNullAddr);
     });
+}
+
+TEST(StrawMan, ChurnMatchesGolden)
+{
+    // Four tasklets of the seeded churn (alloc_churn.hh) on the paper's
+    // 32 MB heap. The live-request table feeds the fragmentation
+    // accounting: a change to how it stores its records must leave the
+    // fragmentation fields and every address alone.
+    sim::Dpu dpu;
+    StrawManAllocator a(dpu, StrawManConfig{});
+    dpu.run(1, [&](sim::Tasklet &t) { a.init(t); });
+    std::array<std::vector<sim::MramAddr>, 4> live, got;
+    dpu.run(4, [&](sim::Tasklet &t) {
+        test::churn(a, t, 3, live[t.id()], got[t.id()]);
+    });
+    uint64_t h = test::kFnvBasis;
+    for (const auto &mine : got)
+        for (const sim::MramAddr p : mine)
+            test::hashAddr(h, p);
+    const auto &st = a.stats();
+    EXPECT_EQ(st.mallocCalls, 2857u);
+    EXPECT_EQ(st.freeCalls, 2857u);
+    EXPECT_EQ(st.failures, 0u);
+    EXPECT_EQ(st.reservedBytes, 0u);
+    EXPECT_EQ(st.requestedBytes, 0u);
+    EXPECT_EQ(st.peakReservedBytes, 1166976u);
+    EXPECT_EQ(st.peakRequestedBytes, 875490u);
+    EXPECT_EQ(st.peakFragmentation, 1.3327942066728347);
+    EXPECT_EQ(h, 0x678cdfd42bb4d1bdull) << std::hex << h;
 }
