@@ -7,6 +7,19 @@
 
 namespace pim::alloc {
 
+namespace {
+
+/** Thread caches exist for tasklets 0..@p tasklets-1 only. */
+void
+requireThreadCache(const sim::Tasklet &t, unsigned tasklets)
+{
+    PIM_ASSERT(t.id() < tasklets, "tasklet ", t.id(),
+               " has no thread cache: the allocator was built for ",
+               tasklets, " tasklets");
+}
+
+} // namespace
+
 PimMallocAllocator::PimMallocAllocator(sim::Dpu &dpu,
                                        const PimMallocConfig &cfg)
     : dpu_(dpu), cfg_(cfg)
@@ -40,8 +53,9 @@ PimMallocAllocator::PimMallocAllocator(sim::Dpu &dpu,
     dpu.wramReserve(cfg.numTasklets
                     * static_cast<uint32_t>(tc_cfg.sizeClasses.size()) * 8);
     tcCfg_ = tc_cfg;
+    caches_.reserve(cfg.numTasklets);
     for (unsigned i = 0; i < cfg.numTasklets; ++i)
-        caches_.push_back(std::make_unique<ThreadCache>(i, tc_cfg));
+        caches_.emplace_back(i, tc_cfg);
 }
 
 std::string
@@ -71,14 +85,14 @@ PimMallocAllocator::init(sim::Tasklet &t)
     // (the WRAM arena is already reserved; no new reservation needed).
     caches_.clear();
     for (unsigned i = 0; i < cfg_.numTasklets; ++i)
-        caches_.push_back(std::make_unique<ThreadCache>(i, tcCfg_));
+        caches_.emplace_back(i, tcCfg_);
     if (cfg_.prePopulate) {
         for (auto &cache : caches_) {
-            for (unsigned cls = 0; cls < cache->numClasses(); ++cls) {
+            for (unsigned cls = 0; cls < cache.numClasses(); ++cls) {
                 const sim::MramAddr span = tree_->alloc(t, cfg_.spanBytes);
                 PIM_ASSERT(span != sim::kNullAddr,
                            "heap too small to pre-populate thread caches");
-                const bool ok = cache->installSpan(t, cls, span);
+                const bool ok = cache.installSpan(t, cls, span);
                 PIM_ASSERT(ok, "WRAM arena too small for pre-population");
                 stats_.adjustReserved(cfg_.spanBytes);
             }
@@ -110,10 +124,12 @@ PimMallocAllocator::malloc(sim::Tasklet &t, uint32_t size)
 {
     PIM_ASSERT(initialized_, "pimMalloc before initAllocator");
     PIM_ASSERT(size > 0, "zero-byte allocation");
+    requireThreadCache(t, cfg_.numTasklets);
     const uint64_t start = t.clock();
     t.execute(cost::kApiOverheadInstrs + cost::kSizeClassLookupInstrs);
 
-    ThreadCache &cache = *caches_.at(t.id() % caches_.size());
+    ThreadCache &cache = caches_[t.id()];
+    const auto owner = static_cast<uint16_t>(t.id());
     const int cls = cache.classFor(size);
 
     if (cls < 0) {
@@ -123,7 +139,7 @@ PimMallocAllocator::malloc(sim::Tasklet &t, uint32_t size)
             ++stats_.failures;
             return sim::kNullAddr;
         }
-        live_[addr] = LiveBlock{size, true, 0, t.id(), sim::kNullAddr};
+        live_.put(addr, LiveBlock{size, true, 0, owner});
         stats_.adjustReserved(static_cast<int64_t>(tree_->roundSize(size)));
         stats_.adjustRequested(static_cast<int64_t>(size));
         stats_.recordMalloc(ServiceLevel::Bypass, start, t.clock() - start,
@@ -149,8 +165,7 @@ PimMallocAllocator::malloc(sim::Tasklet &t, uint32_t size)
                 // WRAM record budget exhausted: serve the request from
                 // the whole 4 KB block (degenerates to bypass).
                 addr = span;
-                live_[addr] =
-                    LiveBlock{size, true, 0, t.id(), sim::kNullAddr};
+                live_.put(addr, LiveBlock{size, true, 0, owner});
                 stats_.adjustReserved(cfg_.spanBytes);
                 stats_.adjustRequested(static_cast<int64_t>(size));
                 stats_.recordMalloc(ServiceLevel::Bypass, start,
@@ -165,11 +180,8 @@ PimMallocAllocator::malloc(sim::Tasklet &t, uint32_t size)
         return sim::kNullAddr;
     }
 
-    const sim::MramAddr heap_base = tree_->heapBase();
-    const sim::MramAddr span_base =
-        heap_base + (addr - heap_base) / cfg_.spanBytes * cfg_.spanBytes;
-    live_[addr] = LiveBlock{size, false, static_cast<uint8_t>(cls), t.id(),
-                            span_base};
+    live_.put(addr,
+              LiveBlock{size, false, static_cast<uint8_t>(cls), owner});
     stats_.adjustRequested(static_cast<int64_t>(size));
     stats_.recordMalloc(level, start, t.clock() - start, size, t.id());
     return addr;
@@ -179,11 +191,14 @@ bool
 PimMallocAllocator::free(sim::Tasklet &t, sim::MramAddr addr)
 {
     PIM_ASSERT(initialized_, "pimFree before initAllocator");
+    requireThreadCache(t, cfg_.numTasklets);
     t.execute(cost::kApiOverheadInstrs);
-    auto it = live_.find(addr);
-    if (it == live_.end())
+    const LiveBlock *record = live_.find(addr);
+    if (!record)
         return false;
-    const LiveBlock block = it->second;
+    // A copy: other tasklets' mallocs and frees may move the table's
+    // entries while this one is switched out.
+    const LiveBlock block = *record;
 
     if (block.bypass) {
         const uint32_t freed = backendFree(t, addr);
@@ -191,8 +206,11 @@ PimMallocAllocator::free(sim::Tasklet &t, sim::MramAddr addr)
             return false;
         stats_.adjustReserved(-static_cast<int64_t>(freed));
     } else {
-        ThreadCache &cache = *caches_.at(block.taskletId);
-        const auto res = cache.free(t, block.cls, block.spanBase, addr);
+        const sim::MramAddr heap_base = tree_->heapBase();
+        const sim::MramAddr span_base =
+            heap_base + (addr - heap_base) / cfg_.spanBytes * cfg_.spanBytes;
+        const auto res =
+            caches_[block.taskletId].free(t, block.cls, span_base, addr);
         if (!res.ok)
             return false;
         if (res.spanReleased) {
@@ -204,7 +222,7 @@ PimMallocAllocator::free(sim::Tasklet &t, sim::MramAddr addr)
     }
     stats_.adjustRequested(-static_cast<int64_t>(block.requested));
     ++stats_.freeCalls;
-    live_.erase(it);
+    live_.erase(addr);
     return true;
 }
 
@@ -219,7 +237,7 @@ PimMallocAllocator::threadCacheMetadataBytes() const
 {
     uint64_t n = 0;
     for (const auto &c : caches_)
-        n += c->totalSpans() * ThreadCache::kSpanRecordBytes;
+        n += c.totalSpans() * ThreadCache::kSpanRecordBytes;
     return n;
 }
 

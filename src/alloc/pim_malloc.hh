@@ -13,15 +13,24 @@
  * Both variants exist in eager (default; initAllocator pre-populates one
  * span per size class per tasklet) and lazy (PIM-malloc-lazy, Table III)
  * flavours.
+ *
+ * Tasklet k allocates from thread cache k, so an allocator serves
+ * tasklets 0..numTasklets-1 only; malloc or free from any other tasklet
+ * is fatal. The host keeps one 8-byte record per live block (requested
+ * size, size class or bypass, owning cache) in a flat AddrTable keyed
+ * by the block's address; the span holding a frontend block is worked
+ * out from that address. The records and the thread caches' span slabs
+ * grow to a workload's peak and are then reused, so a steady-state
+ * malloc or free makes no host heap allocation.
  */
 
 #ifndef PIM_ALLOC_PIM_MALLOC_HH
 #define PIM_ALLOC_PIM_MALLOC_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "alloc/addr_table.hh"
 #include "alloc/allocator.hh"
 #include "alloc/buddy_tree.hh"
 #include "alloc/straw_man.hh"
@@ -71,7 +80,7 @@ class PimMallocAllocator : public Allocator
     BuddyTree &backend() { return *tree_; }
 
     /** Thread cache of tasklet @p id. */
-    ThreadCache &cache(unsigned id) { return *caches_.at(id); }
+    ThreadCache &cache(unsigned id) { return caches_.at(id); }
 
     /** Backend mutex (contention statistics). */
     const sim::SimMutex &mutex() const { return mutex_; }
@@ -94,12 +103,12 @@ class PimMallocAllocator : public Allocator
     /** Bookkeeping for one live user block. */
     struct LiveBlock
     {
-        uint32_t requested;      ///< user-visible size
-        bool bypass;             ///< true if serviced by the backend
-        uint8_t cls;             ///< size class (frontend blocks)
-        unsigned taskletId;      ///< owning thread cache
-        sim::MramAddr spanBase;  ///< span containing the block
+        uint32_t requested;  ///< user-visible size
+        bool bypass;         ///< true if serviced by the backend
+        uint8_t cls;         ///< size class (frontend blocks)
+        uint16_t taskletId;  ///< owning thread cache
     };
+    static_assert(sizeof(LiveBlock) == 8);
 
     /** Lock, allocate from the buddy, unlock. */
     sim::MramAddr backendAlloc(sim::Tasklet &t, uint32_t size);
@@ -112,10 +121,10 @@ class PimMallocAllocator : public Allocator
     std::unique_ptr<MetadataStore> store_;
     std::unique_ptr<BuddyTree> tree_;
     ThreadCacheConfig tcCfg_;
-    std::vector<std::unique_ptr<ThreadCache>> caches_;
+    std::vector<ThreadCache> caches_;
     sim::SimMutex mutex_;
     AllocStats stats_;
-    std::unordered_map<sim::MramAddr, LiveBlock> live_;
+    AddrTable<LiveBlock> live_;
     bool initialized_ = false;
 };
 

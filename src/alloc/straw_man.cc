@@ -62,7 +62,7 @@ StrawManAllocator::malloc(sim::Tasklet &t, uint32_t size)
         ++stats_.failures;
         return sim::kNullAddr;
     }
-    liveRequests_[addr] = size;
+    liveRequests_.put(addr, size);
     stats_.adjustReserved(static_cast<int64_t>(tree_->roundSize(size)));
     stats_.adjustRequested(static_cast<int64_t>(size));
     stats_.recordMalloc(ServiceLevel::Backend, start, t.clock() - start,
@@ -80,12 +80,11 @@ StrawManAllocator::free(sim::Tasklet &t, sim::MramAddr addr)
     if (freed == 0)
         return false;
     ++stats_.freeCalls;
-    auto it = liveRequests_.find(addr);
-    PIM_ASSERT(it != liveRequests_.end(),
-               "tree freed a block the allocator never handed out");
+    const uint32_t *requested = liveRequests_.find(addr);
+    PIM_ASSERT(requested, "tree freed a block the allocator never handed out");
     stats_.adjustReserved(-static_cast<int64_t>(freed));
-    stats_.adjustRequested(-static_cast<int64_t>(it->second));
-    liveRequests_.erase(it);
+    stats_.adjustRequested(-static_cast<int64_t>(*requested));
+    liveRequests_.erase(addr);
     return true;
 }
 

@@ -13,8 +13,8 @@
 #define PIM_ALLOC_STRAW_MAN_HH
 
 #include <memory>
-#include <unordered_map>
 
+#include "alloc/addr_table.hh"
 #include "alloc/allocator.hh"
 #include "alloc/buddy_tree.hh"
 #include "alloc/metadata_store.hh"
@@ -79,7 +79,7 @@ class StrawManAllocator : public Allocator
     sim::SimMutex mutex_;
     AllocStats stats_;
     /** Host-side bookkeeping: user-requested size per live block. */
-    std::unordered_map<sim::MramAddr, uint32_t> liveRequests_;
+    AddrTable<uint32_t> liveRequests_;
 };
 
 /** Build the metadata store selected by @p mode at MRAM offset 0 (shared

@@ -25,6 +25,16 @@
  * Span records themselves are MRAM-resident (Section VI-E accounts
  * them per workload, far beyond the 64 KB scratchpad); only the list
  * heads live in WRAM.
+ *
+ * On the host, a cache keeps every span record in one slab (a vector
+ * with a free-slot list), and each class's list is a head, a tail and a
+ * count linked through the records' 32-bit prev/next slot indices. An
+ * AddrTable maps a span's base address to its slot. The list order is
+ * the simulated one and decides which span serves each request: a new
+ * span goes to the front, a span that fills up and the head on a miss
+ * go to the back, and a full span that gets a free goes to the front.
+ * Once the slab and the table have grown to a workload's peak, no
+ * operation allocates host memory.
  */
 
 #ifndef PIM_ALLOC_THREAD_CACHE_HH
@@ -32,10 +42,9 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
+#include "alloc/addr_table.hh"
 #include "sim/tasklet.hh"
 #include "sim/types.hh"
 
@@ -105,7 +114,7 @@ class ThreadCache
     uint32_t classSize(unsigned cls) const { return cfg_.sizeClasses[cls]; }
 
     /** Spans currently held in class @p cls. */
-    size_t spanCount(unsigned cls) const { return lists_[cls].size(); }
+    size_t spanCount(unsigned cls) const { return lists_[cls].count; }
 
     /** Spans currently held across all classes. */
     size_t totalSpans() const { return index_.size(); }
@@ -120,26 +129,47 @@ class ThreadCache
     unsigned owner() const { return owner_; }
 
   private:
+    /** No slot: the end of a list, or an empty free-slot list. */
+    static constexpr uint32_t kNoSlot = UINT32_MAX;
+
     /** One 4 KB span and its sub-block bitmap (bit set = free). */
     struct Span
     {
         sim::MramAddr base = sim::kNullAddr;
-        std::array<uint64_t, 4> bitmap{};
+        /** Neighbours in the class list; next links the free-slot list
+         *  while the slot is unused. */
+        uint32_t prev = kNoSlot;
+        uint32_t next = kNoSlot;
         uint16_t freeCount = 0;
         uint16_t totalCount = 0;
+        uint8_t cls = 0;
+        std::array<uint64_t, 4> bitmap{};
     };
 
-    using SpanList = std::list<Span>;
+    /** One size class's spans, linked through the slab. */
+    struct SpanList
+    {
+        uint32_t head = kNoSlot;
+        uint32_t tail = kNoSlot;
+        uint32_t count = 0;
+    };
 
-    /** Initialize a span's bitmap for @p cls (all sub-blocks free). */
-    Span makeSpan(unsigned cls, sim::MramAddr base) const;
+    /** Take a slot for a span of class @p cls based at @p base, all of
+     *  its sub-blocks free. */
+    uint32_t newSpan(unsigned cls, sim::MramAddr base);
+
+    void pushFront(SpanList &list, uint32_t slot);
+    void unlink(SpanList &list, uint32_t slot);
+    /** Move the head span to the back (a no-op below two spans). */
+    void rotateHeadToBack(SpanList &list);
 
     unsigned owner_;
     ThreadCacheConfig cfg_;
+    std::vector<Span> slab_;
+    uint32_t freeSlot_ = kNoSlot;
     std::vector<SpanList> lists_;
-    /** O(1) span lookup by base address: (class, list position). */
-    std::unordered_map<sim::MramAddr, std::pair<unsigned, SpanList::iterator>>
-        index_;
+    /** Span base address -> slab slot. */
+    AddrTable<uint32_t> index_;
     uint32_t peakSpans_ = 0;
 };
 

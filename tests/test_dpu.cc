@@ -9,69 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <thread>
 #include <vector>
 
+#include "host_allocs.hh"
 #include "sim/dpu.hh"
 #include "sim/mutex.hh"
 #include "sim/scheduler.hh"
 
 using namespace pim::sim;
-
-namespace {
-
-/** While set, global operator new counts into tl_allocs (this thread). */
-thread_local bool tl_countAllocs = false;
-thread_local uint64_t tl_allocs = 0;
-
-} // namespace
-
-// Replaced global allocation functions: malloc/free underneath, so the
-// sanitizers' own malloc interception still sees every block. They stay
-// out of line: inlined into a caller, gcc would see a malloc'd block
-// reach operator delete (or a new'd one reach free) and warn.
-[[gnu::noinline]] void *
-operator new(std::size_t bytes)
-{
-    if (tl_countAllocs)
-        ++tl_allocs;
-    if (void *p = std::malloc(bytes == 0 ? 1 : bytes))
-        return p;
-    throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void *
-operator new[](std::size_t bytes)
-{
-    return operator new(bytes);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 TEST(Dpu, UpmemDefaults)
 {
@@ -245,13 +192,12 @@ TEST(DpuLaunchContext, SteadyStateLaunchAllocatesNothing)
     };
     for (const unsigned tasklets : {1u, 16u}) {
         dpu.run(tasklets, body); // warm-up: grows this thread's context
-        tl_allocs = 0;
-        tl_countAllocs = true;
-        for (int i = 0; i < 100; ++i)
-            dpu.run(tasklets, body);
-        tl_countAllocs = false;
-        EXPECT_EQ(tl_allocs, 0u) << "100 launches of " << tasklets
-                                 << " tasklet(s)";
+        const uint64_t allocs = pim::test::countAllocs([&] {
+            for (int i = 0; i < 100; ++i)
+                dpu.run(tasklets, body);
+        });
+        EXPECT_EQ(allocs, 0u) << "100 launches of " << tasklets
+                              << " tasklet(s)";
     }
 }
 

@@ -2,17 +2,21 @@
  * @file
  * End-to-end tests for PIM-malloc (SW, HW/SW, lazy): the three workflow
  * cases of Fig 10, service-level attribution, fragmentation accounting,
- * metadata footprint, pre-population, and multi-tasklet correctness.
+ * metadata footprint, pre-population, multi-tasklet correctness, and
+ * host bookkeeping that makes no heap allocation in steady state (for
+ * the straw-man too).
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <set>
 #include <vector>
 
 #include "alloc/pim_malloc.hh"
 #include "alloc_churn.hh"
+#include "host_allocs.hh"
 #include "sim/dpu.hh"
 #include "util/rng.hh"
 
@@ -490,10 +494,76 @@ TEST(PimMalloc, AllClassChurnMatchesGolden)
     }
 }
 
+namespace {
+
+/**
+ * Run @p tasklets tasklets of the seeded churn on @p a twice, resetting
+ * the counters in between, and expect the second pass to make no global
+ * operator new call. The body and the test's own vectors are built in
+ * the first pass, so only the allocator could allocate in the second.
+ */
+void
+expectSecondChurnAllocatesNothing(sim::Dpu &dpu, Allocator &a,
+                                  unsigned tasklets)
+{
+    std::vector<std::vector<sim::MramAddr>> live(tasklets), got(tasklets);
+    const std::function<void(sim::Tasklet &)> body = [&](sim::Tasklet &t) {
+        got[t.id()].clear();
+        test::churn(a, t, 5, live[t.id()], got[t.id()]);
+    };
+    dpu.run(1, [&](sim::Tasklet &t) { a.init(t); });
+    dpu.run(tasklets, body);
+    const uint64_t first_mallocs = a.stats().mallocCalls;
+    a.stats().resetCounters();
+    const uint64_t allocs =
+        test::countAllocs([&] { dpu.run(tasklets, body); });
+    EXPECT_EQ(a.stats().mallocCalls, first_mallocs);
+    EXPECT_EQ(a.stats().failures, 0u);
+    EXPECT_EQ(allocs, 0u) << "in a pass of " << first_mallocs
+                          << " mallocs and as many frees";
+}
+
+} // namespace
+
+TEST(HostAllocation, PimMallocChurnAllocatesNothing)
+{
+    // Once the live-block table and the thread caches' span slabs have
+    // grown to the churn's size, malloc and free make no host heap
+    // allocation.
+    sim::Dpu dpu;
+    PimMallocConfig cfg;
+    cfg.numTasklets = 16;
+    PimMallocAllocator a(dpu, cfg);
+    expectSecondChurnAllocatesNothing(dpu, a, 16);
+}
+
+TEST(HostAllocation, StrawManChurnAllocatesNothing)
+{
+    sim::Dpu dpu;
+    StrawManAllocator a(dpu, StrawManConfig{});
+    expectSecondChurnAllocatesNothing(dpu, a, 4);
+}
+
 TEST(PimMallocDeath, MallocBeforeInitPanics)
 {
     sim::Dpu dpu;
     PimMallocAllocator a(dpu, testConfig());
     EXPECT_DEATH(dpu.run(1, [&](sim::Tasklet &t) { a.malloc(t, 32); }),
                  "before initAllocator");
+}
+
+TEST(PimMallocDeathTest, TaskletWithoutThreadCacheIsFatal)
+{
+    // Thread caches exist for tasklets 0..numTasklets-1 only: tasklet 4
+    // of an allocator built for 4 has none of its own.
+    sim::Dpu dpu;
+    PimMallocAllocator a(dpu, testConfig(MetadataMode::SwBuffer, true, 4));
+    dpu.run(1, [&](sim::Tasklet &t) { a.init(t); });
+    EXPECT_DEATH(dpu.run(8,
+                         [&](sim::Tasklet &t) {
+                             const auto p = a.malloc(t, 64);
+                             a.free(t, p);
+                         }),
+                 "tasklet 4 has no thread cache: the allocator was built "
+                 "for 4 tasklets");
 }
