@@ -24,9 +24,10 @@
 namespace pim::test {
 
 /**
- * Run one tasklet's churn on @p a. @p live is scratch space; every
- * address malloc returns (kNullAddr included) is appended to @p got.
- * Neither vector allocates once it has grown to the churn's size.
+ * Run one tasklet's churn on @p a. @p live holds the tasklet's live
+ * blocks while it runs; every address malloc returns (kNullAddr
+ * included) is appended to @p got. Neither vector allocates once it has
+ * grown to the churn's size.
  */
 inline void
 churn(alloc::Allocator &a, sim::Tasklet &t, uint64_t seed,
