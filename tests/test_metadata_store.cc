@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <vector>
 
+#include "alloc/buddy_tree.hh"
 #include "alloc/metadata_store.hh"
+#include "alloc/pim_malloc.hh"
+#include "alloc_churn.hh"
 #include "sim/dpu.hh"
 #include "util/rng.hh"
 
@@ -229,3 +234,139 @@ INSTANTIATE_TEST_SUITE_P(
     RandomScripts, StoreEquivalence,
     ::testing::Values(std::make_pair(1, 50), std::make_pair(2, 500),
                       std::make_pair(3, 2000), std::make_pair(4, 5000)));
+
+namespace {
+
+/** Everything HwCacheStore.ChurnMatchesGolden pins for one cache size. */
+struct HwChurn
+{
+    sim::BuddyCacheStats cache;
+    uint64_t readBytes = 0, writeBytes = 0, dmas = 0, cycles = 0;
+};
+
+/**
+ * PimMalloc.AllClassChurnMatchesGolden's HW/SW run (seed 11, 16
+ * tasklets, PimMallocConfig defaults) on a buddy cache of @p entries.
+ */
+HwChurn
+runHwChurn(unsigned entries)
+{
+    sim::DpuConfig dcfg;
+    dcfg.buddyCache.entries = entries;
+    sim::Dpu dpu(dcfg);
+    PimMallocConfig cfg;
+    cfg.metadata = MetadataMode::HwCache;
+    PimMallocAllocator a(dpu, cfg);
+    dpu.run(1, [&](sim::Tasklet &t) { a.init(t); });
+    std::array<std::vector<sim::MramAddr>, 16> live, got;
+    dpu.run(16, [&](sim::Tasklet &t) {
+        test::churn(a, t, 11, live[t.id()], got[t.id()]);
+    });
+    return {dpu.buddyCache().stats(), dpu.traffic().metadataReadBytes,
+            dpu.traffic().metadataWriteBytes, dpu.traffic().dmaTransfers,
+            dpu.lastElapsedCycles()};
+}
+
+/** Hits, misses, traffic and cycles of a store under a buddy-tree churn. */
+struct TreeChurn
+{
+    uint64_t hits = 0, misses = 0, readBytes = 0, writeBytes = 0,
+             cycles = 0;
+};
+
+/**
+ * 3,000 seeded ops on a 32 MB, 4 KB-block BuddyTree at MRAM 1 MB whose
+ * metadata sits behind a DataCacheStore of @p lines 64 B lines: a free
+ * of a random live block with probability 0.45, else a 4-16 KB alloc.
+ */
+TreeChurn
+runDataCacheChurn(uint32_t lines)
+{
+    sim::Dpu dpu;
+    const uint32_t heap = 32u << 20;
+    const uint32_t nodes = BuddyTree::nodesFor(heap, 4096);
+    DataCacheStore store(dpu, 0, nodes, 64, lines);
+    BuddyTree tree(store, 1u << 20, heap, 4096);
+    dpu.run(1, [&](sim::Tasklet &t) {
+        tree.reset(t);
+        util::Rng rng(5);
+        std::vector<sim::MramAddr> live;
+        for (int i = 0; i < 3000; ++i) {
+            if (!live.empty() && rng.bernoulli(0.45)) {
+                const size_t k = rng.uniformInt(live.size());
+                EXPECT_NE(tree.free(t, live[k]), 0u);
+                live[k] = live.back();
+                live.pop_back();
+                continue;
+            }
+            const sim::MramAddr p =
+                tree.alloc(t, 4096u << rng.uniformInt(3));
+            if (p != sim::kNullAddr)
+                live.push_back(p);
+        }
+    });
+    return {store.hits(), store.misses(), dpu.traffic().metadataReadBytes,
+            dpu.traffic().metadataWriteBytes, dpu.lastElapsedCycles()};
+}
+
+} // namespace
+
+TEST(HwCacheStore, ChurnMatchesGolden)
+{
+    // The buddy cache's hit/miss sequence, its LRU victims and its
+    // dirty write-backs decide PIM-malloc-HW/SW's metadata traffic and
+    // clocks. A change to how the cache model keeps its entries must
+    // leave every number alone, at any capacity.
+    struct Golden
+    {
+        unsigned entries;
+        sim::BuddyCacheStats cache;
+        uint64_t readBytes, writeBytes, dmas, cycles;
+    };
+    const Golden golden[] = {
+        {1, {155647, 64413, 91234, 91233, 17800}, 364936, 75296, 109035,
+         43868072},
+        {4, {156353, 91417, 64936, 64932, 17969}, 259744, 75972, 82906,
+         40428544},
+        {16, {152670, 135351, 17319, 17303, 9123}, 69276, 40588, 26443,
+         31759865},
+    };
+    for (const Golden &g : golden) {
+        SCOPED_TRACE(g.entries);
+        const HwChurn r = runHwChurn(g.entries);
+        EXPECT_EQ(r.cache.lookups, g.cache.lookups);
+        EXPECT_EQ(r.cache.hits, g.cache.hits);
+        EXPECT_EQ(r.cache.misses, g.cache.misses);
+        EXPECT_EQ(r.cache.evictions, g.cache.evictions);
+        EXPECT_EQ(r.cache.dirtyEvictions, g.cache.dirtyEvictions);
+        EXPECT_EQ(r.readBytes, g.readBytes);
+        EXPECT_EQ(r.writeBytes, g.writeBytes);
+        EXPECT_EQ(r.dmas, g.dmas);
+        EXPECT_EQ(r.cycles, g.cycles);
+    }
+}
+
+TEST(DataCacheStore, TreeChurnMatchesGolden)
+{
+    // Section VII's general-purpose cache: which 64 B lines hit, which
+    // one is evicted and whether it goes back dirty decide its traffic
+    // and clocks. Pinned at one line (every miss evicts) and four.
+    struct Golden
+    {
+        uint32_t lines;
+        TreeChurn r;
+    };
+    const Golden golden[] = {
+        {1, {69453, 50425, 3227200, 745536, 21365258}},
+        {4, {96954, 22924, 1467136, 615552, 18530186}},
+    };
+    for (const Golden &g : golden) {
+        SCOPED_TRACE(g.lines);
+        const TreeChurn r = runDataCacheChurn(g.lines);
+        EXPECT_EQ(r.hits, g.r.hits);
+        EXPECT_EQ(r.misses, g.r.misses);
+        EXPECT_EQ(r.readBytes, g.r.readBytes);
+        EXPECT_EQ(r.writeBytes, g.r.writeBytes);
+        EXPECT_EQ(r.cycles, g.r.cycles);
+    }
+}
