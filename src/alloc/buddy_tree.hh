@@ -90,9 +90,6 @@ class BuddyTree
     /** Heap bytes currently allocated (after rounding). */
     uint64_t allocatedBytes() const { return allocatedBytes_; }
 
-    /** Heap capacity. */
-    uint32_t heapBytes() const { return heapBytes_; }
-
     /** Heap base address in MRAM. */
     sim::MramAddr heapBase() const { return heapBase_; }
 
@@ -114,9 +111,6 @@ class BuddyTree
 
     /** Traversal statistics. */
     const BuddyTreeStats &stats() const { return stats_; }
-
-    /** The metadata store backing this tree. */
-    MetadataStore &store() { return store_; }
 
   private:
     /** Level whose block size fits @p rounded size exactly. */

@@ -59,12 +59,6 @@ DirectStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
     rawSet(node, s);
 }
 
-void
-DirectStore::flush(sim::Tasklet &t)
-{
-    (void)t;
-}
-
 // --- SwBufferStore ---
 
 SwBufferStore::SwBufferStore(sim::Dpu &dpu, sim::MramAddr mram_base,
@@ -118,18 +112,6 @@ SwBufferStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
 }
 
 void
-SwBufferStore::flush(sim::Tasklet &t)
-{
-    if (valid_ && dirty_) {
-        const uint32_t resident =
-            std::min(bufferBytes_, bytes() - windowStart_);
-        t.dmaWrite(base_ + windowStart_, resident,
-                   sim::TrafficClass::Metadata);
-        dirty_ = false;
-    }
-}
-
-void
 SwBufferStore::reset(sim::Tasklet &t)
 {
     MetadataStore::reset(t);
@@ -143,80 +125,48 @@ DataCacheStore::DataCacheStore(sim::Dpu &dpu, sim::MramAddr mram_base,
                                uint32_t num_nodes, uint32_t line_bytes,
                                uint32_t lines)
     : MetadataStore(dpu, mram_base, num_nodes), lineBytes_(line_bytes),
-      lines_(lines)
+      lines_(sim::BuddyCacheConfig{lines})
 {
-    PIM_ASSERT(line_bytes >= kWordBytes && lines > 0,
-               "invalid data cache geometry");
+    PIM_ASSERT(line_bytes >= kWordBytes, "invalid data cache geometry");
 }
 
 void
-DataCacheStore::ensureResident(sim::Tasklet &t, uint32_t node,
-                               bool mark_dirty)
+DataCacheStore::access(sim::Tasklet &t, uint32_t node, bool write)
 {
-    const uint32_t byte_off = (node / kNodesPerWord) * kWordBytes;
-    const uint32_t tag = byte_off - byte_off % lineBytes_;
+    const sim::MramAddr word = wordAddr(node);
+    const sim::MramAddr line = word - (word - base_) % lineBytes_;
+    const auto a = lines_.access(line, write);
     // 1-cycle tag check, like any L1 hit.
     t.stall(1, sim::CycleKind::Run);
-    for (auto &l : lines_) {
-        if (l.valid && l.tag == tag) {
-            ++hits_;
-            l.lastUse = ++useClock_;
-            l.dirty |= mark_dirty;
-            return;
-        }
-    }
-    ++misses_;
+    if (a.hit)
+        return;
     // Coarse-grained line fill: the granularity mismatch the paper's
     // Section VII calls out — a whole 64 B line moves for 2 bits of
     // metadata.
-    Line *victim = nullptr;
-    for (auto &l : lines_) {
-        if (!l.valid) {
-            victim = &l;
-            break;
-        }
-        if (!victim || l.lastUse < victim->lastUse)
-            victim = &l;
-    }
-    if (victim->valid && victim->dirty)
-        t.dmaWrite(base_ + victim->tag, lineBytes_,
-                   sim::TrafficClass::Metadata);
-    t.dmaRead(base_ + tag, lineBytes_, sim::TrafficClass::Metadata);
-    *victim = Line{true, mark_dirty, tag, ++useClock_};
+    if (a.writeBack != sim::kNullAddr)
+        t.dmaWrite(a.writeBack, lineBytes_, sim::TrafficClass::Metadata);
+    t.dmaRead(line, lineBytes_, sim::TrafficClass::Metadata);
 }
 
 NodeState
 DataCacheStore::get(sim::Tasklet &t, uint32_t node)
 {
-    ensureResident(t, node, false);
+    access(t, node, false);
     return rawGet(node);
 }
 
 void
 DataCacheStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
 {
-    ensureResident(t, node, true);
+    access(t, node, true);
     rawSet(node, s);
-}
-
-void
-DataCacheStore::flush(sim::Tasklet &t)
-{
-    for (auto &l : lines_) {
-        if (l.valid && l.dirty) {
-            t.dmaWrite(base_ + l.tag, lineBytes_,
-                       sim::TrafficClass::Metadata);
-            l.dirty = false;
-        }
-    }
 }
 
 void
 DataCacheStore::reset(sim::Tasklet &t)
 {
     MetadataStore::reset(t);
-    for (auto &l : lines_)
-        l = Line{};
+    lines_.init();
 }
 
 // --- HwCacheStore ---
@@ -229,58 +179,48 @@ HwCacheStore::HwCacheStore(sim::Dpu &dpu, sim::MramAddr mram_base,
 }
 
 void
-HwCacheStore::ensureResident(sim::Tasklet &t, sim::MramAddr word_addr)
+HwCacheStore::access(sim::Tasklet &t, uint32_t node, bool write)
 {
-    auto &cache = dpu_.buddyCache();
+    // The CAM is updated before the charges below, which may switch
+    // this tasklet out. That is safe: every tree access holds the
+    // allocator's mutex, and init runs on one tasklet, so no other
+    // tasklet reaches the cache in between.
+    const sim::MramAddr wa = wordAddr(node);
+    const auto a = dpu_.buddyCache().access(wa, write);
     const uint32_t lat = dpu_.config().buddyCache.accessCycles;
-    // lookup_bc
-    t.stall(lat, sim::CycleKind::Run);
-    if (cache.lookup(word_addr))
+    t.stall(lat, sim::CycleKind::Run); // lookup_bc
+    if (a.hit)
         return;
     // Miss: fetch exactly the requested word from DRAM (fine-grained),
     // then fill via write_bc, writing back a dirty LRU victim if any.
+    // MRAM is kept current on every set(), so the write-back only
+    // charges its traffic.
     t.execute(cost::kHwCacheMissInstrs);
-    t.dmaRead(word_addr, kWordBytes, sim::TrafficClass::Metadata);
-    const uint32_t value = dpu_.mram().read<uint32_t>(word_addr);
-    auto victim = cache.insert(word_addr, value, false);
+    t.dmaRead(wa, kWordBytes, sim::TrafficClass::Metadata);
     t.stall(lat, sim::CycleKind::Run); // write_bc fill
-    if (victim) {
-        // The array itself is kept coherent on every set(), so the
-        // victim's payload is already in MRAM; charge the write-back.
-        t.dmaWrite(victim->first, kWordBytes, sim::TrafficClass::Metadata);
-    }
+    if (a.writeBack != sim::kNullAddr)
+        t.dmaWrite(a.writeBack, kWordBytes, sim::TrafficClass::Metadata);
 }
 
 NodeState
 HwCacheStore::get(sim::Tasklet &t, uint32_t node)
 {
-    const sim::MramAddr wa = wordAddr(node);
-    ensureResident(t, wa);
+    access(t, node, false);
     // read_bc
     t.stall(dpu_.config().buddyCache.accessCycles, sim::CycleKind::Run);
-    dpu_.buddyCache().read(wa);
     return rawGet(node);
 }
 
 void
 HwCacheStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
 {
-    const sim::MramAddr wa = wordAddr(node);
-    ensureResident(t, wa);
+    access(t, node, true);
     rawSet(node, s);
-    // write_bc updates the cached word in place and marks it dirty; the
-    // MRAM array is updated above so reads through any path stay
+    // write_bc: the word is now dirty in the cache (access() marked it).
+    // The MRAM array is updated above so reads through any path stay
     // coherent, while the traffic cost of persisting the word is charged
-    // when the dirty entry is evicted or flushed.
+    // when the dirty entry is evicted.
     t.stall(dpu_.config().buddyCache.accessCycles, sim::CycleKind::Run);
-    dpu_.buddyCache().write(wa, dpu_.mram().read<uint32_t>(wa));
-}
-
-void
-HwCacheStore::flush(sim::Tasklet &t)
-{
-    for (auto &wb : dpu_.buddyCache().flushDirty())
-        t.dmaWrite(wb.first, kWordBytes, sim::TrafficClass::Metadata);
 }
 
 void

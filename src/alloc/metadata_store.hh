@@ -13,17 +13,23 @@
  *  - HwCacheStore:  PIM-malloc-HW/SW's per-core hardware buddy cache
  *                   with fine-grained LRU and write-back (Fig 13(b)).
  *
+ * A fourth, DataCacheStore, is Section VII's general-purpose data cache:
+ * the buddy cache's CAM model (sim::BuddyCache) at 64-byte line
+ * granularity instead of 4-byte words.
+ *
  * All stores operate on the same MRAM array, so switching stores never
  * changes allocation results — only cost and traffic. Tests rely on this
- * equivalence property.
+ * equivalence property. Because the array is always current, the cached
+ * stores keep tags only, and a dirty window, line or word costs its
+ * write-back traffic when it is evicted; there is no flush.
  */
 
 #ifndef PIM_ALLOC_METADATA_STORE_HH
 #define PIM_ALLOC_METADATA_STORE_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "sim/buddy_cache.hh"
 #include "sim/dpu.hh"
 #include "sim/tasklet.hh"
 #include "sim/types.hh"
@@ -58,9 +64,6 @@ class MetadataStore
     /** Write one node's state, charging this store's access cost. */
     virtual void set(sim::Tasklet &t, uint32_t node, NodeState s) = 0;
 
-    /** Write back any dirty cached state (teardown / handoff). */
-    virtual void flush(sim::Tasklet &t) = 0;
-
     /** Zero the whole array (allocator init). Charges bulk DMA. */
     virtual void reset(sim::Tasklet &t);
 
@@ -69,9 +72,6 @@ class MetadataStore
 
     /** Number of nodes covered. */
     uint32_t numNodes() const { return numNodes_; }
-
-    /** MRAM base address of the array. */
-    sim::MramAddr base() const { return base_; }
 
   protected:
     /** Nodes per packed 4-byte word (16 nodes x 2 bits). */
@@ -112,7 +112,6 @@ class DirectStore : public MetadataStore
 
     NodeState get(sim::Tasklet &t, uint32_t node) override;
     void set(sim::Tasklet &t, uint32_t node, NodeState s) override;
-    void flush(sim::Tasklet &t) override;
 };
 
 /**
@@ -132,20 +131,11 @@ class SwBufferStore : public MetadataStore
 
     NodeState get(sim::Tasklet &t, uint32_t node) override;
     void set(sim::Tasklet &t, uint32_t node, NodeState s) override;
-    void flush(sim::Tasklet &t) override;
     void reset(sim::Tasklet &t) override;
 
     /** Buffer hit statistics (paper quotes ~73% for 4 KB allocs). */
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
-
-    double
-    hitRate() const
-    {
-        const uint64_t total = hits_ + misses_;
-        return total ? static_cast<double>(hits_)
-            / static_cast<double>(total) : 0.0;
-    }
 
   private:
     /** Make the window containing @p node resident; charge costs. */
@@ -167,7 +157,9 @@ class SwBufferStore : public MetadataStore
  * per-core capacity thrashes on the buddy tree's non-adjacent access
  * pattern. Exists to reproduce the paper's argument that a specialized
  * fine-grained metadata cache remains necessary even when PIM cores
- * gain a general-purpose cache.
+ * gain a general-purpose cache. Its lines are tracked by a private
+ * sim::BuddyCache keyed by line address, so it is the buddy cache's CAM
+ * at a different line size.
  */
 class DataCacheStore : public MetadataStore
 {
@@ -182,36 +174,26 @@ class DataCacheStore : public MetadataStore
 
     NodeState get(sim::Tasklet &t, uint32_t node) override;
     void set(sim::Tasklet &t, uint32_t node, NodeState s) override;
-    void flush(sim::Tasklet &t) override;
     void reset(sim::Tasklet &t) override;
 
     /** Hit statistics. */
-    uint64_t hits() const { return hits_; }
-    uint64_t misses() const { return misses_; }
+    uint64_t hits() const { return lines_.stats().hits; }
+    uint64_t misses() const { return lines_.stats().misses; }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        uint32_t tag = 0; ///< line-aligned byte offset into the array
-        uint64_t lastUse = 0;
-    };
-
     /** Make the line holding @p node resident; charge costs. */
-    void ensureResident(sim::Tasklet &t, uint32_t node, bool mark_dirty);
+    void access(sim::Tasklet &t, uint32_t node, bool write);
 
     uint32_t lineBytes_;
-    std::vector<Line> lines_;
-    uint64_t useClock_ = 0;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
+    sim::BuddyCache lines_;
 };
 
 /**
  * Hardware buddy-cache access path (Fig 13(b)). Uses the DPU's CAM-based
  * BuddyCache at 4-byte word granularity; misses fetch exactly one word
- * from MRAM, dirty LRU victims are written back.
+ * from MRAM, dirty LRU victims are written back. Charges the cycles of
+ * each buddy-cache instruction: lookup_bc, then read_bc or write_bc, with
+ * a write_bc fill between them on a miss.
  */
 class HwCacheStore : public MetadataStore
 {
@@ -220,12 +202,11 @@ class HwCacheStore : public MetadataStore
 
     NodeState get(sim::Tasklet &t, uint32_t node) override;
     void set(sim::Tasklet &t, uint32_t node, NodeState s) override;
-    void flush(sim::Tasklet &t) override;
     void reset(sim::Tasklet &t) override;
 
   private:
-    /** lookup_bc + fill on miss; returns nothing, cache becomes resident. */
-    void ensureResident(sim::Tasklet &t, sim::MramAddr word_addr);
+    /** lookup_bc, plus the fill on a miss; charges their costs. */
+    void access(sim::Tasklet &t, uint32_t node, bool write);
 };
 
 } // namespace pim::alloc

@@ -22,7 +22,7 @@ requireThreadCache(const sim::Tasklet &t, unsigned tasklets)
 
 PimMallocAllocator::PimMallocAllocator(sim::Dpu &dpu,
                                        const PimMallocConfig &cfg)
-    : dpu_(dpu), cfg_(cfg)
+    : dpu_(dpu), cfg_(cfg), tcCfg_{cfg.spanBytes, cfg.sizeClasses}
 {
     PIM_ASSERT(cfg.numTasklets >= 1
                    && cfg.numTasklets <= dpu.config().maxTasklets,
@@ -36,26 +36,15 @@ PimMallocAllocator::PimMallocAllocator(sim::Dpu &dpu,
     tree_ = std::make_unique<BuddyTree>(*store_, heap_base, cfg.heapBytes,
                                         cfg.spanBytes);
 
-    // Size the per-tasklet span-record arenas from the remaining WRAM.
-    ThreadCacheConfig tc_cfg;
-    tc_cfg.spanBytes = cfg.spanBytes;
-    tc_cfg.sizeClasses = cfg.sizeClasses;
-    if (cfg.maxSpansPerTasklet > 0) {
-        tc_cfg.maxSpans = cfg.maxSpansPerTasklet;
-    } else {
-        // Span records are MRAM-resident (the paper's Section VI-E
-        // accounts them per request, e.g. 5.2 KB for LLM attention,
-        // which far exceeds the scratchpad); only the list heads live
-        // in WRAM. Cap records at one per heap span.
-        tc_cfg.maxSpans = cfg.heapBytes / cfg.spanBytes;
-    }
-    // WRAM holds one list head per size class per tasklet.
+    // Span records are MRAM-resident (the paper's Section VI-E accounts
+    // them per request, e.g. 5.2 KB for LLM attention, which far exceeds
+    // the scratchpad); WRAM holds one list head per size class per
+    // tasklet.
     dpu.wramReserve(cfg.numTasklets
-                    * static_cast<uint32_t>(tc_cfg.sizeClasses.size()) * 8);
-    tcCfg_ = tc_cfg;
+                    * static_cast<uint32_t>(cfg.sizeClasses.size()) * 8);
     caches_.reserve(cfg.numTasklets);
     for (unsigned i = 0; i < cfg.numTasklets; ++i)
-        caches_.emplace_back(i, tc_cfg);
+        caches_.emplace_back(i, tcCfg_);
 }
 
 std::string
@@ -82,7 +71,7 @@ PimMallocAllocator::init(sim::Tasklet &t)
     stats_.traceEvents = trace;
     live_.clear();
     // Rebuild the thread caches so a re-init starts from a clean slate
-    // (the WRAM arena is already reserved; no new reservation needed).
+    // (the WRAM list heads are already reserved; no new reservation needed).
     caches_.clear();
     for (unsigned i = 0; i < cfg_.numTasklets; ++i)
         caches_.emplace_back(i, tcCfg_);
@@ -92,8 +81,7 @@ PimMallocAllocator::init(sim::Tasklet &t)
                 const sim::MramAddr span = tree_->alloc(t, cfg_.spanBytes);
                 PIM_ASSERT(span != sim::kNullAddr,
                            "heap too small to pre-populate thread caches");
-                const bool ok = cache.installSpan(t, cls, span);
-                PIM_ASSERT(ok, "WRAM arena too small for pre-population");
+                cache.installSpan(t, cls, span);
                 stats_.adjustReserved(cfg_.spanBytes);
             }
         }
@@ -156,22 +144,11 @@ PimMallocAllocator::malloc(sim::Tasklet &t, uint32_t size)
         level = ServiceLevel::Backend;
         const sim::MramAddr span = backendAlloc(t, cfg_.spanBytes);
         if (span != sim::kNullAddr) {
-            if (cache.installSpan(t, static_cast<unsigned>(cls), span)) {
-                stats_.adjustReserved(cfg_.spanBytes);
-                addr = cache.tryAlloc(t, static_cast<unsigned>(cls));
-                PIM_ASSERT(addr != sim::kNullAddr,
-                           "fresh span failed to service a request");
-            } else {
-                // WRAM record budget exhausted: serve the request from
-                // the whole 4 KB block (degenerates to bypass).
-                addr = span;
-                live_.put(addr, LiveBlock{size, true, 0, owner});
-                stats_.adjustReserved(cfg_.spanBytes);
-                stats_.adjustRequested(static_cast<int64_t>(size));
-                stats_.recordMalloc(ServiceLevel::Bypass, start,
-                                    t.clock() - start, size, t.id());
-                return addr;
-            }
+            cache.installSpan(t, static_cast<unsigned>(cls), span);
+            stats_.adjustReserved(cfg_.spanBytes);
+            addr = cache.tryAlloc(t, static_cast<unsigned>(cls));
+            PIM_ASSERT(addr != sim::kNullAddr,
+                       "fresh span failed to service a request");
         }
     }
 

@@ -58,8 +58,6 @@ struct PimMallocConfig
     bool prePopulate = true;
     /** Tasklets that will use this allocator (thread caches created). */
     unsigned numTasklets = 16;
-    /** Span records per thread cache; 0 = derive from WRAM budget. */
-    uint32_t maxSpansPerTasklet = 0;
 };
 
 /** The hierarchical PIM-malloc allocator. */
@@ -83,8 +81,6 @@ class PimMallocAllocator : public Allocator
     ThreadCache &cache(unsigned id) { return caches_.at(id); }
 
     /** Backend mutex (contention statistics). */
-    const sim::SimMutex &mutex() const { return mutex_; }
-
     const sim::SimMutex *contentionMutex() const override
     {
         return &mutex_;

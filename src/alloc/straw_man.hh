@@ -61,8 +61,6 @@ class StrawManAllocator : public Allocator
     BuddyTree &tree() { return *tree_; }
 
     /** The allocator mutex (for contention statistics). */
-    const sim::SimMutex &mutex() const { return mutex_; }
-
     const sim::SimMutex *contentionMutex() const override
     {
         return &mutex_;

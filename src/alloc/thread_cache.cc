@@ -150,20 +150,17 @@ ThreadCache::tryAlloc(sim::Tasklet &t, unsigned cls)
     PIM_PANIC("span free count disagrees with its bitmap");
 }
 
-bool
+void
 ThreadCache::installSpan(sim::Tasklet &t, unsigned cls, sim::MramAddr base)
 {
     PIM_ASSERT(cls < lists_.size(), "size class out of range");
     PIM_ASSERT(!index_.find(base), "span already installed");
-    if (totalSpans() >= cfg_.maxSpans)
-        return false;
     t.execute(cost::kSpanInstallInstrs);
     const uint32_t slot = newSpan(cls, base);
     pushFront(lists_[cls], slot);
     index_.put(base, slot);
     peakSpans_ = std::max<uint32_t>(peakSpans_,
                                     static_cast<uint32_t>(totalSpans()));
-    return true;
 }
 
 ThreadCache::FreeResult

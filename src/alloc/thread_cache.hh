@@ -57,8 +57,6 @@ struct ThreadCacheConfig
     uint32_t spanBytes = 4096;
     /** Size classes, ascending powers of two (paper: 16 B .. 2 KB). */
     std::vector<uint32_t> sizeClasses{16, 32, 64, 128, 256, 512, 1024, 2048};
-    /** Max simultaneously held span records, per cache. */
-    uint32_t maxSpans = 8192;
 };
 
 /** The per-tasklet frontend allocator. */
@@ -83,12 +81,8 @@ class ThreadCache
      */
     sim::MramAddr tryAlloc(sim::Tasklet &t, unsigned cls);
 
-    /**
-     * Add a fresh span (from the backend) to class @p cls.
-     * @return false when the record budget is exhausted; the span is
-     *         then NOT installed and the caller keeps ownership.
-     */
-    bool installSpan(sim::Tasklet &t, unsigned cls, sim::MramAddr base);
+    /** Add a fresh span (from the backend) to the front of class @p cls. */
+    void installSpan(sim::Tasklet &t, unsigned cls, sim::MramAddr base);
 
     /** Result of a free through the cache. */
     struct FreeResult

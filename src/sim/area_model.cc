@@ -13,6 +13,7 @@ constexpr double kCamBitAreaUm2 = 0.35;      // CAM cell (2x SRAM 6T)
 constexpr double kPeripheryAreaUm2 = 1500.0; // sense amps, decode, I/O
 constexpr double kPerEntryPeripheryUm2 = 24.0;
 constexpr double kTagBits = 32.0;
+constexpr double kPayloadBits = 32.0;        // one packed metadata word
 
 constexpr double kDynamicPjPerAccess = 3.3;  // match-line + read
 constexpr double kLeakageMwPerKbit = 0.9;
@@ -29,7 +30,7 @@ AreaModel::AreaModel(Scaling scaling) : scaling_(scaling) {}
 HardwareOverheads
 AreaModel::estimate(const BuddyCacheConfig &cfg) const
 {
-    const double bits_per_entry = kTagBits + 8.0 * cfg.bytesPerEntry + 2.0;
+    const double bits_per_entry = kTagBits + kPayloadBits + 2.0;
     const double total_bits = bits_per_entry * cfg.entries;
 
     const double logic_area_um2 = total_bits * kCamBitAreaUm2

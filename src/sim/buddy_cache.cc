@@ -13,101 +13,42 @@ BuddyCache::BuddyCache(const BuddyCacheConfig &cfg)
 void
 BuddyCache::init()
 {
-    for (auto &e : entries_)
-        e = Entry{};
+    used_ = 0;
     useClock_ = 0;
 }
 
-int
-BuddyCache::find(MramAddr addr) const
-{
-    for (size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].valid && entries_[i].addr == addr)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-bool
-BuddyCache::lookup(MramAddr addr)
+BuddyCache::Access
+BuddyCache::access(MramAddr addr, bool write)
 {
     ++stats_.lookups;
-    const int idx = find(addr);
-    if (idx >= 0) {
-        ++stats_.hits;
-        return true;
+    size_t lru = 0;
+    uint64_t oldest = UINT64_MAX;
+    for (size_t i = 0; i < used_; ++i) {
+        Entry &e = entries_[i];
+        if (e.addr == addr) {
+            ++stats_.hits;
+            e.dirty |= write;
+            e.lastUse = ++useClock_;
+            return {true, kNullAddr};
+        }
+        if (e.lastUse < oldest) {
+            oldest = e.lastUse;
+            lru = i;
+        }
     }
     ++stats_.misses;
-    return false;
-}
-
-uint32_t
-BuddyCache::read(MramAddr addr)
-{
-    const int idx = find(addr);
-    PIM_ASSERT(idx >= 0, "read_bc of non-resident addr ", addr);
-    entries_[idx].lastUse = ++useClock_;
-    return entries_[idx].value;
-}
-
-void
-BuddyCache::write(MramAddr addr, uint32_t value)
-{
-    const int idx = find(addr);
-    PIM_ASSERT(idx >= 0, "write_bc of non-resident addr ", addr);
-    entries_[idx].value = value;
-    entries_[idx].dirty = true;
-    entries_[idx].lastUse = ++useClock_;
-}
-
-std::optional<std::pair<MramAddr, uint32_t>>
-BuddyCache::insert(MramAddr addr, uint32_t value, bool dirty)
-{
-    PIM_ASSERT(find(addr) < 0, "insert of already-resident addr ", addr);
-    // Prefer an invalid slot; otherwise evict true-LRU.
-    int victim = -1;
-    for (size_t i = 0; i < entries_.size(); ++i) {
-        if (!entries_[i].valid) {
-            victim = static_cast<int>(i);
-            break;
-        }
-    }
-    std::optional<std::pair<MramAddr, uint32_t>> writeback;
-    if (victim < 0) {
-        uint64_t oldest = UINT64_MAX;
-        for (size_t i = 0; i < entries_.size(); ++i) {
-            if (entries_[i].lastUse < oldest) {
-                oldest = entries_[i].lastUse;
-                victim = static_cast<int>(i);
-            }
-        }
+    Access out;
+    if (used_ < entries_.size()) {
+        lru = used_++;
+    } else {
         ++stats_.evictions;
-        if (entries_[victim].dirty) {
+        if (entries_[lru].dirty) {
             ++stats_.dirtyEvictions;
-            writeback = {entries_[victim].addr, entries_[victim].value};
+            out.writeBack = entries_[lru].addr;
         }
     }
-    entries_[victim] = Entry{true, dirty, addr, value, ++useClock_};
-    return writeback;
-}
-
-std::vector<std::pair<MramAddr, uint32_t>>
-BuddyCache::flushDirty()
-{
-    std::vector<std::pair<MramAddr, uint32_t>> out;
-    for (auto &e : entries_) {
-        if (e.valid && e.dirty) {
-            out.emplace_back(e.addr, e.value);
-            e.dirty = false;
-        }
-    }
+    entries_[lru] = Entry{addr, write, ++useClock_};
     return out;
-}
-
-bool
-BuddyCache::contains(MramAddr addr) const
-{
-    return find(addr) >= 0;
 }
 
 } // namespace pim::sim

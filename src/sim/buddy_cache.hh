@@ -5,18 +5,22 @@
  * buddy allocator's packed metadata array. Managed with true LRU and a
  * write-back policy; hits cost one PIM core cycle.
  *
- * The four ISA extensions map to methods here:
- *   init_bc    -> init()
- *   lookup_bc  -> lookup()
- *   read_bc    -> read()
- *   write_bc   -> write() / insert()
+ * The model is a tag array: it tracks which words are resident, how
+ * recently each was used and whether it is dirty, but not their values,
+ * which the simulator keeps in MRAM. The four ISA extensions map to it
+ * as follows:
+ *   init_bc                                    -> init()
+ *   lookup_bc, then the read_bc, write_bc or
+ *   fill that follows it                       -> one access()
+ * alloc::HwCacheStore charges each instruction's cycles and traffic.
+ * The same CAM at 64-byte line granularity is Section VII's
+ * general-purpose data cache (alloc::DataCacheStore).
  */
 
 #ifndef PIM_SIM_BUDDY_CACHE_HH
 #define PIM_SIM_BUDDY_CACHE_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "sim/config.hh"
@@ -51,41 +55,21 @@ class BuddyCache
     /** Invalidate all entries (the init_bc instruction). */
     void init();
 
-    /**
-     * Tag lookup (the lookup_bc instruction). Counts toward hit/miss
-     * statistics. @return true if @p addr is resident.
-     */
-    bool lookup(MramAddr addr);
+    /** Outcome of one access(). */
+    struct Access
+    {
+        bool hit = false;
+        /** Address of the dirty victim to write back, or kNullAddr. */
+        MramAddr writeBack = kNullAddr;
+    };
 
     /**
-     * Read the cached word for @p addr (the read_bc instruction).
-     * @pre a preceding lookup(addr) returned true.
+     * Look up @p addr and make it the most recently used entry, marking
+     * it dirty if @p write. On a miss, @p addr fills the first invalid
+     * entry, or else evicts the least recently used one. Counts toward
+     * every statistic.
      */
-    uint32_t read(MramAddr addr);
-
-    /**
-     * Update the cached word for @p addr in place and mark it dirty.
-     * @pre the word is resident.
-     */
-    void write(MramAddr addr, uint32_t value);
-
-    /**
-     * Insert a word fetched from DRAM, evicting the LRU entry if the
-     * cache is full (the write_bc fill path).
-     * @return the evicted (addr, value) pair if the victim was dirty and
-     *         must be written back to DRAM, std::nullopt otherwise.
-     */
-    std::optional<std::pair<MramAddr, uint32_t>>
-    insert(MramAddr addr, uint32_t value, bool dirty);
-
-    /**
-     * Flush all dirty entries; returns them so the caller can charge the
-     * write-back DMA traffic. Used when an allocator is torn down.
-     */
-    std::vector<std::pair<MramAddr, uint32_t>> flushDirty();
-
-    /** True if @p addr is resident (no statistics side effects). */
-    bool contains(MramAddr addr) const;
+    Access access(MramAddr addr, bool write);
 
     /** Statistics accessors. */
     const BuddyCacheStats &stats() const { return stats_; }
@@ -97,18 +81,18 @@ class BuddyCache
   private:
     struct Entry
     {
-        bool valid = false;
-        bool dirty = false;
         MramAddr addr = 0;
-        uint32_t value = 0;
+        bool dirty = false;
         uint64_t lastUse = 0;
     };
 
-    /** Index of the entry holding @p addr, or -1. */
-    int find(MramAddr addr) const;
-
     BuddyCacheConfig cfg_;
+    /**
+     * Only init() invalidates, and it invalidates every entry, so the
+     * valid entries are always the first used_ ones.
+     */
     std::vector<Entry> entries_;
+    size_t used_ = 0;
     BuddyCacheStats stats_;
     uint64_t useClock_ = 0;
 };

@@ -16,10 +16,9 @@ namespace pim::sim {
 /** Configuration of the per-DPU hardware buddy cache (Section IV-B). */
 struct BuddyCacheConfig
 {
-    /** Number of fully-associative CAM entries (16 x 4 B = 64 B). */
+    /** Number of fully-associative CAM entries, each caching one 4 B
+     *  packed metadata word (16 x 4 B = 64 B). */
     unsigned entries = 16;
-    /** Metadata payload bytes per entry (one packed metadata word). */
-    unsigned bytesPerEntry = 4;
     /** Access latency in PIM core cycles (paper: 1 cycle). */
     uint32_t accessCycles = 1;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the hardware buddy cache model: lookup/read/write semantics,
- * LRU eviction, write-back of dirty victims, statistics, and capacity
+ * Tests for the hardware buddy cache model: hit/miss semantics, LRU
+ * eviction, write-back of dirty victims, statistics, and capacity
  * parameterization (the Fig 16 sweep axis).
  */
 
@@ -11,149 +11,122 @@
 
 using namespace pim::sim;
 
+namespace {
+
+BuddyCache
+withEntries(unsigned entries)
+{
+    BuddyCacheConfig cfg;
+    cfg.entries = entries;
+    return BuddyCache(cfg);
+}
+
+} // namespace
+
 TEST(BuddyCache, MissThenHit)
 {
     BuddyCache c;
-    EXPECT_FALSE(c.lookup(0x100));
-    c.insert(0x100, 42, false);
-    EXPECT_TRUE(c.lookup(0x100));
-    EXPECT_EQ(c.read(0x100), 42u);
+    EXPECT_FALSE(c.access(0x100, false).hit);
+    EXPECT_TRUE(c.access(0x100, false).hit);
+    EXPECT_EQ(c.stats().lookups, 2u);
     EXPECT_EQ(c.stats().hits, 1u);
     EXPECT_EQ(c.stats().misses, 1u);
-}
-
-TEST(BuddyCache, WriteUpdatesInPlace)
-{
-    BuddyCache c;
-    c.insert(0x10, 1, false);
-    c.write(0x10, 99);
-    EXPECT_EQ(c.read(0x10), 99u);
+    EXPECT_EQ(c.stats().evictions, 0u); // the miss filled a free entry
 }
 
 TEST(BuddyCache, LruEvictsOldest)
 {
-    BuddyCacheConfig cfg;
-    cfg.entries = 4;
-    BuddyCache c(cfg);
+    BuddyCache c = withEntries(4);
     for (uint32_t i = 0; i < 4; ++i)
-        c.insert(i * 4, i, false);
-    // Touch entries 0..2, leaving 3 as LRU.
-    c.lookup(0);
-    c.read(0);
-    c.lookup(4);
-    c.read(4);
-    c.lookup(8);
-    c.read(8);
-    c.insert(0x1000, 7, false);
-    EXPECT_FALSE(c.contains(12)); // victim was the un-touched word
-    EXPECT_TRUE(c.contains(0));
-    EXPECT_TRUE(c.contains(0x1000));
+        c.access(i * 4, false);
+    // Touch entries 0..2, leaving 12 as LRU.
+    for (uint32_t i = 0; i < 3; ++i)
+        EXPECT_TRUE(c.access(i * 4, false).hit);
+    EXPECT_FALSE(c.access(0x1000, false).hit);
     EXPECT_EQ(c.stats().evictions, 1u);
+    // Hits leave residency alone, so probe the survivors first.
+    EXPECT_TRUE(c.access(0x1000, false).hit);
+    for (uint32_t i = 0; i < 3; ++i)
+        EXPECT_TRUE(c.access(i * 4, false).hit);
+    EXPECT_FALSE(c.access(12, false).hit); // the victim was 12
 }
 
 TEST(BuddyCache, DirtyEvictionReturnsWriteback)
 {
-    BuddyCacheConfig cfg;
-    cfg.entries = 2;
-    BuddyCache c(cfg);
-    c.insert(0, 11, false);
-    c.insert(4, 22, true); // dirty
-    c.lookup(4);
-    c.read(4); // make addr 0 the LRU
-    auto wb = c.insert(8, 33, false);
-    EXPECT_FALSE(wb.has_value()); // victim (addr 0) was clean
-    auto wb2 = c.insert(12, 44, false);
-    ASSERT_TRUE(wb2.has_value()); // victim (addr 4) was dirty
-    EXPECT_EQ(wb2->first, 4u);
-    EXPECT_EQ(wb2->second, 22u);
+    BuddyCache c = withEntries(2);
+    c.access(0, false);
+    c.access(4, true); // dirty fill
+    c.access(4, false); // a read hit keeps it dirty; 0 is now LRU
+    EXPECT_EQ(c.access(8, false).writeBack, kNullAddr); // 0 was clean
+    EXPECT_EQ(c.access(12, false).writeBack, 4u);       // 4 was dirty
+    EXPECT_EQ(c.stats().evictions, 2u);
     EXPECT_EQ(c.stats().dirtyEvictions, 1u);
 }
 
 TEST(BuddyCache, WriteMarksDirty)
 {
-    BuddyCacheConfig cfg;
-    cfg.entries = 1;
-    BuddyCache c(cfg);
-    c.insert(0, 5, false);
-    c.write(0, 6);
-    auto wb = c.insert(4, 7, false);
-    ASSERT_TRUE(wb.has_value());
-    EXPECT_EQ(wb->second, 6u);
+    BuddyCache c = withEntries(1);
+    c.access(0, false);
+    EXPECT_TRUE(c.access(0, true).hit);
+    EXPECT_EQ(c.access(4, false).writeBack, 0u);
+    // The refill was clean, so its own eviction writes nothing back.
+    EXPECT_EQ(c.access(8, false).writeBack, kNullAddr);
+    EXPECT_EQ(c.stats().dirtyEvictions, 1u);
 }
 
 TEST(BuddyCache, InitInvalidatesAll)
 {
-    BuddyCache c;
-    c.insert(0, 1, true);
+    BuddyCache c = withEntries(1);
+    c.access(0, true);
     c.init();
-    EXPECT_FALSE(c.contains(0));
-    EXPECT_TRUE(c.flushDirty().empty());
-}
-
-TEST(BuddyCache, FlushDirtyReturnsAllDirtyOnce)
-{
-    BuddyCache c;
-    c.insert(0, 1, true);
-    c.insert(4, 2, false);
-    c.insert(8, 3, true);
-    auto dirty = c.flushDirty();
-    EXPECT_EQ(dirty.size(), 2u);
-    EXPECT_TRUE(c.flushDirty().empty()); // second flush: nothing left
+    // The dirty entry is gone without a write-back, and the next miss
+    // fills a free entry instead of evicting.
+    const BuddyCache::Access a = c.access(0, false);
+    EXPECT_FALSE(a.hit);
+    EXPECT_EQ(a.writeBack, kNullAddr);
+    EXPECT_EQ(c.stats().evictions, 0u);
 }
 
 TEST(BuddyCache, HitRate)
 {
     BuddyCache c;
-    c.insert(0, 1, false);
-    c.lookup(0);
-    c.lookup(0);
-    c.lookup(4); // miss
-    EXPECT_NEAR(c.stats().hitRate(), 2.0 / 3.0, 1e-9);
+    c.access(0, false); // miss
+    c.access(0, false);
+    c.access(0, true);
+    c.access(4, false); // miss
+    EXPECT_NEAR(c.stats().hitRate(), 2.0 / 4.0, 1e-9);
 }
 
 TEST(BuddyCache, ResetStatsKeepsContents)
 {
     BuddyCache c;
-    c.insert(0, 1, false);
-    c.lookup(0);
+    c.access(0, false);
     c.resetStats();
     EXPECT_EQ(c.stats().lookups, 0u);
-    EXPECT_TRUE(c.contains(0));
+    EXPECT_TRUE(c.access(0, false).hit);
 }
 
-/** Capacity sweep: larger caches never evict earlier than smaller. */
+/** Capacity sweep: the cache holds exactly its configured entries. */
 class BuddyCacheCapacity : public ::testing::TestWithParam<unsigned>
 {
 };
 
 TEST_P(BuddyCacheCapacity, HoldsExactlyCapacityEntries)
 {
-    BuddyCacheConfig cfg;
-    cfg.entries = GetParam();
-    BuddyCache c(cfg);
-    for (uint32_t i = 0; i < cfg.entries; ++i)
-        c.insert(i * 4, i, false);
-    for (uint32_t i = 0; i < cfg.entries; ++i)
-        EXPECT_TRUE(c.contains(i * 4));
-    c.insert(cfg.entries * 4, 0, false);
-    unsigned resident = 0;
-    for (uint32_t i = 0; i <= cfg.entries; ++i)
-        resident += c.contains(i * 4);
-    EXPECT_EQ(resident, cfg.entries);
+    const unsigned n = GetParam();
+    BuddyCache c = withEntries(n);
+    for (uint32_t i = 0; i < n; ++i)
+        EXPECT_FALSE(c.access(i * 4, false).hit);
+    for (uint32_t i = 0; i < n; ++i)
+        EXPECT_TRUE(c.access(i * 4, false).hit);
+    EXPECT_EQ(c.stats().evictions, 0u);
+    // One more word evicts the LRU word 0 and nothing else.
+    EXPECT_FALSE(c.access(n * 4, false).hit);
+    for (uint32_t i = 1; i <= n; ++i)
+        EXPECT_TRUE(c.access(i * 4, false).hit);
+    EXPECT_FALSE(c.access(0, false).hit);
+    EXPECT_EQ(c.stats().evictions, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BuddyCacheCapacity,
                          ::testing::Values(1, 4, 8, 16, 32, 64));
-
-TEST(BuddyCacheDeath, ReadNonResidentPanics)
-{
-    BuddyCache c;
-    EXPECT_DEATH(c.read(0x123), "non-resident");
-}
-
-TEST(BuddyCacheDeath, DoubleInsertPanics)
-{
-    BuddyCache c;
-    c.insert(0, 1, false);
-    EXPECT_DEATH(c.insert(0, 2, false), "already-resident");
-}

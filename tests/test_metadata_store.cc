@@ -1,8 +1,10 @@
 /**
  * @file
- * Tests for the three metadata access paths: functional equivalence
+ * Tests for the metadata access paths: functional equivalence
  * (identical state transitions regardless of store), SW buffer
- * hit/miss/flush behaviour, and HW cache traffic characteristics.
+ * hit/miss/write-back behaviour, HW cache traffic characteristics, and
+ * goldens for the buddy cache and the Section VII data cache under
+ * allocator churn.
  */
 
 #include <gtest/gtest.h>
@@ -94,7 +96,7 @@ TEST(SwBufferStore, AlternatingWindowsThrash)
         }
     });
     EXPECT_EQ(s.misses(), 20u);
-    EXPECT_NEAR(s.hitRate(), 0.0, 1e-9);
+    EXPECT_EQ(s.hits(), 0u);
 }
 
 TEST(SwBufferStore, DirtyFlushOnMissChargesWriteback)
@@ -118,20 +120,6 @@ TEST(SwBufferStore, CleanMissDoesNotWriteBack)
         const uint64_t w0 = dpu.traffic().metadataWriteBytes;
         s.get(t, 2048);
         EXPECT_EQ(dpu.traffic().metadataWriteBytes, w0);
-    });
-}
-
-TEST(SwBufferStore, ExplicitFlush)
-{
-    sim::Dpu dpu;
-    SwBufferStore s(dpu, 0, kNodes, 256);
-    withTasklet(dpu, [&](sim::Tasklet &t) {
-        s.set(t, 3, NodeState::Allocated);
-        const uint64_t w0 = dpu.traffic().metadataWriteBytes;
-        s.flush(t);
-        EXPECT_EQ(dpu.traffic().metadataWriteBytes, w0 + 256);
-        s.flush(t); // now clean: no-op
-        EXPECT_EQ(dpu.traffic().metadataWriteBytes, w0 + 256);
     });
 }
 
@@ -169,19 +157,6 @@ TEST(HwCacheStore, DirtyEvictionWritesBackOneWord)
         for (uint32_t w = 1; w <= 16; ++w)
             s.get(t, w * 16);
         EXPECT_EQ(dpu.traffic().metadataWriteBytes, 4u);
-    });
-}
-
-TEST(HwCacheStore, FlushWritesDirtyWords)
-{
-    sim::Dpu dpu;
-    HwCacheStore s(dpu, 0, kNodes);
-    withTasklet(dpu, [&](sim::Tasklet &t) {
-        s.set(t, 0, NodeState::Split);
-        s.set(t, 16, NodeState::Split);
-        const uint64_t w0 = dpu.traffic().metadataWriteBytes;
-        s.flush(t);
-        EXPECT_EQ(dpu.traffic().metadataWriteBytes, w0 + 8);
     });
 }
 

@@ -281,23 +281,6 @@ TEST(PimMalloc, LatencyTraceRecordsEvents)
     EXPECT_EQ(a.stats().events[0].size, 32u);
 }
 
-TEST(PimMalloc, WramBudgetExhaustionFallsBackToBypass)
-{
-    sim::Dpu dpu;
-    PimMallocConfig cfg = testConfig(MetadataMode::SwBuffer, false, 1);
-    cfg.maxSpansPerTasklet = 2;
-    PimMallocAllocator a(dpu, cfg);
-    dpu.run(1, [&](sim::Tasklet &t) {
-        a.init(t);
-        // Fill two spans of the 16 B class (2 x 256 blocks), then one
-        // more request: no record budget left -> bypass.
-        for (int i = 0; i < 512; ++i)
-            ASSERT_NE(a.malloc(t, 16), sim::kNullAddr);
-        ASSERT_NE(a.malloc(t, 16), sim::kNullAddr);
-        EXPECT_EQ(a.stats().serviced[size_t(ServiceLevel::Bypass)], 1u);
-    });
-}
-
 TEST(PimMalloc, HwVariantPopulatesBuddyCache)
 {
     sim::Dpu dpu;

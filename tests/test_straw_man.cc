@@ -83,7 +83,7 @@ TEST(StrawMan, DistinctAddressesAcrossTasklets)
         }
     });
     EXPECT_EQ(seen.size(), 128u);
-    EXPECT_GT(a.mutex().contendedAcquisitions(), 0u);
+    EXPECT_GT(a.contentionMutex()->contendedAcquisitions(), 0u);
 }
 
 TEST(StrawMan, ContentionInflatesLatency)
