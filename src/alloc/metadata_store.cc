@@ -216,10 +216,9 @@ HwCacheStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
 {
     access(t, node, true);
     rawSet(node, s);
-    // write_bc: the word is now dirty in the cache (access() marked it).
-    // The MRAM array is updated above so reads through any path stay
-    // coherent, while the traffic cost of persisting the word is charged
-    // when the dirty entry is evicted.
+    // write_bc (access() marked the entry dirty). MRAM is updated above
+    // so reads through any path stay coherent; the word's write-back
+    // traffic is charged when the dirty entry is evicted.
     t.stall(dpu_.config().buddyCache.accessCycles, sim::CycleKind::Run);
 }
 
