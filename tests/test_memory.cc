@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "sim/dpu.hh"
 #include "sim/memory.hh"
 
@@ -64,6 +66,34 @@ TEST(FlatMemoryDeath, OutOfRangePanics)
     EXPECT_DEATH(m.write<uint32_t>(64, 1), "out of range");
 }
 
+TEST(FlatMemoryDeath, EveryCheckedEntryPointPanics)
+{
+    FlatMemory m(64, "tiny");
+    uint8_t buf[8] = {};
+    EXPECT_DEATH(m.readBytes(57, buf, 8), "tiny access out of range");
+    EXPECT_DEATH(m.writeBytes(57, buf, 8), "tiny access out of range");
+    EXPECT_DEATH(m.fill(32, 33, 0), "tiny access out of range");
+    EXPECT_DEATH(m.moveBytes(57, 0, 8), "tiny access out of range");
+    EXPECT_DEATH(m.moveBytes(0, 57, 8), "tiny access out of range");
+}
+
+TEST(FlatMemoryDeath, LastWordPassesOneByteFurtherPanics)
+{
+    FlatMemory m(64, "tiny");
+    uint8_t buf[8] = {};
+    m.write<uint32_t>(60, 0x01020304);
+    EXPECT_EQ(m.read<uint32_t>(60), 0x01020304u);
+    m.readBytes(56, buf, 8);
+    m.writeBytes(56, buf, 8);
+    m.fill(0, 64, 0);
+    m.moveBytes(56, 0, 8);
+    m.moveBytes(0, 56, 8);
+    EXPECT_DEATH(m.read<uint32_t>(61), "tiny access out of range");
+    EXPECT_DEATH(m.write<uint32_t>(61, 1), "tiny access out of range");
+    EXPECT_DEATH(m.readBytes(56, buf, 9), "tiny access out of range");
+    EXPECT_DEATH(m.fill(0, 65, 0), "tiny access out of range");
+}
+
 TEST(Dma, ReadCostMatchesModel)
 {
     Dpu dpu;
@@ -73,6 +103,48 @@ TEST(Dma, ReadCostMatchesModel)
         + static_cast<uint64_t>(cfg.dmaCyclesPerByte * 1024);
     EXPECT_EQ(dpu.lastElapsedCycles(), expect);
     EXPECT_EQ(dpu.lastBreakdown().of(CycleKind::IdleMemory), expect);
+}
+
+TEST(Dma, EachChargeRoundsUpOnItsOwnDpusConfig)
+{
+    // 0.3 cycles/B makes the ceil matter on every size below, and the
+    // repeated and alternating sizes walk any per-size memo through its
+    // hits and misses.
+    DpuConfig cfg;
+    cfg.dmaSetupCycles = 17;
+    cfg.dmaCyclesPerByte = 0.3;
+    Dpu dpu(cfg);
+    struct Charge
+    {
+        uint32_t bytes;
+        uint64_t cycles; // 17 + ceil(0.3 * bytes)
+    };
+    const Charge odd[] = {{4, 19}, {2048, 632}, {4, 19},
+                          {7, 20}, {7, 20},     {1, 18}};
+    dpu.run(1, [&](Tasklet &t) {
+        for (size_t i = 0; i < std::size(odd); ++i) {
+            SCOPED_TRACE(i);
+            const uint64_t before = t.clock();
+            if (i % 2 == 0)
+                t.dmaRead(0, odd[i].bytes);
+            else
+                t.dmaWrite(0, odd[i].bytes);
+            EXPECT_EQ(t.clock() - before, odd[i].cycles);
+        }
+    });
+    // A default-config DPU launched next on the same host thread charges
+    // by its own config, starting with the size the last charge above
+    // used.
+    Dpu plain;
+    const Charge defaults[] = {{1, 65}, {4, 66}, {7, 68}, {2048, 1088}};
+    plain.run(1, [&](Tasklet &t) {
+        for (const Charge &c : defaults) {
+            SCOPED_TRACE(c.bytes);
+            const uint64_t before = t.clock();
+            t.dmaWrite(0, c.bytes);
+            EXPECT_EQ(t.clock() - before, c.cycles);
+        }
+    });
 }
 
 TEST(Dma, TrafficAccounting)

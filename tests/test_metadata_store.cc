@@ -3,8 +3,8 @@
  * Tests for the metadata access paths: functional equivalence
  * (identical state transitions regardless of store), SW buffer
  * hit/miss/write-back behaviour, HW cache traffic characteristics, and
- * goldens for the buddy cache and the Section VII data cache under
- * allocator churn.
+ * goldens for the SW window, the buddy cache and the Section VII data
+ * cache under scripted and allocator churn.
  */
 
 #include <gtest/gtest.h>
@@ -242,6 +242,65 @@ runHwChurn(unsigned entries)
             dpu.lastElapsedCycles()};
 }
 
+/** Everything SwBufferStore.PartialWindowMatchesGolden pins for one run. */
+struct SwChurn
+{
+    uint64_t hits = 0, misses = 0, readBytes = 0, writeBytes = 0, dmas = 0,
+             cycles = 0, events = 0;
+};
+
+/**
+ * A 96 B SW window over a 1,023-node tree (512 KB heap, 1 KB blocks):
+ * 256 B of metadata, so the window size is not a power of two, does not
+ * divide the array, and the third window holds only 64 B. With
+ * @p tree_churn false, 2,000 seeded gets and sets on random nodes; else
+ * 1,500 seeded BuddyTree ops, a free of a random live block with
+ * probability 0.35, else an alloc of up to 2 KB. The heap fills, so
+ * leaves in all three windows are handed out.
+ */
+SwChurn
+runSwWindowChurn(bool tree_churn)
+{
+    sim::Dpu dpu;
+    const uint32_t heap = 512u << 10;
+    const uint32_t nodes = BuddyTree::nodesFor(heap, 1024);
+    EXPECT_EQ(nodes, 1023u);
+    SwBufferStore store(dpu, 0, nodes, 96);
+    EXPECT_EQ(store.bytes(), 256u);
+    BuddyTree tree(store, 1u << 20, heap, 1024);
+    dpu.run(1, [&](sim::Tasklet &t) {
+        tree.reset(t);
+        util::Rng rng(tree_churn ? 9 : 8);
+        std::vector<sim::MramAddr> live;
+        for (int i = 0; i < (tree_churn ? 1500 : 2000); ++i) {
+            if (!tree_churn) {
+                const auto node =
+                    static_cast<uint32_t>(rng.uniformInt(nodes));
+                if (rng.bernoulli(0.5))
+                    store.set(t, node,
+                              static_cast<NodeState>(rng.uniformInt(4)));
+                else
+                    store.get(t, node);
+                continue;
+            }
+            if (!live.empty() && rng.bernoulli(0.35)) {
+                const size_t k = rng.uniformInt(live.size());
+                EXPECT_NE(tree.free(t, live[k]), 0u);
+                live[k] = live.back();
+                live.pop_back();
+                continue;
+            }
+            const sim::MramAddr p = tree.alloc(
+                t, static_cast<uint32_t>(rng.uniformRange(1, 2048)));
+            if (p != sim::kNullAddr)
+                live.push_back(p);
+        }
+    });
+    return {store.hits(), store.misses(), dpu.traffic().metadataReadBytes,
+            dpu.traffic().metadataWriteBytes, dpu.traffic().dmaTransfers,
+            dpu.lastElapsedCycles(), dpu.lastSimEvents()};
+}
+
 /** Hits, misses, traffic and cycles of a store under a buddy-tree churn. */
 struct TreeChurn
 {
@@ -285,6 +344,34 @@ runDataCacheChurn(uint32_t lines)
 }
 
 } // namespace
+
+TEST(SwBufferStore, PartialWindowMatchesGolden)
+{
+    // Every production SW window is a power of two that divides its
+    // array. This one is neither, and its last window is partial: the
+    // window arithmetic, the resident length of the tail window and the
+    // flush-and-reload charges must leave every number alone.
+    struct Golden
+    {
+        bool treeChurn;
+        SwChurn r;
+    };
+    const Golden golden[] = {
+        {false, {694, 1306, 113760, 67456, 2078, 844044, 4078}},
+        {true, {45376, 2377, 225888, 178624, 4260, 10503596, 99766}},
+    };
+    for (const Golden &g : golden) {
+        SCOPED_TRACE(g.treeChurn);
+        const SwChurn r = runSwWindowChurn(g.treeChurn);
+        EXPECT_EQ(r.hits, g.r.hits);
+        EXPECT_EQ(r.misses, g.r.misses);
+        EXPECT_EQ(r.readBytes, g.r.readBytes);
+        EXPECT_EQ(r.writeBytes, g.r.writeBytes);
+        EXPECT_EQ(r.dmas, g.r.dmas);
+        EXPECT_EQ(r.cycles, g.r.cycles);
+        EXPECT_EQ(r.events, g.r.events);
+    }
+}
 
 TEST(HwCacheStore, ChurnMatchesGolden)
 {
