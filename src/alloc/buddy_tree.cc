@@ -120,11 +120,13 @@ BuddyTree::reset(sim::Tasklet &t)
 sim::MramAddr
 BuddyTree::alloc(sim::Tasklet &t, uint32_t size)
 {
-    const uint32_t rounded = roundSize(size);
-    if (rounded > heapBytes_) {
+    // Checked before rounding: above 2^31 a size has no power of two
+    // in 32 bits to round up to.
+    if (size > heapBytes_) {
         ++stats_.failures;
         return sim::kNullAddr;
     }
+    const uint32_t rounded = roundSize(size);
     const uint32_t target = levelFor(rounded);
     const sim::MramAddr r = tryAlloc(t, 0, 0, target);
     if (r == sim::kNullAddr) {

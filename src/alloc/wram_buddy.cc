@@ -70,9 +70,12 @@ WramBuddy::tryAlloc(sim::Tasklet &t, uint32_t node, uint32_t level,
 uint32_t
 WramBuddy::alloc(sim::Tasklet &t, uint32_t size)
 {
-    uint32_t rounded = size <= minBlock_ ? minBlock_ : std::bit_ceil(size);
-    if (rounded > heapBytes_)
+    // Checked before rounding: above 2^31 a size has no power of two
+    // in 32 bits to round up to.
+    if (size > heapBytes_)
         return kWramNull;
+    const uint32_t rounded =
+        size <= minBlock_ ? minBlock_ : std::bit_ceil(size);
     const uint32_t target =
         static_cast<uint32_t>(std::countr_zero(heapBytes_ / rounded));
     mutex_.lock(t);

@@ -264,6 +264,26 @@ TEST(PimMalloc, OutOfMemoryFailsGracefully)
     });
 }
 
+TEST(PimMalloc, BypassAbove2GiBFails)
+{
+    // The bypass path hands the size to the buddy tree, which must fail
+    // it rather than round it past 32 bits.
+    for (const MetadataMode mode :
+         {MetadataMode::SwBuffer, MetadataMode::HwCache}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        sim::Dpu dpu;
+        PimMallocAllocator a(dpu, testConfig(mode));
+        dpu.run(1, [&](sim::Tasklet &t) {
+            a.init(t);
+            EXPECT_EQ(a.malloc(t, 0x80000001u), sim::kNullAddr);
+            EXPECT_EQ(a.stats().failures, 1u);
+            EXPECT_EQ(a.malloc(t, UINT32_MAX), sim::kNullAddr);
+            EXPECT_EQ(a.stats().failures, 2u);
+            EXPECT_NE(a.malloc(t, 4096), sim::kNullAddr);
+        });
+    }
+}
+
 TEST(PimMalloc, LatencyTraceRecordsEvents)
 {
     sim::Dpu dpu;

@@ -155,6 +155,23 @@ TEST(StrawMan, HeapExhaustionCountsFailures)
     });
 }
 
+TEST(StrawMan, RequestAbove2GiBFails)
+{
+    // Rounded up, these sizes do not fit in 32 bits; they must fail
+    // like any request larger than the heap.
+    sim::Dpu dpu;
+    StrawManAllocator a(dpu, StrawManConfig{});
+    dpu.run(1, [&](sim::Tasklet &t) {
+        a.init(t);
+        EXPECT_EQ(a.malloc(t, 0x80000001u), sim::kNullAddr);
+        EXPECT_EQ(a.stats().failures, 1u);
+        EXPECT_EQ(a.malloc(t, UINT32_MAX), sim::kNullAddr);
+        EXPECT_EQ(a.stats().failures, 2u);
+        EXPECT_EQ(a.tree().allocatedBytes(), 0u);
+        EXPECT_NE(a.malloc(t, 64), sim::kNullAddr);
+    });
+}
+
 TEST(StrawMan, FragmentationAccountsRounding)
 {
     sim::Dpu dpu;

@@ -60,6 +60,18 @@ TEST(WramBuddy, ExhaustionReturnsNull)
     });
 }
 
+TEST(WramBuddy, RequestAbove2GiBReturnsNull)
+{
+    sim::Dpu dpu;
+    WramBuddy w(dpu, 1024, 32);
+    dpu.run(1, [&](sim::Tasklet &t) {
+        EXPECT_EQ(w.alloc(t, 0x80000001u), kWramNull);
+        EXPECT_EQ(w.alloc(t, UINT32_MAX), kWramNull);
+        EXPECT_EQ(w.allocatedBytes(), 0u);
+        EXPECT_NE(w.alloc(t, 1024), kWramNull);
+    });
+}
+
 TEST(WramBuddy, DoubleFreeAndWildPointerRejected)
 {
     sim::Dpu dpu;
