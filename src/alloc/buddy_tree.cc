@@ -49,19 +49,37 @@ BuddyTree::levelFor(uint32_t rounded) const
         std::countr_zero(heapBytes_ / rounded));
 }
 
+template <typename Walk>
+auto
+BuddyTree::withStore(Walk &&walk)
+{
+    switch (store_.kind()) {
+      case MetadataStore::Kind::Direct:
+        return walk(static_cast<DirectStore &>(store_));
+      case MetadataStore::Kind::SwBuffer:
+        return walk(static_cast<SwBufferStore &>(store_));
+      case MetadataStore::Kind::DataCache:
+        return walk(static_cast<DataCacheStore &>(store_));
+      case MetadataStore::Kind::HwCache:
+        return walk(static_cast<HwCacheStore &>(store_));
+    }
+    PIM_PANIC("unknown metadata store kind");
+}
+
+template <typename Store>
 sim::MramAddr
-BuddyTree::tryAlloc(sim::Tasklet &t, uint32_t node, uint32_t level,
-                    uint32_t target)
+BuddyTree::tryAlloc(Store &store, sim::Tasklet &t, uint32_t node,
+                    uint32_t level, uint32_t target)
 {
     ++stats_.nodesVisited;
     t.execute(cost::kNodeVisitInstrs);
-    const NodeState state = store_.get(t, node);
+    const NodeState state = store.get(t, node);
 
     if (level == target) {
         if (state != NodeState::Free)
             return sim::kNullAddr;
         t.execute(cost::kNodeUpdateInstrs);
-        store_.set(t, node, NodeState::Allocated);
+        store.set(t, node, NodeState::Allocated);
         return heapBase_ + offsetOf(node, level);
     }
 
@@ -73,13 +91,13 @@ BuddyTree::tryAlloc(sim::Tasklet &t, uint32_t node, uint32_t level,
         // by free()'s merge path), so mark this node divided and
         // descend.
         t.execute(cost::kNodeUpdateInstrs);
-        store_.set(t, node, NodeState::Split);
+        store.set(t, node, NodeState::Split);
     }
 
     const uint32_t left = 2 * node + 1;
-    sim::MramAddr r = tryAlloc(t, left, level + 1, target);
+    sim::MramAddr r = tryAlloc(store, t, left, level + 1, target);
     if (r == sim::kNullAddr)
-        r = tryAlloc(t, left + 1, level + 1, target);
+        r = tryAlloc(store, t, left + 1, level + 1, target);
 
     if (r == sim::kNullAddr && state == NodeState::Free) {
         // We split a free node but neither child could satisfy the
@@ -87,26 +105,91 @@ BuddyTree::tryAlloc(sim::Tasklet &t, uint32_t node, uint32_t level,
         // allocator mutex, which the callers prevent; restore anyway to
         // keep the structure canonical).
         t.execute(cost::kNodeUpdateInstrs);
-        store_.set(t, node, NodeState::Free);
+        store.set(t, node, NodeState::Free);
     } else if (r != sim::kNullAddr) {
         // Propagate fullness: if both children are now exhausted, mark
         // this node Full so later searches prune the subtree.
         ++stats_.nodesVisited;
         t.execute(cost::kNodeVisitInstrs);
-        const NodeState ls = store_.get(t, left);
+        const NodeState ls = store.get(t, left);
         NodeState rs = NodeState::Free;
         if (ls == NodeState::Allocated || ls == NodeState::Full) {
             ++stats_.nodesVisited;
             t.execute(cost::kNodeVisitInstrs);
-            rs = store_.get(t, left + 1);
+            rs = store.get(t, left + 1);
         }
         if ((ls == NodeState::Allocated || ls == NodeState::Full)
             && (rs == NodeState::Allocated || rs == NodeState::Full)) {
             t.execute(cost::kNodeUpdateInstrs);
-            store_.set(t, node, NodeState::Full);
+            store.set(t, node, NodeState::Full);
         }
     }
     return r;
+}
+
+template <typename Store>
+uint32_t
+BuddyTree::freeAt(Store &store, sim::Tasklet &t, uint32_t offset)
+{
+    // Descend from the root following the child containing `offset`
+    // until the node allocated exactly at `offset` is found.
+    uint32_t node = 0;
+    uint32_t level = 0;
+    for (;;) {
+        ++stats_.nodesVisited;
+        t.execute(cost::kNodeVisitInstrs);
+        const NodeState state = store.get(t, node);
+        const uint32_t node_off = offsetOf(node, level);
+        if (state == NodeState::Allocated) {
+            if (node_off != offset)
+                return 0; // pointer into the middle of a block
+            break;
+        }
+        if (state == NodeState::Free)
+            return 0; // double free / wild pointer
+        if (level + 1 >= levels_)
+            return 0; // leaf is Split — corrupt pointer
+        const uint32_t child_size = blockSize(level + 1);
+        const uint32_t left = 2 * node + 1;
+        node = (offset - node_off < child_size) ? left : left + 1;
+        ++level;
+    }
+
+    const uint32_t freed = blockSize(level);
+    t.execute(cost::kNodeUpdateInstrs);
+    store.set(t, node, NodeState::Free);
+
+    // Merge upward while the buddy is also free.
+    while (level > 0) {
+        const uint32_t buddy =
+            ((node - 1) ^ 1u) + 1; // sibling in heap order
+        ++stats_.nodesVisited;
+        t.execute(cost::kNodeVisitInstrs);
+        if (store.get(t, buddy) != NodeState::Free)
+            break;
+        const uint32_t parent = (node - 1) / 2;
+        t.execute(cost::kNodeUpdateInstrs);
+        store.set(t, parent, NodeState::Free);
+        node = parent;
+        --level;
+    }
+
+    // Ancestors that were marked Full can no longer be full: downgrade
+    // them to Split. The walk stops at the first non-Full ancestor
+    // (nothing above it can be marked Full either, since marking
+    // requires both children to be exhausted).
+    while (level > 0) {
+        const uint32_t parent = (node - 1) / 2;
+        ++stats_.nodesVisited;
+        t.execute(cost::kNodeVisitInstrs);
+        if (store.get(t, parent) != NodeState::Full)
+            break;
+        t.execute(cost::kNodeUpdateInstrs);
+        store.set(t, parent, NodeState::Split);
+        node = parent;
+        --level;
+    }
+    return freed;
 }
 
 void
@@ -128,7 +211,8 @@ BuddyTree::alloc(sim::Tasklet &t, uint32_t size)
     }
     const uint32_t rounded = roundSize(size);
     const uint32_t target = levelFor(rounded);
-    const sim::MramAddr r = tryAlloc(t, 0, 0, target);
+    const sim::MramAddr r = withStore(
+        [&](auto &store) { return tryAlloc(store, t, 0, 0, target); });
     if (r == sim::kNullAddr) {
         ++stats_.failures;
         return sim::kNullAddr;
@@ -146,66 +230,10 @@ BuddyTree::free(sim::Tasklet &t, sim::MramAddr addr)
     const uint32_t offset = addr - heapBase_;
     if (offset % minBlock_ != 0)
         return 0;
-
-    // Descend from the root following the child containing `offset`
-    // until the node allocated exactly at `offset` is found.
-    uint32_t node = 0;
-    uint32_t level = 0;
-    for (;;) {
-        ++stats_.nodesVisited;
-        t.execute(cost::kNodeVisitInstrs);
-        const NodeState state = store_.get(t, node);
-        const uint32_t node_off = offsetOf(node, level);
-        if (state == NodeState::Allocated) {
-            if (node_off != offset)
-                return 0; // pointer into the middle of a block
-            break;
-        }
-        if (state == NodeState::Free)
-            return 0; // double free / wild pointer
-        if (level + 1 >= levels_)
-            return 0; // leaf is Split — corrupt pointer
-        const uint32_t child_size = blockSize(level + 1);
-        const uint32_t left = 2 * node + 1;
-        node = (offset - node_off < child_size) ? left : left + 1;
-        ++level;
-    }
-
-    const uint32_t freed = blockSize(level);
-    t.execute(cost::kNodeUpdateInstrs);
-    store_.set(t, node, NodeState::Free);
-
-    // Merge upward while the buddy is also free.
-    while (level > 0) {
-        const uint32_t buddy =
-            ((node - 1) ^ 1u) + 1; // sibling in heap order
-        ++stats_.nodesVisited;
-        t.execute(cost::kNodeVisitInstrs);
-        if (store_.get(t, buddy) != NodeState::Free)
-            break;
-        const uint32_t parent = (node - 1) / 2;
-        t.execute(cost::kNodeUpdateInstrs);
-        store_.set(t, parent, NodeState::Free);
-        node = parent;
-        --level;
-    }
-
-    // Ancestors that were marked Full can no longer be full: downgrade
-    // them to Split. The walk stops at the first non-Full ancestor
-    // (nothing above it can be marked Full either, since marking
-    // requires both children to be exhausted).
-    while (level > 0) {
-        const uint32_t parent = (node - 1) / 2;
-        ++stats_.nodesVisited;
-        t.execute(cost::kNodeVisitInstrs);
-        if (store_.get(t, parent) != NodeState::Full)
-            break;
-        t.execute(cost::kNodeUpdateInstrs);
-        store_.set(t, parent, NodeState::Split);
-        node = parent;
-        --level;
-    }
-
+    const uint32_t freed = withStore(
+        [&](auto &store) { return freeAt(store, t, offset); });
+    if (freed == 0)
+        return 0;
     ++stats_.frees;
     PIM_ASSERT(allocatedBytes_ >= freed, "allocated-bytes underflow");
     allocatedBytes_ -= freed;

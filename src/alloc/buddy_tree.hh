@@ -2,9 +2,11 @@
  * @file
  * The buddy allocation algorithm (Knowlton, CACM 1965) over a packed
  * 2-bit-per-node metadata tree, as used by UPMEM's buddy_alloc(), the
- * straw-man buddy_alloc_PIM_DRAM, and PIM-malloc's backend. The tree is
- * generic over a MetadataStore so the same algorithm runs with direct,
- * software-buffered, or hardware-cached metadata access.
+ * straw-man buddy_alloc_PIM_DRAM, and PIM-malloc's backend. The same
+ * algorithm runs with direct, software-buffered, or hardware-cached
+ * metadata access: each alloc() and free() reads its MetadataStore's
+ * kind once and runs a walk specialised on that concrete store, so no
+ * node visit makes a virtual call.
  */
 
 #ifndef PIM_ALLOC_BUDDY_TREE_HH
@@ -124,9 +126,22 @@ class BuddyTree
         return (node - first) * blockSize(level);
     }
 
+    /** Call @p walk with the store cast to its concrete type. */
+    template <typename Walk>
+    auto withStore(Walk &&walk);
+
     /** Recursive first-fit descent. */
-    sim::MramAddr tryAlloc(sim::Tasklet &t, uint32_t node, uint32_t level,
-                           uint32_t target);
+    template <typename Store>
+    sim::MramAddr tryAlloc(Store &store, sim::Tasklet &t, uint32_t node,
+                           uint32_t level, uint32_t target);
+
+    /**
+     * Free the block at heap @p offset: descend to its node, merge with
+     * free buddies, downgrade Full ancestors. Returns the freed size, or
+     * 0 if no block is allocated exactly at @p offset.
+     */
+    template <typename Store>
+    uint32_t freeAt(Store &store, sim::Tasklet &t, uint32_t offset);
 
     MetadataStore &store_;
     sim::MramAddr heapBase_;

@@ -6,33 +6,15 @@
 namespace pim::alloc {
 
 MetadataStore::MetadataStore(sim::Dpu &dpu, sim::MramAddr mram_base,
-                             uint32_t num_nodes)
+                             uint32_t num_nodes, Kind kind)
     : dpu_(dpu), base_(mram_base), numNodes_(num_nodes),
-      wordCount_((num_nodes + kNodesPerWord - 1) / kNodesPerWord)
+      wordCount_((num_nodes + kNodesPerWord - 1) / kNodesPerWord),
+      kind_(kind)
 {
     PIM_ASSERT(num_nodes > 0, "metadata store needs at least one node");
     PIM_ASSERT(static_cast<uint64_t>(mram_base) + bytes()
                    <= dpu.mram().size(),
                "metadata array does not fit in MRAM");
-}
-
-NodeState
-MetadataStore::rawGet(uint32_t node) const
-{
-    PIM_ASSERT(node < numNodes_, "node index out of range: ", node);
-    const uint32_t word = dpu_.mram().read<uint32_t>(wordAddr(node));
-    return static_cast<NodeState>((word >> bitShift(node)) & 0x3u);
-}
-
-void
-MetadataStore::rawSet(uint32_t node, NodeState s)
-{
-    PIM_ASSERT(node < numNodes_, "node index out of range: ", node);
-    const sim::MramAddr addr = wordAddr(node);
-    uint32_t word = dpu_.mram().read<uint32_t>(addr);
-    word &= ~(0x3u << bitShift(node));
-    word |= static_cast<uint32_t>(s) << bitShift(node);
-    dpu_.mram().write<uint32_t>(addr, word);
 }
 
 void
@@ -43,27 +25,12 @@ MetadataStore::reset(sim::Tasklet &t)
     t.dmaWrite(base_, bytes(), sim::TrafficClass::Metadata);
 }
 
-// --- DirectStore ---
-
-NodeState
-DirectStore::get(sim::Tasklet &t, uint32_t node)
-{
-    (void)t;
-    return rawGet(node);
-}
-
-void
-DirectStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
-{
-    (void)t;
-    rawSet(node, s);
-}
-
 // --- SwBufferStore ---
 
 SwBufferStore::SwBufferStore(sim::Dpu &dpu, sim::MramAddr mram_base,
                              uint32_t num_nodes, uint32_t buffer_bytes)
-    : MetadataStore(dpu, mram_base, num_nodes), bufferBytes_(buffer_bytes)
+    : MetadataStore(dpu, mram_base, num_nodes, Kind::SwBuffer),
+      bufferBytes_(buffer_bytes)
 {
     PIM_ASSERT(buffer_bytes >= kWordBytes,
                "SW buffer must hold at least one word");
@@ -71,15 +38,8 @@ SwBufferStore::SwBufferStore(sim::Dpu &dpu, sim::MramAddr mram_base,
 }
 
 void
-SwBufferStore::ensureResident(sim::Tasklet &t, uint32_t node)
+SwBufferStore::reload(sim::Tasklet &t, uint32_t byte_off)
 {
-    const uint32_t byte_off = (node / kNodesPerWord) * kWordBytes;
-    const uint32_t window = byte_off - byte_off % bufferBytes_;
-    if (valid_ && window == windowStart_) {
-        ++hits_;
-        t.execute(cost::kSwBufferHitInstrs);
-        return;
-    }
     ++misses_;
     t.execute(cost::kSwBufferMissInstrs);
     // Coarse-grained policy: flush the whole window, reload the whole
@@ -89,26 +49,11 @@ SwBufferStore::ensureResident(sim::Tasklet &t, uint32_t node)
         t.dmaWrite(base_ + windowStart_, resident,
                    sim::TrafficClass::Metadata);
     }
-    windowStart_ = window;
+    windowStart_ = byte_off - byte_off % bufferBytes_;
     resident = std::min(bufferBytes_, bytes() - windowStart_);
     t.dmaRead(base_ + windowStart_, resident, sim::TrafficClass::Metadata);
     valid_ = true;
     dirty_ = false;
-}
-
-NodeState
-SwBufferStore::get(sim::Tasklet &t, uint32_t node)
-{
-    ensureResident(t, node);
-    return rawGet(node);
-}
-
-void
-SwBufferStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
-{
-    ensureResident(t, node);
-    rawSet(node, s);
-    dirty_ = true;
 }
 
 void
@@ -124,8 +69,8 @@ SwBufferStore::reset(sim::Tasklet &t)
 DataCacheStore::DataCacheStore(sim::Dpu &dpu, sim::MramAddr mram_base,
                                uint32_t num_nodes, uint32_t line_bytes,
                                uint32_t lines)
-    : MetadataStore(dpu, mram_base, num_nodes), lineBytes_(line_bytes),
-      lines_(sim::BuddyCacheConfig{lines})
+    : MetadataStore(dpu, mram_base, num_nodes, Kind::DataCache),
+      lineBytes_(line_bytes), lines_(sim::BuddyCacheConfig{lines})
 {
     PIM_ASSERT(line_bytes >= kWordBytes, "invalid data cache geometry");
 }
@@ -148,20 +93,6 @@ DataCacheStore::access(sim::Tasklet &t, uint32_t node, bool write)
     t.dmaRead(line, lineBytes_, sim::TrafficClass::Metadata);
 }
 
-NodeState
-DataCacheStore::get(sim::Tasklet &t, uint32_t node)
-{
-    access(t, node, false);
-    return rawGet(node);
-}
-
-void
-DataCacheStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
-{
-    access(t, node, true);
-    rawSet(node, s);
-}
-
 void
 DataCacheStore::reset(sim::Tasklet &t)
 {
@@ -173,53 +104,25 @@ DataCacheStore::reset(sim::Tasklet &t)
 
 HwCacheStore::HwCacheStore(sim::Dpu &dpu, sim::MramAddr mram_base,
                            uint32_t num_nodes)
-    : MetadataStore(dpu, mram_base, num_nodes)
+    : MetadataStore(dpu, mram_base, num_nodes, Kind::HwCache)
 {
     dpu.buddyCache().init();
 }
 
 void
-HwCacheStore::access(sim::Tasklet &t, uint32_t node, bool write)
+HwCacheStore::fill(sim::Tasklet &t, sim::MramAddr wa,
+                   sim::MramAddr write_back)
 {
-    // The CAM is updated before the charges below, which may switch
-    // this tasklet out. That is safe: every tree access holds the
-    // allocator's mutex, and init runs on one tasklet, so no other
-    // tasklet reaches the cache in between.
-    const sim::MramAddr wa = wordAddr(node);
-    const auto a = dpu_.buddyCache().access(wa, write);
-    const uint32_t lat = dpu_.config().buddyCache.accessCycles;
-    t.stall(lat, sim::CycleKind::Run); // lookup_bc
-    if (a.hit)
-        return;
-    // Miss: fetch exactly the requested word from DRAM (fine-grained),
-    // then fill via write_bc, writing back a dirty LRU victim if any.
-    // MRAM is kept current on every set(), so the write-back only
-    // charges its traffic.
+    // Fetch exactly the requested word from DRAM (fine-grained), then
+    // fill via write_bc, writing back a dirty LRU victim if any. MRAM
+    // is kept current on every set(), so the write-back only charges
+    // its traffic.
     t.execute(cost::kHwCacheMissInstrs);
     t.dmaRead(wa, kWordBytes, sim::TrafficClass::Metadata);
-    t.stall(lat, sim::CycleKind::Run); // write_bc fill
-    if (a.writeBack != sim::kNullAddr)
-        t.dmaWrite(a.writeBack, kWordBytes, sim::TrafficClass::Metadata);
-}
-
-NodeState
-HwCacheStore::get(sim::Tasklet &t, uint32_t node)
-{
-    access(t, node, false);
-    // read_bc
-    t.stall(dpu_.config().buddyCache.accessCycles, sim::CycleKind::Run);
-    return rawGet(node);
-}
-
-void
-HwCacheStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
-{
-    access(t, node, true);
-    rawSet(node, s);
-    // write_bc (access() marked the entry dirty). MRAM is updated above
-    // so reads through any path stay coherent; the word's write-back
-    // traffic is charged when the dirty entry is evicted.
-    t.stall(dpu_.config().buddyCache.accessCycles, sim::CycleKind::Run);
+    t.stall(dpu_.config().buddyCache.accessCycles,
+            sim::CycleKind::Run); // write_bc fill
+    if (write_back != sim::kNullAddr)
+        t.dmaWrite(write_back, kWordBytes, sim::TrafficClass::Metadata);
 }
 
 void

@@ -22,6 +22,12 @@
  * equivalence property. Because the array is always current, the cached
  * stores keep tags only, and a dirty window, line or word costs its
  * write-back traffic when it is evicted; there is no flush.
+ *
+ * Every store is final and tags itself with its Kind. BuddyTree switches
+ * on the tag once per alloc or free and runs a walk specialised on the
+ * concrete store, so each node's get/set, the window test and the MRAM
+ * read inline into the walk; only the miss paths stay out of line. The
+ * virtual get/set serve callers that hold a base reference.
  */
 
 #ifndef PIM_ALLOC_METADATA_STORE_HH
@@ -29,10 +35,12 @@
 
 #include <cstdint>
 
+#include "alloc/cost_model.hh"
 #include "sim/buddy_cache.hh"
 #include "sim/dpu.hh"
 #include "sim/tasklet.hh"
 #include "sim/types.hh"
+#include "util/logging.hh"
 
 namespace pim::alloc {
 
@@ -50,13 +58,13 @@ enum class NodeState : uint8_t {
 class MetadataStore
 {
   public:
-    /**
-     * @param dpu        owning DPU (storage + traffic accounting).
-     * @param mram_base  MRAM byte offset of the packed state array.
-     * @param num_nodes  number of tree nodes covered.
-     */
-    MetadataStore(sim::Dpu &dpu, sim::MramAddr mram_base, uint32_t num_nodes);
+    /** The concrete store behind a base reference. */
+    enum class Kind : uint8_t { Direct, SwBuffer, DataCache, HwCache };
+
     virtual ~MetadataStore() = default;
+
+    /** Which concrete store this is (set by its constructor). */
+    Kind kind() const { return kind_; }
 
     /** Read one node's state, charging this store's access cost. */
     virtual NodeState get(sim::Tasklet &t, uint32_t node) = 0;
@@ -74,6 +82,15 @@ class MetadataStore
     uint32_t numNodes() const { return numNodes_; }
 
   protected:
+    /**
+     * @param dpu        owning DPU (storage + traffic accounting).
+     * @param mram_base  MRAM byte offset of the packed state array.
+     * @param num_nodes  number of tree nodes covered.
+     * @param kind       the concrete store being built.
+     */
+    MetadataStore(sim::Dpu &dpu, sim::MramAddr mram_base, uint32_t num_nodes,
+                  Kind kind);
+
     /** Nodes per packed 4-byte word (16 nodes x 2 bits). */
     static constexpr uint32_t kWordBytes = 4;
     static constexpr uint32_t kNodesPerWord = kWordBytes * 8 / 2;
@@ -93,25 +110,55 @@ class MetadataStore
     }
 
     /** Read a node's state straight from the MRAM array (no cost). */
-    NodeState rawGet(uint32_t node) const;
+    NodeState
+    rawGet(uint32_t node) const
+    {
+        PIM_ASSERT(node < numNodes_, "node index out of range: ", node);
+        const uint32_t word = dpu_.mram().read<uint32_t>(wordAddr(node));
+        return static_cast<NodeState>((word >> bitShift(node)) & 0x3u);
+    }
 
     /** Write a node's state straight into the MRAM array (no cost). */
-    void rawSet(uint32_t node, NodeState s);
+    void
+    rawSet(uint32_t node, NodeState s)
+    {
+        PIM_ASSERT(node < numNodes_, "node index out of range: ", node);
+        const sim::MramAddr addr = wordAddr(node);
+        uint32_t word = dpu_.mram().read<uint32_t>(addr);
+        word &= ~(0x3u << bitShift(node));
+        word |= static_cast<uint32_t>(s) << bitShift(node);
+        dpu_.mram().write<uint32_t>(addr, word);
+    }
 
     sim::Dpu &dpu_;
     sim::MramAddr base_;
     uint32_t numNodes_;
     uint32_t wordCount_;
+
+  private:
+    Kind kind_;
 };
 
 /** Zero-cost direct access (host-side execution / test oracle). */
-class DirectStore : public MetadataStore
+class DirectStore final : public MetadataStore
 {
   public:
-    using MetadataStore::MetadataStore;
+    DirectStore(sim::Dpu &dpu, sim::MramAddr mram_base, uint32_t num_nodes)
+        : MetadataStore(dpu, mram_base, num_nodes, Kind::Direct)
+    {
+    }
 
-    NodeState get(sim::Tasklet &t, uint32_t node) override;
-    void set(sim::Tasklet &t, uint32_t node, NodeState s) override;
+    NodeState
+    get(sim::Tasklet &, uint32_t node) override
+    {
+        return rawGet(node);
+    }
+
+    void
+    set(sim::Tasklet &, uint32_t node, NodeState s) override
+    {
+        rawSet(node, s);
+    }
 };
 
 /**
@@ -119,7 +166,7 @@ class DirectStore : public MetadataStore
  * aligned window of the metadata array; a miss flushes the whole window
  * (if dirty) and reloads the window containing the requested word.
  */
-class SwBufferStore : public MetadataStore
+class SwBufferStore final : public MetadataStore
 {
   public:
     /**
@@ -129,8 +176,21 @@ class SwBufferStore : public MetadataStore
     SwBufferStore(sim::Dpu &dpu, sim::MramAddr mram_base, uint32_t num_nodes,
                   uint32_t buffer_bytes = 2048);
 
-    NodeState get(sim::Tasklet &t, uint32_t node) override;
-    void set(sim::Tasklet &t, uint32_t node, NodeState s) override;
+    NodeState
+    get(sim::Tasklet &t, uint32_t node) override
+    {
+        ensureResident(t, node);
+        return rawGet(node);
+    }
+
+    void
+    set(sim::Tasklet &t, uint32_t node, NodeState s) override
+    {
+        ensureResident(t, node);
+        rawSet(node, s);
+        dirty_ = true;
+    }
+
     void reset(sim::Tasklet &t) override;
 
     /** Buffer hit statistics (paper quotes ~73% for 4 KB allocs). */
@@ -138,8 +198,25 @@ class SwBufferStore : public MetadataStore
     uint64_t misses() const { return misses_; }
 
   private:
-    /** Make the window containing @p node resident; charge costs. */
-    void ensureResident(sim::Tasklet &t, uint32_t node);
+    /**
+     * Make the window containing @p node resident; charge costs.
+     * windowStart_ is always a multiple of the window size, so the hit
+     * test needs no division.
+     */
+    void
+    ensureResident(sim::Tasklet &t, uint32_t node)
+    {
+        const uint32_t byte_off = (node / kNodesPerWord) * kWordBytes;
+        if (valid_ && byte_off - windowStart_ < bufferBytes_) {
+            ++hits_;
+            t.execute(cost::kSwBufferHitInstrs);
+            return;
+        }
+        reload(t, byte_off);
+    }
+
+    /** The miss path: flush the window if dirty, load @p byte_off's. */
+    void reload(sim::Tasklet &t, uint32_t byte_off);
 
     uint32_t bufferBytes_;
     uint32_t windowStart_ = 0; ///< byte offset into the array
@@ -161,7 +238,7 @@ class SwBufferStore : public MetadataStore
  * sim::BuddyCache keyed by line address, so it is the buddy cache's CAM
  * at a different line size.
  */
-class DataCacheStore : public MetadataStore
+class DataCacheStore final : public MetadataStore
 {
   public:
     /**
@@ -172,8 +249,20 @@ class DataCacheStore : public MetadataStore
                    uint32_t num_nodes, uint32_t line_bytes = 64,
                    uint32_t lines = 16);
 
-    NodeState get(sim::Tasklet &t, uint32_t node) override;
-    void set(sim::Tasklet &t, uint32_t node, NodeState s) override;
+    NodeState
+    get(sim::Tasklet &t, uint32_t node) override
+    {
+        access(t, node, false);
+        return rawGet(node);
+    }
+
+    void
+    set(sim::Tasklet &t, uint32_t node, NodeState s) override
+    {
+        access(t, node, true);
+        rawSet(node, s);
+    }
+
     void reset(sim::Tasklet &t) override;
 
     /** Hit statistics. */
@@ -195,18 +284,57 @@ class DataCacheStore : public MetadataStore
  * each buddy-cache instruction: lookup_bc, then read_bc or write_bc, with
  * a write_bc fill between them on a miss.
  */
-class HwCacheStore : public MetadataStore
+class HwCacheStore final : public MetadataStore
 {
   public:
     HwCacheStore(sim::Dpu &dpu, sim::MramAddr mram_base, uint32_t num_nodes);
 
-    NodeState get(sim::Tasklet &t, uint32_t node) override;
-    void set(sim::Tasklet &t, uint32_t node, NodeState s) override;
+    NodeState
+    get(sim::Tasklet &t, uint32_t node) override
+    {
+        access(t, node, false);
+        // read_bc
+        t.stall(dpu_.config().buddyCache.accessCycles, sim::CycleKind::Run);
+        return rawGet(node);
+    }
+
+    void
+    set(sim::Tasklet &t, uint32_t node, NodeState s) override
+    {
+        access(t, node, true);
+        rawSet(node, s);
+        // write_bc (access() marked the entry dirty). MRAM is updated
+        // above so reads through any path stay coherent; the word's
+        // write-back traffic is charged when the dirty entry is evicted.
+        t.stall(dpu_.config().buddyCache.accessCycles, sim::CycleKind::Run);
+    }
+
     void reset(sim::Tasklet &t) override;
 
   private:
-    /** lookup_bc, plus the fill on a miss; charges their costs. */
-    void access(sim::Tasklet &t, uint32_t node, bool write);
+    /**
+     * lookup_bc, plus the fill on a miss; charges their costs. The CAM
+     * is updated before the charges, which may switch this tasklet out.
+     * That is safe: every tree access holds the allocator's mutex, and
+     * init runs on one tasklet, so no other tasklet reaches the cache
+     * in between.
+     */
+    void
+    access(sim::Tasklet &t, uint32_t node, bool write)
+    {
+        const sim::MramAddr wa = wordAddr(node);
+        const auto a = dpu_.buddyCache().access(wa, write);
+        t.stall(dpu_.config().buddyCache.accessCycles,
+                sim::CycleKind::Run); // lookup_bc
+        if (!a.hit)
+            fill(t, wa, a.writeBack);
+    }
+
+    /**
+     * The miss path: fetch word @p wa, fill it via write_bc and write
+     * back the dirty victim @p write_back (kNullAddr if none).
+     */
+    void fill(sim::Tasklet &t, sim::MramAddr wa, sim::MramAddr write_back);
 };
 
 } // namespace pim::alloc

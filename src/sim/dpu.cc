@@ -1,5 +1,6 @@
 #include "sim/dpu.hh"
 
+#include <cmath>
 #include <string>
 
 #include "sim/scheduler.hh"
@@ -14,6 +15,15 @@ Dpu::Dpu(const DpuConfig &cfg)
       wram_(cfg.wramBytes, "WRAM"),
       buddyCache_(cfg.buddyCache)
 {
+    memoDmaCycles(0);
+}
+
+void
+Dpu::memoDmaCycles(uint32_t bytes)
+{
+    dmaMemoBytes_ = bytes;
+    dmaMemoCycles_ = cfg_.dmaSetupCycles
+        + static_cast<uint64_t>(std::ceil(cfg_.dmaCyclesPerByte * bytes));
 }
 
 uint64_t

@@ -46,6 +46,21 @@ class Dpu
     /** Hardware buddy cache (PIM-malloc-HW/SW only). */
     BuddyCache &buddyCache() { return buddyCache_; }
 
+    /**
+     * Cycles of one DMA transfer of @p bytes: dmaSetupCycles +
+     * ceil(dmaCyclesPerByte x bytes). The config is fixed, so the cost
+     * of the last size is kept and the formula runs again only when the
+     * size changes: a metadata walk moves one window or word size over
+     * and over.
+     */
+    uint64_t
+    dmaCycles(uint32_t bytes)
+    {
+        if (bytes != dmaMemoBytes_)
+            memoDmaCycles(bytes);
+        return dmaMemoCycles_;
+    }
+
     /** Aggregate DMA traffic since the last resetStats(). */
     TrafficStats &traffic() { return traffic_; }
     const TrafficStats &traffic() const { return traffic_; }
@@ -128,11 +143,16 @@ class Dpu
     }
 
   private:
+    /** Evaluate dmaCycles()'s formula for @p bytes and keep it. */
+    void memoDmaCycles(uint32_t bytes);
+
     DpuConfig cfg_;
     FlatMemory mram_;
     FlatMemory wram_;
     BuddyCache buddyCache_;
     TrafficStats traffic_;
+    uint32_t dmaMemoBytes_ = 0;
+    uint64_t dmaMemoCycles_ = 0;
     uint64_t lastElapsed_ = 0;
     uint64_t lastSimEvents_ = 0;
     CycleBreakdown lastBreakdown_{};

@@ -21,11 +21,10 @@ FlatMemory::reset()
 }
 
 void
-FlatMemory::checkRange(MramAddr addr, size_t n) const
+FlatMemory::outOfRange(MramAddr addr, size_t n) const
 {
-    PIM_ASSERT(static_cast<size_t>(addr) + n <= size_,
-               name_, " access out of range: addr=", addr, " len=", n,
-               " size=", size_);
+    PIM_PANIC(name_, " access out of range: addr=", addr, " len=", n,
+              " size=", size_);
 }
 
 void

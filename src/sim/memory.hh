@@ -80,7 +80,17 @@ class FlatMemory
     const uint8_t *raw() const { return data_.get(); }
 
   private:
-    void checkRange(MramAddr addr, size_t n) const;
+    /** Panic unless [@p addr, @p addr + @p n) lies inside the memory. */
+    void
+    checkRange(MramAddr addr, size_t n) const
+    {
+        if (static_cast<size_t>(addr) + n > size_) [[unlikely]]
+            outOfRange(addr, n);
+    }
+
+    /** checkRange()'s failure path, kept out of every caller. */
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    outOfRange(MramAddr addr, size_t n) const;
 
     /* calloc-backed so large banks are lazily zeroed by the kernel:
      * materializing thousands of 64 MB DPUs costs address space, not

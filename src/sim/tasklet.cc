@@ -1,7 +1,6 @@
 #include "sim/tasklet.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/dpu.hh"
 #include "sim/scheduler.hh"
@@ -45,9 +44,7 @@ void
 Tasklet::dmaRead(MramAddr addr, uint32_t bytes, TrafficClass tc)
 {
     (void)addr;
-    const auto &cfg = dpu_->config();
-    const uint64_t cycles = cfg.dmaSetupCycles
-        + static_cast<uint64_t>(std::ceil(cfg.dmaCyclesPerByte * bytes));
+    const uint64_t cycles = dpu_->dmaCycles(bytes);
     auto &traffic = dpu_->traffic();
     ++traffic.dmaTransfers;
     if (tc == TrafficClass::Metadata)
@@ -61,9 +58,7 @@ void
 Tasklet::dmaWrite(MramAddr addr, uint32_t bytes, TrafficClass tc)
 {
     (void)addr;
-    const auto &cfg = dpu_->config();
-    const uint64_t cycles = cfg.dmaSetupCycles
-        + static_cast<uint64_t>(std::ceil(cfg.dmaCyclesPerByte * bytes));
+    const uint64_t cycles = dpu_->dmaCycles(bytes);
     auto &traffic = dpu_->traffic();
     ++traffic.dmaTransfers;
     if (tc == TrafficClass::Metadata)
