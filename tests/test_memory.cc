@@ -114,6 +114,7 @@ TEST(Dma, EachChargeRoundsUpOnItsOwnDpusConfig)
     cfg.dmaSetupCycles = 17;
     cfg.dmaCyclesPerByte = 0.3;
     Dpu dpu(cfg);
+    Dpu plain; // built before dpu charges anything
     struct Charge
     {
         uint32_t bytes;
@@ -135,7 +136,6 @@ TEST(Dma, EachChargeRoundsUpOnItsOwnDpusConfig)
     // A default-config DPU launched next on the same host thread charges
     // by its own config, starting with the size the last charge above
     // used.
-    Dpu plain;
     const Charge defaults[] = {{1, 65}, {4, 66}, {7, 68}, {2048, 1088}};
     plain.run(1, [&](Tasklet &t) {
         for (const Charge &c : defaults) {
