@@ -23,11 +23,11 @@
  * stores keep tags only, and a dirty window, line or word costs its
  * write-back traffic when it is evicted; there is no flush.
  *
- * Every store is final and tags itself with its Kind. BuddyTree switches
- * on the tag once per alloc or free and runs a walk specialised on the
- * concrete store, so each node's get/set, the window test and the MRAM
- * read inline into the walk; only the miss paths stay out of line. The
- * virtual get/set serve callers that hold a base reference.
+ * Every store is final and tags itself with its Kind. get/set are not
+ * virtual: BuddyTree switches on the tag once per alloc or free and runs
+ * a walk specialised on the concrete store, so each node's get/set, the
+ * window test and the MRAM read inline into the walk; only the miss
+ * paths stay out of line.
  */
 
 #ifndef PIM_ALLOC_METADATA_STORE_HH
@@ -54,7 +54,12 @@ enum class NodeState : uint8_t {
                    ///< cost scales with tree depth, not live blocks
 };
 
-/** Abstract access path to the packed node-state array. */
+/**
+ * What the access paths to the packed node-state array share. Each
+ * concrete store adds get(t, node), which reads one node's state, and
+ * set(t, node, s), which writes it, each charging that store's access
+ * cost.
+ */
 class MetadataStore
 {
   public:
@@ -65,12 +70,6 @@ class MetadataStore
 
     /** Which concrete store this is (set by its constructor). */
     Kind kind() const { return kind_; }
-
-    /** Read one node's state, charging this store's access cost. */
-    virtual NodeState get(sim::Tasklet &t, uint32_t node) = 0;
-
-    /** Write one node's state, charging this store's access cost. */
-    virtual void set(sim::Tasklet &t, uint32_t node, NodeState s) = 0;
 
     /** Zero the whole array (allocator init). Charges bulk DMA. */
     virtual void reset(sim::Tasklet &t);
@@ -149,13 +148,13 @@ class DirectStore final : public MetadataStore
     }
 
     NodeState
-    get(sim::Tasklet &, uint32_t node) override
+    get(sim::Tasklet &, uint32_t node)
     {
         return rawGet(node);
     }
 
     void
-    set(sim::Tasklet &, uint32_t node, NodeState s) override
+    set(sim::Tasklet &, uint32_t node, NodeState s)
     {
         rawSet(node, s);
     }
@@ -177,14 +176,14 @@ class SwBufferStore final : public MetadataStore
                   uint32_t buffer_bytes = 2048);
 
     NodeState
-    get(sim::Tasklet &t, uint32_t node) override
+    get(sim::Tasklet &t, uint32_t node)
     {
         ensureResident(t, node);
         return rawGet(node);
     }
 
     void
-    set(sim::Tasklet &t, uint32_t node, NodeState s) override
+    set(sim::Tasklet &t, uint32_t node, NodeState s)
     {
         ensureResident(t, node);
         rawSet(node, s);
@@ -250,14 +249,14 @@ class DataCacheStore final : public MetadataStore
                    uint32_t lines = 16);
 
     NodeState
-    get(sim::Tasklet &t, uint32_t node) override
+    get(sim::Tasklet &t, uint32_t node)
     {
         access(t, node, false);
         return rawGet(node);
     }
 
     void
-    set(sim::Tasklet &t, uint32_t node, NodeState s) override
+    set(sim::Tasklet &t, uint32_t node, NodeState s)
     {
         access(t, node, true);
         rawSet(node, s);
@@ -290,7 +289,7 @@ class HwCacheStore final : public MetadataStore
     HwCacheStore(sim::Dpu &dpu, sim::MramAddr mram_base, uint32_t num_nodes);
 
     NodeState
-    get(sim::Tasklet &t, uint32_t node) override
+    get(sim::Tasklet &t, uint32_t node)
     {
         access(t, node, false);
         // read_bc
@@ -299,7 +298,7 @@ class HwCacheStore final : public MetadataStore
     }
 
     void
-    set(sim::Tasklet &t, uint32_t node, NodeState s) override
+    set(sim::Tasklet &t, uint32_t node, NodeState s)
     {
         access(t, node, true);
         rawSet(node, s);

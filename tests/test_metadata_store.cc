@@ -182,7 +182,7 @@ TEST_P(StoreEquivalence, RandomOpsMatchDirect)
             static_cast<NodeState>(rng.uniformInt(4)));
     }
 
-    auto apply = [&](sim::Dpu &dpu, MetadataStore &s) {
+    auto apply = [&](sim::Dpu &dpu, auto &s) {
         dpu.run(1, [&](sim::Tasklet &t) {
             s.reset(t);
             for (const auto &[node, state] : script)
