@@ -49,23 +49,6 @@ BuddyTree::levelFor(uint32_t rounded) const
         std::countr_zero(heapBytes_ / rounded));
 }
 
-template <typename Walk>
-auto
-BuddyTree::withStore(Walk &&walk)
-{
-    switch (store_.kind()) {
-      case MetadataStore::Kind::Direct:
-        return walk(static_cast<DirectStore &>(store_));
-      case MetadataStore::Kind::SwBuffer:
-        return walk(static_cast<SwBufferStore &>(store_));
-      case MetadataStore::Kind::DataCache:
-        return walk(static_cast<DataCacheStore &>(store_));
-      case MetadataStore::Kind::HwCache:
-        return walk(static_cast<HwCacheStore &>(store_));
-    }
-    PIM_PANIC("unknown metadata store kind");
-}
-
 template <typename Store>
 sim::MramAddr
 BuddyTree::tryAlloc(Store &store, sim::Tasklet &t, uint32_t node,
@@ -211,8 +194,8 @@ BuddyTree::alloc(sim::Tasklet &t, uint32_t size)
     }
     const uint32_t rounded = roundSize(size);
     const uint32_t target = levelFor(rounded);
-    const sim::MramAddr r = withStore(
-        [&](auto &store) { return tryAlloc(store, t, 0, 0, target); });
+    const sim::MramAddr r = visitStore(
+        store_, [&](auto &store) { return tryAlloc(store, t, 0, 0, target); });
     if (r == sim::kNullAddr) {
         ++stats_.failures;
         return sim::kNullAddr;
@@ -230,8 +213,8 @@ BuddyTree::free(sim::Tasklet &t, sim::MramAddr addr)
     const uint32_t offset = addr - heapBase_;
     if (offset % minBlock_ != 0)
         return 0;
-    const uint32_t freed = withStore(
-        [&](auto &store) { return freeAt(store, t, offset); });
+    const uint32_t freed = visitStore(
+        store_, [&](auto &store) { return freeAt(store, t, offset); });
     if (freed == 0)
         return 0;
     ++stats_.frees;

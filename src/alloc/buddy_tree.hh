@@ -126,10 +126,6 @@ class BuddyTree
         return (node - first) * blockSize(level);
     }
 
-    /** Call @p walk with the store cast to its concrete type. */
-    template <typename Walk>
-    auto withStore(Walk &&walk);
-
     /** Recursive first-fit descent. */
     template <typename Store>
     sim::MramAddr tryAlloc(Store &store, sim::Tasklet &t, uint32_t node,

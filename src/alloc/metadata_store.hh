@@ -336,6 +336,28 @@ class HwCacheStore final : public MetadataStore
     void fill(sim::Tasklet &t, sim::MramAddr wa, sim::MramAddr write_back);
 };
 
+/**
+ * Call @p fn with @p store cast to its concrete class, so a walk written
+ * as a generic lambda is compiled once per store with its get/set
+ * inlined. A new store needs a Kind and a case here.
+ */
+template <typename Fn>
+auto
+visitStore(MetadataStore &store, Fn &&fn)
+{
+    switch (store.kind()) {
+      case MetadataStore::Kind::Direct:
+        return fn(static_cast<DirectStore &>(store));
+      case MetadataStore::Kind::SwBuffer:
+        return fn(static_cast<SwBufferStore &>(store));
+      case MetadataStore::Kind::DataCache:
+        return fn(static_cast<DataCacheStore &>(store));
+      case MetadataStore::Kind::HwCache:
+        return fn(static_cast<HwCacheStore &>(store));
+    }
+    PIM_PANIC("unknown metadata store kind");
+}
+
 } // namespace pim::alloc
 
 #endif // PIM_ALLOC_METADATA_STORE_HH

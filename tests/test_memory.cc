@@ -62,14 +62,9 @@ TEST(FlatMemory, Fill)
 TEST(FlatMemoryDeath, OutOfRangePanics)
 {
     FlatMemory m(64, "tiny");
+    uint8_t buf[8] = {};
     EXPECT_DEATH(m.read<uint32_t>(62), "out of range");
     EXPECT_DEATH(m.write<uint32_t>(64, 1), "out of range");
-}
-
-TEST(FlatMemoryDeath, EveryCheckedEntryPointPanics)
-{
-    FlatMemory m(64, "tiny");
-    uint8_t buf[8] = {};
     EXPECT_DEATH(m.readBytes(57, buf, 8), "tiny access out of range");
     EXPECT_DEATH(m.writeBytes(57, buf, 8), "tiny access out of range");
     EXPECT_DEATH(m.fill(32, 33, 0), "tiny access out of range");
