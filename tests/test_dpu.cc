@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
 
 #include "host_allocs.hh"
+#include "resident_pages.hh"
 #include "sim/dpu.hh"
 #include "sim/mutex.hh"
 #include "sim/scheduler.hh"
@@ -72,6 +74,36 @@ TEST(Dpu, StatePersistsAcrossLaunches)
         t.execute(1);
     });
     EXPECT_EQ(seen, 7u);
+}
+
+TEST(Dpu, ReclaimMemoryKeepsResultsAndZeroesTheBank)
+{
+    DpuConfig cfg;
+    cfg.mramBytes = 1u << 20;
+    Dpu dpu(cfg);
+    dpu.wramReserve(4096);
+    dpu.run(2, [](Tasklet &t) {
+        t.mramWrite<uint64_t>(t.id() * 4096 + 8, ~uint64_t{0});
+        t.dmaRead(0, 256);
+        t.execute(10);
+    });
+    const uint64_t elapsed = dpu.lastElapsedCycles();
+    const uint64_t events = dpu.lastSimEvents();
+    const TrafficStats traffic = dpu.traffic();
+    ASSERT_GT(elapsed, 0u);
+    ASSERT_GT(traffic.dmaTransfers, 0u);
+
+    dpu.reclaimMemory();
+    EXPECT_EQ(dpu.lastElapsedCycles(), elapsed);
+    EXPECT_EQ(dpu.lastSimEvents(), events);
+    EXPECT_EQ(dpu.traffic().dataReadBytes, traffic.dataReadBytes);
+    EXPECT_EQ(dpu.traffic().dataWriteBytes, traffic.dataWriteBytes);
+    EXPECT_EQ(dpu.traffic().dmaTransfers, traffic.dmaTransfers);
+    EXPECT_EQ(dpu.wramUsed(), 4096u);
+    EXPECT_EQ(dpu.mram().size(), cfg.mramBytes);
+    const uint8_t *bank = dpu.mram().raw();
+    EXPECT_TRUE(std::all_of(bank, bank + cfg.mramBytes,
+                            [](uint8_t b) { return b == 0; }));
 }
 
 TEST(Dpu, MaxTaskletsLaunchWorks)

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <iterator>
 
+#include "resident_pages.hh"
 #include "sim/dpu.hh"
 #include "sim/memory.hh"
 
@@ -87,6 +91,73 @@ TEST(FlatMemoryDeath, LastWordPassesOneByteFurtherPanics)
     EXPECT_DEATH(m.write<uint32_t>(61, 1), "tiny access out of range");
     EXPECT_DEATH(m.readBytes(56, buf, 9), "tiny access out of range");
     EXPECT_DEATH(m.fill(0, 65, 0), "tiny access out of range");
+}
+
+namespace {
+
+/** Three whole host pages and 100 B: the last page is partial. */
+size_t
+threePagesAndABit()
+{
+    return 3 * static_cast<size_t>(sysconf(_SC_PAGESIZE)) + 100;
+}
+
+bool
+allZero(const FlatMemory &m)
+{
+    return std::all_of(m.raw(), m.raw() + m.size(),
+                       [](uint8_t b) { return b == 0; });
+}
+
+} // namespace
+
+TEST(FlatMemory, ResetZeroesEveryByteAndKeepsTheSize)
+{
+    const size_t bytes = threePagesAndABit();
+    FlatMemory m(bytes, "test");
+    m.fill(0, bytes, 0xa5);
+    m.reset();
+    EXPECT_EQ(m.size(), bytes);
+    EXPECT_TRUE(allZero(m));
+    m.write<uint32_t>(0, 0x01020304);
+    m.write<uint32_t>(bytes - 4, 0xdeadbeef);
+    EXPECT_EQ(m.read<uint32_t>(0), 0x01020304u);
+    EXPECT_EQ(m.read<uint32_t>(bytes - 4), 0xdeadbeefu);
+}
+
+TEST(FlatMemoryDeath, BoundIsTheSizeNotTheWholePages)
+{
+    const size_t bytes = threePagesAndABit();
+    FlatMemory m(bytes, "odd");
+    const auto last = static_cast<MramAddr>(bytes - 4);
+    m.write<uint32_t>(last, 7);
+    EXPECT_EQ(m.read<uint32_t>(last), 7u);
+    EXPECT_DEATH(m.read<uint32_t>(last + 1), "odd access out of range");
+    m.reset();
+    EXPECT_EQ(m.read<uint32_t>(last), 0u);
+    EXPECT_DEATH(m.write<uint32_t>(last + 1, 1), "odd access out of range");
+}
+
+TEST(FlatMemory, ZeroBytesConstructsAndResets)
+{
+    FlatMemory m(0, "empty");
+    EXPECT_EQ(m.size(), 0u);
+    m.reset();
+    EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(FlatMemory, ResetReturnsTouchedPagesToTheOs)
+{
+    const size_t bytes = size_t{64} << 20;
+    FlatMemory m(bytes, "MRAM");
+    m.fill(0, bytes / 4, 0x5a);
+    EXPECT_GT(pim::test::residentPagesInside(m), 0u);
+    m.reset();
+    // Counted before any read: a read maps the shared zero page, and
+    // mincore reports that as resident.
+    EXPECT_EQ(pim::test::residentPagesInside(m), 0u);
+    EXPECT_EQ(m.read<uint64_t>(0), 0u);
+    EXPECT_EQ(m.read<uint64_t>(bytes / 4 - 8), 0u);
 }
 
 TEST(Dma, ReadCostMatchesModel)
