@@ -12,7 +12,6 @@ namespace pim::sim {
 Dpu::Dpu(const DpuConfig &cfg)
     : cfg_(cfg),
       mram_(cfg.mramBytes, "MRAM"),
-      wram_(cfg.wramBytes, "WRAM"),
       buddyCache_(cfg.buddyCache)
 {
     memoDmaCycles(0);
@@ -69,7 +68,7 @@ Dpu::run(unsigned num_tasklets, const std::function<void(Tasklet &)> &body)
 uint32_t
 Dpu::wramReserve(uint32_t bytes)
 {
-    PIM_ASSERT(wramUsed_ + bytes <= cfg_.wramBytes,
+    PIM_ASSERT(bytes <= cfg_.wramBytes - wramUsed_,
                "WRAM budget exceeded: used=", wramUsed_, " request=", bytes,
                " capacity=", cfg_.wramBytes);
     const uint32_t offset = wramUsed_;

@@ -1,9 +1,10 @@
 /**
  * @file
  * One DRAM Processing Unit (DPU): the bank-level PIM core the paper
- * targets. Owns the backing storage for WRAM and MRAM, the hardware
- * buddy cache model, traffic statistics, and a simple WRAM budget
- * accountant used by the allocators to prove they fit in the scratchpad.
+ * targets. Owns the backing storage for MRAM, the hardware buddy cache
+ * model, traffic statistics, and a WRAM budget accountant used by the
+ * allocators to prove they fit in the scratchpad. The budget is the
+ * whole WRAM model: no simulated structure keeps its contents there.
  *
  * DPUs never share state (each has its own address space), so multi-DPU
  * experiments simulate DPUs independently and reduce across them.
@@ -39,9 +40,6 @@ class Dpu
     /** Local DRAM bank. */
     FlatMemory &mram() { return mram_; }
     const FlatMemory &mram() const { return mram_; }
-
-    /** Scratchpad. */
-    FlatMemory &wram() { return wram_; }
 
     /** Hardware buddy cache (PIM-malloc-HW/SW only). */
     BuddyCache &buddyCache() { return buddyCache_; }
@@ -130,17 +128,13 @@ class Dpu
     }
 
     /**
-     * Return this DPU's touched MRAM/WRAM pages to the OS (contents are
-     * lost; statistics and the last run's results survive). The graph
-     * update driver calls this after harvesting a shard's final round,
-     * so peak memory tracks the in-flight workers, not the whole
-     * system.
+     * Return this DPU's touched MRAM pages to the OS (the bank reads
+     * zero again; statistics, the WRAM budget and the last run's
+     * results survive). The graph update driver calls this after
+     * harvesting a shard's final round, so peak memory tracks the
+     * in-flight workers, not the whole system.
      */
-    void reclaimMemory()
-    {
-        mram_.reset();
-        wram_.reset();
-    }
+    void reclaimMemory() { mram_.reset(); }
 
   private:
     /** Evaluate dmaCycles()'s formula for @p bytes and keep it. */
@@ -148,7 +142,6 @@ class Dpu
 
     DpuConfig cfg_;
     FlatMemory mram_;
-    FlatMemory wram_;
     BuddyCache buddyCache_;
     TrafficStats traffic_;
     uint32_t dmaMemoBytes_ = 0;

@@ -1,18 +1,18 @@
 /**
  * @file
- * Backing storage for a DPU's memories: the 64 KB scratchpad (WRAM) and
- * the 64 MB local DRAM bank (MRAM). These classes model *storage* only;
- * cycle costs for moving data between them are charged by the Tasklet DMA
- * interface (Tasklet::dmaRead / Tasklet::dmaWrite).
+ * Backing storage for a DPU's 64 MB local DRAM bank (MRAM). It models
+ * *storage* only; cycle costs for moving data to and from the bank are
+ * charged by the Tasklet DMA interface (Tasklet::dmaRead /
+ * Tasklet::dmaWrite). The 64 KB scratchpad (WRAM) keeps no contents: it
+ * is modelled by sim::Dpu's reservation budget.
  */
 
 #ifndef PIM_SIM_MEMORY_HH
 #define PIM_SIM_MEMORY_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <type_traits>
 
 #include "sim/types.hh"
 #include "util/logging.hh"
@@ -21,14 +21,21 @@ namespace pim::sim {
 
 /**
  * A flat byte-addressable memory with bounds-checked typed access.
- * Used for both WRAM and MRAM (they differ only in size and in the cost
- * model applied by the caller).
+ * It owns one private anonymous mapping of its capacity rounded up to
+ * whole host pages, so the kernel zeroes it lazily: materializing
+ * thousands of 64 MB DPUs costs address space, not memory or page
+ * faults, which is what makes full-system (sample = 0) parallel sweeps
+ * tractable.
  */
 class FlatMemory
 {
   public:
     /** @param bytes capacity; @param name used in error messages. */
     FlatMemory(size_t bytes, const char *name);
+    ~FlatMemory();
+
+    FlatMemory(const FlatMemory &) = delete;
+    FlatMemory &operator=(const FlatMemory &) = delete;
 
     /** Capacity in bytes. */
     size_t size() const { return size_; }
@@ -41,7 +48,7 @@ class FlatMemory
         static_assert(std::is_trivially_copyable_v<T>);
         checkRange(addr, sizeof(T));
         T value;
-        std::memcpy(&value, data_.get() + addr, sizeof(T));
+        std::memcpy(&value, data_ + addr, sizeof(T));
         return value;
     }
 
@@ -52,7 +59,7 @@ class FlatMemory
     {
         static_assert(std::is_trivially_copyable_v<T>);
         checkRange(addr, sizeof(T));
-        std::memcpy(data_.get() + addr, &value, sizeof(T));
+        std::memcpy(data_ + addr, &value, sizeof(T));
     }
 
     /** Bulk copy out of the memory. */
@@ -68,16 +75,16 @@ class FlatMemory
     void fill(MramAddr addr, size_t n, uint8_t value);
 
     /**
-     * Drop the backing store and reallocate it lazily zeroed: returns
-     * every touched page to the OS. Contents are lost; capacity is
-     * unchanged. Used to bound peak memory when thousands of DPUs are
-     * simulated and then harvested (the graph update driver's final
-     * round, via sim::Dpu::reclaimMemory).
+     * Return every touched page to the OS; the memory reads zero again.
+     * The mapping, its address and the capacity stay. Used to bound
+     * peak memory when thousands of DPUs are simulated and then
+     * harvested (the graph update driver's final round, via
+     * sim::Dpu::reclaimMemory).
      */
     void reset();
 
     /** Raw pointer for read-only inspection in tests. */
-    const uint8_t *raw() const { return data_.get(); }
+    const uint8_t *raw() const { return data_; }
 
   private:
     /** Panic unless [@p addr, @p addr + @p n) lies inside the memory. */
@@ -92,12 +99,9 @@ class FlatMemory
     [[noreturn, gnu::cold, gnu::noinline]] void
     outOfRange(MramAddr addr, size_t n) const;
 
-    /* calloc-backed so large banks are lazily zeroed by the kernel:
-     * materializing thousands of 64 MB DPUs costs address space, not
-     * page faults, which is what makes full-system (sample = 0)
-     * parallel sweeps tractable. */
-    std::unique_ptr<uint8_t[], void (*)(void *)> data_;
     size_t size_;
+    size_t mappedBytes_; ///< size_ in whole pages, at least one page
+    uint8_t *data_;
     const char *name_;
 };
 

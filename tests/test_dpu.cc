@@ -30,7 +30,6 @@ TEST(Dpu, UpmemDefaults)
     EXPECT_EQ(dpu.config().maxTasklets, 24u);
     EXPECT_DOUBLE_EQ(dpu.config().clockGhz, 0.35);
     EXPECT_EQ(dpu.mram().size(), 64u << 20);
-    EXPECT_EQ(dpu.wram().size(), 64u << 10);
 }
 
 TEST(Dpu, CycleConversion)
@@ -104,6 +103,21 @@ TEST(Dpu, ReclaimMemoryKeepsResultsAndZeroesTheBank)
     const uint8_t *bank = dpu.mram().raw();
     EXPECT_TRUE(std::all_of(bank, bank + cfg.mramBytes,
                             [](uint8_t b) { return b == 0; }));
+}
+
+TEST(Dpu, FreshBankHasNoResidentPage)
+{
+    DpuConfig cfg;
+    cfg.mramBytes = 64u << 10;
+    {
+        Dpu first(cfg);
+        first.mram().fill(0, cfg.mramBytes, 0xff);
+        EXPECT_GT(pim::test::residentPagesInside(first.mram()), 0u);
+    }
+    // A new bank costs address space only, even right after the host
+    // freed a block of its size.
+    Dpu second(cfg);
+    EXPECT_EQ(pim::test::residentPagesInside(second.mram()), 0u);
 }
 
 TEST(Dpu, MaxTaskletsLaunchWorks)

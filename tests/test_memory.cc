@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for FlatMemory (WRAM/MRAM backing store) and the Tasklet DMA
- * cost model.
+ * Tests for FlatMemory (the MRAM bank's backing store), the Tasklet DMA
+ * cost model and the DPU's WRAM budget.
  */
 
 #include <gtest/gtest.h>
@@ -270,4 +270,13 @@ TEST(DpuDeath, WramOverflowPanics)
     Dpu dpu(cfg);
     dpu.wramReserve(1024);
     EXPECT_DEATH(dpu.wramReserve(1), "WRAM budget exceeded");
+}
+
+TEST(DpuDeath, WramRequestThatWrapsPastFourGiBPanics)
+{
+    Dpu dpu;
+    EXPECT_EQ(dpu.wramReserve(1024), 0u);
+    // 1024 + 0xFFFFFC01 is 2^32 + 1: one byte once it wraps.
+    EXPECT_DEATH(dpu.wramReserve(0xFFFFFC01u), "WRAM budget exceeded");
+    EXPECT_EQ(dpu.wramUsed(), 1024u);
 }
